@@ -38,10 +38,6 @@ pub struct Options {
     pub seed: u64,
     /// Worker threads for sweeps.
     pub threads: usize,
-    /// Event-drain workers per simulation for the `scale` sweep's
-    /// parallel runs (`SimConfig::workers`; results are byte-identical
-    /// for every value).
-    pub workers: usize,
     /// DeepST training epochs (quality/runtime knob).
     pub nn_epochs: usize,
     /// Output directory for JSON result dumps.
@@ -55,7 +51,6 @@ impl Default for Options {
             instances: 2,
             seed: 42,
             threads: std::thread::available_parallelism().map_or(2, |n| n.get()),
-            workers: 8,
             nn_epochs: 10,
             out_dir: "results".into(),
         }

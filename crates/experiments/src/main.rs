@@ -4,8 +4,7 @@
 //!
 //! ```text
 //! mrvd-experiments <command> [--scale F] [--instances N] [--seed S]
-//!                            [--threads T] [--workers W] [--nn-epochs E]
-//!                            [--out DIR]
+//!                            [--threads T] [--nn-epochs E] [--out DIR]
 //!
 //! commands:
 //!   table3    idle-time estimation accuracy (drivers 1K–8K)
@@ -76,7 +75,7 @@ const COMMANDS: [&str; 19] = [
 fn print_usage() {
     eprintln!(
         "usage: mrvd-experiments <{}> [--scale F] [--instances N] [--seed S] [--threads T] \
-         [--workers W] [--nn-epochs E] [--out DIR]",
+         [--nn-epochs E] [--out DIR]",
         COMMANDS.join("|")
     );
 }
@@ -120,7 +119,6 @@ fn parse_cmdline(args: &[String]) -> Result<Parsed, String> {
             "--instances" => opts.instances = parse("--instances", value("--instances")?)?,
             "--seed" => opts.seed = parse("--seed", value("--seed")?)?,
             "--threads" => opts.threads = parse("--threads", value("--threads")?)?,
-            "--workers" => opts.workers = parse("--workers", value("--workers")?)?,
             "--nn-epochs" => opts.nn_epochs = parse("--nn-epochs", value("--nn-epochs")?)?,
             "--out" => opts.out_dir = value("--out")?.clone(),
             other => return Err(format!("unknown flag `{other}`")),
@@ -134,9 +132,6 @@ fn parse_cmdline(args: &[String]) -> Result<Parsed, String> {
     }
     if opts.threads < 1 {
         return Err("--threads must be ≥ 1".into());
-    }
-    if opts.workers < 1 {
-        return Err("--workers must be ≥ 1".into());
     }
     Ok(Parsed::Run(cmd.clone(), opts))
 }
@@ -298,18 +293,10 @@ mod tests {
 
     #[test]
     fn workers_flag_parses_and_validates() {
-        let Ok(Parsed::Run(cmd, opts)) =
-            parse_cmdline(&args(&["scale", "--workers", "4", "--scale", "0.04"]))
-        else {
-            panic!("expected a run");
-        };
-        assert_eq!(cmd, "scale");
-        assert_eq!(opts.workers, 4);
-        assert_eq!(Options::default().workers, 8);
-        let err = parse_cmdline(&args(&["scale", "--workers", "0"])).unwrap_err();
-        assert!(err.contains("--workers"), "{err}");
-        let err = parse_cmdline(&args(&["scale", "--workers"])).unwrap_err();
-        assert!(err.contains("missing value for --workers"), "{err}");
+        // The engine drains events on the calling thread, so there is
+        // no drain-worker knob: `--workers` is an unknown flag.
+        let err = parse_cmdline(&args(&["scale", "--workers", "4"])).unwrap_err();
+        assert_eq!(err, "unknown flag `--workers`");
     }
 
     #[test]

@@ -2,29 +2,25 @@
 //!
 //! Sweeps the workload's *scale axis* — grid resolution × fleet size ×
 //! order volume, up to a 200×200 grid with a 50 000-driver fleet serving
-//! a 1M-order day — at Δ = 1 s, timing the parallel sharded event engine
-//! (`--workers` drain workers between batch barriers) against the
-//! sequential sharded layout and the forced single-heap layout on
-//! identical workloads. All three must be byte-identical (the shard
-//! tournament pops in exactly the global heap order, and the parallel
-//! drain merges popped keys back into that order before applying them),
-//! so every cell is also a differential check; the KPI columns are wall
-//! time per execution mode, engine events per second and
+//! a 1M-order day — at Δ = 1 s, timing the sharded event engine against
+//! the forced single-heap layout on identical workloads. The two layouts
+//! must be byte-identical (the shard tournament pops in exactly the
+//! global heap order), so every cell is also a differential check; the
+//! KPI columns are wall time, engine events per second and
 //! `views_entries_dirtied` (the O(changes) work the policies actually
 //! see per batch).
 //!
 //! A second section reruns the six built-in scenarios (scaled by
-//! `--scale`) under IRG-R four ways — parallel sharded, sequential
-//! sharded, single-queue engine, legacy reference loop — and records the
-//! byte-identity of each pair, so `BENCH_scale.json` carries the
-//! equivalence evidence next to the timings it justifies.
+//! `--scale`) under IRG-R three ways — sharded engine, single-queue
+//! engine, legacy reference loop — and records the byte-identity of each
+//! pair, so `BENCH_scale.json` carries the equivalence evidence next to
+//! the timings it justifies.
 //!
-//! An FNV-1a digest over the *simulated* outputs of every parallel run
+//! An FNV-1a digest over the *simulated* outputs of every sharded run
 //! (counts, revenue bits, the full assignment and renege streams — no
 //! wall-clock fields) is written both into the JSON and to
-//! `<out>/BENCH_scale.digest`; two sweeps that differ only in
-//! `--workers` must produce byte-identical digest files, which CI checks
-//! with a plain `cmp`.
+//! `<out>/BENCH_scale.digest`, so two builds can be checked for
+//! identical behaviour with a plain `cmp` of their digest files.
 //!
 //! `--scale` multiplies each point's orders and drivers (grid sizes are
 //! fixed — resolution is the axis under test); the default 0.25 keeps
@@ -160,8 +156,8 @@ fn fnv_u64(hash: &mut u64, value: u64) {
 
 /// Folds the *simulated* outputs of one run into the digest: counts,
 /// revenue bits and the full assignment/renege streams — nothing
-/// wall-clock-dependent, so two sweeps that differ only in `--workers`
-/// must digest identically.
+/// wall-clock-dependent, so two sweeps of the same behaviour digest
+/// identically.
 fn fold_result(hash: &mut u64, r: &SimResult) {
     fnv_u64(hash, r.served as u64);
     fnv_u64(hash, r.reneged as u64);
@@ -190,8 +186,8 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// Runs the scale sweep, prints the tables and dumps the JSON.
 pub fn scale(opts: &Options) {
     eprintln!(
-        "[scale] grid × fleet sweep at Δ = {SCALE_DELTA_MS} ms, scale {}, {} drain workers — parallel vs sequential vs single-queue engine…",
-        opts.scale, opts.workers
+        "[scale] grid × fleet sweep at Δ = {SCALE_DELTA_MS} ms, scale {} — sharded vs single-queue engine…",
+        opts.scale
     );
     let t0 = std::time::Instant::now();
     let mut rows: Vec<Vec<String>> = Vec::new();
@@ -209,30 +205,19 @@ pub fn scale(opts: &Options) {
         }
         for policy in policies {
             let ts = std::time::Instant::now();
-            let parallel =
-                run_scenario_configured(&workload, policy, None, None, Some(opts.workers));
-            let parallel_s = ts.elapsed().as_secs_f64();
-            let ts = std::time::Instant::now();
-            let sharded = run_scenario_configured(&workload, policy, None, None, Some(1));
+            let sharded = run_scenario_configured(&workload, policy, None, None);
             let sharded_s = ts.elapsed().as_secs_f64();
             let ts = std::time::Instant::now();
-            let single = run_scenario_configured(&workload, policy, None, Some(1), Some(1));
+            let single = run_scenario_configured(&workload, policy, None, Some(1));
             let single_s = ts.elapsed().as_secs_f64();
-            let par_identical = results_identical(&parallel, &sharded, false);
             let identical = results_identical(&sharded, &single, false);
-            assert!(
-                par_identical,
-                "{}/{}: parallel and sequential sharded runs diverged",
-                spec.name,
-                policy.label()
-            );
             assert!(
                 identical,
                 "{}/{}: sharded and single-queue runs diverged",
                 spec.name,
                 policy.label()
             );
-            fold_result(&mut digest, &parallel);
+            fold_result(&mut digest, &sharded);
             let events_per_s = sharded.events_processed as f64 / sharded_s.max(1e-9);
             rows.push(vec![
                 spec.name.clone(),
@@ -243,15 +228,9 @@ pub fn scale(opts: &Options) {
                 sharded.events_processed.to_string(),
                 format!("{:.2}M", events_per_s / 1e6),
                 sharded.views_entries_dirtied.to_string(),
-                format!("{:.2}", parallel_s),
                 format!("{:.2}", sharded_s),
                 format!("{:.2}", single_s),
-                if par_identical && identical {
-                    "yes"
-                } else {
-                    "NO"
-                }
-                .to_string(),
+                if identical { "yes" } else { "NO" }.to_string(),
             ]);
             cell_values.push(json!({
                 "point": spec.name,
@@ -263,7 +242,6 @@ pub fn scale(opts: &Options) {
                 "policy": policy.label(),
                 "delta_ms": SCALE_DELTA_MS,
                 "event_shards": shards,
-                "workers": opts.workers,
                 "materialize_s": materialize_s,
                 "total_riders": sharded.total_riders,
                 "served": sharded.served,
@@ -279,16 +257,14 @@ pub fn scale(opts: &Options) {
                 "views_entries_dirtied": sharded.views_entries_dirtied,
                 "counts_ops": sharded.counts_ops,
                 "index_ops": sharded.index_ops,
-                "wall_s_parallel": parallel_s,
                 "wall_s_sharded": sharded_s,
                 "wall_s_single_queue": single_s,
-                "parallel_equals_sharded": par_identical,
                 "sharded_equals_single_queue": identical,
             }));
         }
     }
     print_table(
-        "Scale axis — grid × fleet at Δ = 1 s, parallel sharded engine (vs sequential, vs forced single queue)",
+        "Scale axis — grid × fleet at Δ = 1 s, sharded engine (vs forced single queue)",
         &[
             "point",
             "policy",
@@ -298,8 +274,7 @@ pub fn scale(opts: &Options) {
             "events",
             "ev/s",
             "dirtied",
-            "par (s)",
-            "seq (s)",
+            "wall (s)",
             "1-queue (s)",
             "identical",
         ],
@@ -307,63 +282,50 @@ pub fn scale(opts: &Options) {
     );
 
     eprintln!(
-        "[scale] six-builtin identity battery (IRG-R × parallel/sharded/single/reference, scale {}) on {} threads…",
+        "[scale] six-builtin identity battery (IRG-R × sharded/single/reference, scale {}) on {} threads…",
         opts.scale, opts.threads
     );
-    let workers = opts.workers;
     let specs: Vec<ScenarioSpec> = builtins().iter().map(|s| s.scaled(opts.scale)).collect();
-    let identity = parallel_map(specs, opts.threads, move |spec| {
+    let identity = parallel_map(specs, opts.threads, |spec| {
         let workload = spec.materialize();
-        let parallel =
-            run_scenario_configured(&workload, SweepPolicy::IrgReal, None, None, Some(workers));
-        let sharded = run_scenario_configured(&workload, SweepPolicy::IrgReal, None, None, Some(1));
-        let single =
-            run_scenario_configured(&workload, SweepPolicy::IrgReal, None, Some(1), Some(1));
+        let sharded = run_scenario_configured(&workload, SweepPolicy::IrgReal, None, None);
+        let single = run_scenario_configured(&workload, SweepPolicy::IrgReal, None, Some(1));
         let reference = run_scenario_reference(&workload, SweepPolicy::IrgReal);
         (
             spec.name.clone(),
-            results_identical(&parallel, &sharded, false),
             results_identical(&sharded, &single, false),
             results_identical(&sharded, &reference, true),
-            parallel,
+            sharded,
         )
     });
     let id_rows: Vec<Vec<String>> = identity
         .iter()
-        .map(|(name, vs_sequential, vs_single, vs_reference, _)| {
+        .map(|(name, vs_single, vs_reference, _)| {
             vec![
                 name.clone(),
-                if *vs_sequential { "yes" } else { "NO" }.to_string(),
                 if *vs_single { "yes" } else { "NO" }.to_string(),
                 if *vs_reference { "yes" } else { "NO" }.to_string(),
             ]
         })
         .collect();
     print_table(
-        "Parallel-engine byte-identity on the built-ins (IRG-R)",
-        &[
-            "scenario",
-            "= workers 1",
-            "= single queue",
-            "= reference loop",
-        ],
+        "Sharded-engine byte-identity on the built-ins (IRG-R)",
+        &["scenario", "= single queue", "= reference loop"],
         &id_rows,
     );
-    for (name, vs_sequential, vs_single, vs_reference, parallel) in &identity {
-        assert!(vs_sequential, "{name}: parallel diverged from sequential");
+    for (name, vs_single, vs_reference, sharded) in &identity {
         assert!(vs_single, "{name}: sharded diverged from single queue");
         assert!(vs_reference, "{name}: sharded diverged from reference loop");
-        fold_result(&mut digest, parallel);
+        fold_result(&mut digest, sharded);
     }
     let total_wall_s = t0.elapsed().as_secs_f64();
 
     let identity_values: Vec<Value> = identity
         .iter()
-        .map(|(name, vs_sequential, vs_single, vs_reference, _)| {
+        .map(|(name, vs_single, vs_reference, _)| {
             json!({
                 "scenario": name,
                 "policy": "IRG-R",
-                "parallel_equals_sharded": vs_sequential,
                 "sharded_equals_single_queue": vs_single,
                 "sharded_equals_reference": vs_reference,
             })
@@ -376,7 +338,6 @@ pub fn scale(opts: &Options) {
         json!({
             "scale": opts.scale,
             "threads": opts.threads,
-            "workers": opts.workers,
             "delta_ms": SCALE_DELTA_MS,
             "total_wall_s": total_wall_s,
             "results_digest": digest_hex,
@@ -384,8 +345,8 @@ pub fn scale(opts: &Options) {
             "builtin_identity": identity_values,
         }),
     );
-    // The digest also lands in its own file so CI can `cmp` two sweeps
-    // that differ only in `--workers` without a JSON parser.
+    // The digest also lands in its own file so two sweeps can be
+    // compared with `cmp`, without a JSON parser.
     let digest_path = std::path::Path::new(&opts.out_dir).join("BENCH_scale.digest");
     match std::fs::write(&digest_path, format!("{digest_hex}\n")) {
         Ok(()) => eprintln!("[out] wrote {}", digest_path.display()),

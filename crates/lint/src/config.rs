@@ -11,7 +11,7 @@
 //! reason = "subcommand timing tables; never feeds simulation state"
 //!
 //! [roots]
-//! fn = "ShardSlots::drain_worker"
+//! fn = "parallel_map"
 //! spawn_path = "crates/stats/src/parallel.rs"
 //! ```
 //!
@@ -222,11 +222,11 @@ mod tests {
     #[test]
     fn roots_section_parses_fns_and_spawn_paths() {
         let (cfg, errs) = parse(
-            "[roots]\nfn = \"ShardSlots::drain_worker\"\nfn = \"BroadcastPool::run\"\nspawn_path = \"crates/stats/src/parallel.rs\"\n\n[[allow]]\npath = \"x\"\nrule = \"D002\"\nreason = \"r\"\n",
+            "[roots]\nfn = \"parallel_map\"\nfn = \"Slots::drain_worker\"\nspawn_path = \"crates/stats/src/parallel.rs\"\n\n[[allow]]\npath = \"x\"\nrule = \"D002\"\nreason = \"r\"\n",
         );
         assert!(errs.is_empty(), "{errs:?}");
         assert_eq!(cfg.roots.len(), 2);
-        assert_eq!(cfg.roots[0].name, "ShardSlots::drain_worker");
+        assert_eq!(cfg.roots[0].name, "parallel_map");
         assert_eq!(cfg.spawn_ok, vec!["crates/stats/src/parallel.rs"]);
         assert_eq!(cfg.allows.len(), 1);
     }

@@ -481,7 +481,7 @@ fn check_c005(ctx: &CRuleCtx<'_>, out: &mut Vec<CFinding>) {
                 line,
                 format!(
                     "`{what}` outside the sanctioned pool module(s); all parallel \
-                     execution must go through BroadcastPool"
+                     execution must go through a `[roots] spawn_path` module"
                 ),
                 &[],
             );

@@ -61,7 +61,7 @@ pub struct CallSite {
     /// Callee name (last path segment / method name / macro name).
     pub name: String,
     /// Last path segment before the name for qualified calls
-    /// (`ShardSlots::new` → `ShardSlots`, `mem::take` → `mem`).
+    /// (`Slots::new` → `Slots`, `mem::take` → `mem`).
     pub qualifier: Option<String>,
     /// Receiver chain (method calls only).
     pub receiver: Receiver,
@@ -169,8 +169,8 @@ pub struct FileItems {
 const NON_TYPE_HEADS: [&str; 6] = ["dyn", "impl", "mut", "const", "fn", "where"];
 
 /// First meaningful ident of a type token string: skips references,
-/// mutability, lifetimes and `dyn`, so `&'p mut ShardSlots` →
-/// `ShardSlots` and `&mut dyn FnMut(…)` → `FnMut`.
+/// mutability, lifetimes and `dyn`, so `&'p mut Slots` →
+/// `Slots` and `&mut dyn FnMut(…)` → `FnMut`.
 pub fn type_head(ty: &[String]) -> Option<&str> {
     ty.iter()
         .map(String::as_str)
@@ -250,7 +250,7 @@ mod tests {
 
     #[test]
     fn type_head_skips_refs_and_lifetimes() {
-        assert_eq!(type_head(&toks("& 'p ShardSlots")), Some("ShardSlots"));
+        assert_eq!(type_head(&toks("& 'p Slots")), Some("Slots"));
         assert_eq!(type_head(&toks("& mut Vec < u8 >")), Some("Vec"));
         assert_eq!(type_head(&toks("& mut dyn FnMut ( u8 )")), Some("FnMut"));
         assert_eq!(type_head(&toks("")), None);

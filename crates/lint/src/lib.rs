@@ -23,9 +23,9 @@
 //! [`callgraph`] → [`reach`]) recovers every fn, call expression and
 //! struct field in the workspace, resolves calls into a call graph, and
 //! computes the transitive closure of the parallel roots declared in
-//! `lint.toml [roots]` (the `BroadcastPool` job closures and shard-drain
-//! entry points). The **C rules** ([`crules`]) then hold that
-//! worker-reachable set to a stricter standard:
+//! `lint.toml [roots]` (the worker loop of the `parallel_map` pool). The
+//! **C rules** ([`crules`]) then hold that worker-reachable set to a
+//! stricter standard:
 //!
 //! | rule | pattern in worker-reachable code |
 //! |------|----------------------------------|

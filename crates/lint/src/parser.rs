@@ -569,7 +569,7 @@ impl<'a> Parser<'a> {
                 .clone()];
         }
         if segs.len() > 1 {
-            // `HashMap::new()`, `ShardSlots::new(…)` → last capitalized
+            // `HashMap::new()`, `Slots::new(…)` → last capitalized
             // segment. Bare calls (`relock(…)`) give no hint.
             if let Some(k) = segs.iter().rev().find(|k| upper(k)) {
                 return vec![self.t[*k].text.clone()];
@@ -690,8 +690,10 @@ impl<'a> Parser<'a> {
                     args: (j + 2, j + 2),
                 });
                 // Rescan inside the macro args: they are expressions in
-                // every macro this workspace uses.
-                return j + 2;
+                // every macro this workspace uses. A `{` delimiter is
+                // left for `step` so brace depth stays balanced and the
+                // macro's `}` cannot close the enclosing fn.
+                return if open == Some("{") { j + 1 } else { j + 2 };
             }
             return j + 1;
         }
@@ -758,7 +760,7 @@ mod tests {
     #[test]
     fn records_method_calls_with_receiver_chains() {
         let items = parse(
-            "fn f(q: &ParallelQueue) {\n\
+            "fn f(q: &WorkQueue) {\n\
                  q.slots.shards[s].lock();\n\
                  self.head_time[w].load(x);\n\
              }\n",
@@ -787,7 +789,7 @@ mod tests {
         let items = parse(
             "fn f() {\n\
                  relock(guard);\n\
-                 ShardSlots::new(4, 2);\n\
+                 Slots::new(4, 2);\n\
                  std::mem::take(&mut v);\n\
                  panic!(\"boom {}\", compute());\n\
              }\n",
@@ -801,7 +803,7 @@ mod tests {
             heads,
             [
                 ("relock", None, CallKind::Free),
-                ("new", Some("ShardSlots"), CallKind::Free),
+                ("new", Some("Slots"), CallKind::Free),
                 ("take", Some("mem"), CallKind::Free),
                 ("panic", None, CallKind::Macro),
                 ("compute", None, CallKind::Free), // inside the macro args
@@ -815,7 +817,7 @@ mod tests {
         let items = parse(
             "fn f() {\n\
                  let a: Vec<Mutex<DrainOut>> = Vec::new();\n\
-                 let b = ShardSlots::new(4, 2);\n\
+                 let b = Slots::new(4, 2);\n\
                  let mut c = DoneGuard { pool: p };\n\
                  let d = helper();\n\
                  let Some(e) = opt else { return };\n\
@@ -829,7 +831,7 @@ mod tests {
                 .map(|b| b.ty.join(" "))
         };
         assert_eq!(get("a").as_deref(), Some("Vec < Mutex < DrainOut > >"));
-        assert_eq!(get("b").as_deref(), Some("ShardSlots"));
+        assert_eq!(get("b").as_deref(), Some("Slots"));
         assert_eq!(get("c").as_deref(), Some("DoneGuard"));
         assert_eq!(get("d").as_deref(), Some(""));
         assert!(get("e").is_none(), "pattern lets record no binding");
@@ -871,7 +873,7 @@ mod tests {
     #[test]
     fn struct_fields_are_typed() {
         let items = parse(
-            "pub struct ShardSlots {\n\
+            "pub struct Slots {\n\
                  pub shards: Vec<Mutex<BinaryHeap<Reverse<EventKey>>>>,\n\
                  head_time: Vec<AtomicU64>,\n\
                  n: usize,\n\

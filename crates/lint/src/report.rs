@@ -238,11 +238,11 @@ mod tests {
                 },
                 Finding {
                     rule: "C002".into(),
-                    path: "crates/sim/src/parallel.rs".into(),
+                    path: "crates/stats/src/parallel.rs".into(),
                     line: 120,
                     message: "panic-capable `.unwrap()`".into(),
                     suppressed: None,
-                    chain: vec!["ShardSlots::drain_worker".into(), "relock".into()],
+                    chain: vec!["parallel_map".into(), "relock".into()],
                 },
             ],
         }
@@ -265,7 +265,7 @@ mod tests {
         assert!(j.contains("\"gating\": 2"));
         assert!(j.contains("hash \\\"iteration\\\""));
         assert!(j.contains("\"by\": \"pragma\""));
-        assert!(j.contains("\"chain\": [\"ShardSlots::drain_worker\", \"relock\"]"));
+        assert!(j.contains("\"chain\": [\"parallel_map\", \"relock\"]"));
         assert!(j.contains("\"clean\": false"));
         // Balanced braces/brackets as a cheap well-formedness check.
         assert_eq!(j.matches('{').count(), j.matches('}').count());
@@ -275,7 +275,7 @@ mod tests {
     #[test]
     fn human_rendering_shows_chains() {
         let h = sample().render_human();
-        assert!(h.contains("via ShardSlots::drain_worker -> relock"));
+        assert!(h.contains("via parallel_map -> relock"));
     }
 
     #[test]

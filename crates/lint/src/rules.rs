@@ -30,7 +30,7 @@ pub fn rule_summary(rule: &str) -> &'static str {
         "C002" => "panic-capable operation in worker-reachable code",
         "C003" => "non-Sync interior mutability or mutable static in worker-reachable code",
         "C004" => "atomic operation without an explicit Ordering in worker-reachable code",
-        "C005" => "thread spawn outside the sanctioned BroadcastPool",
+        "C005" => "thread spawn outside the sanctioned worker-pool module",
         _ => "meta finding",
     }
 }

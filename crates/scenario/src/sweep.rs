@@ -93,23 +93,19 @@ pub fn run_scenario_with_delta(
     policy: SweepPolicy,
     delta_ms: Option<u64>,
 ) -> SimResult {
-    run_scenario_configured(workload, policy, delta_ms, None, None)
+    run_scenario_configured(workload, policy, delta_ms, None)
 }
 
-/// [`run_scenario_with_delta`] with explicit engine-layout overrides:
-/// an event-queue shard count (`Some(1)` forces the single global heap,
-/// `Some(0)`/`None` keep the config's sharding — `0` = auto-sized to
-/// the grid) and a drain worker count (`Some(1)` forces the sequential
-/// loop, `Some(0)` asks the OS, `None` keeps the config's). The scale
-/// experiments use it to pin the sharded and parallel engines
-/// byte-identical to the sequential single-queue layout while comparing
-/// their wall times.
+/// [`run_scenario_with_delta`] with an explicit event-queue shard count
+/// override (`Some(1)` forces the single global heap, `Some(0)`/`None`
+/// keep the config's sharding — `0` = auto-sized to the grid). The scale
+/// experiments use it to pin the sharded engine byte-identical to the
+/// single-queue layout while comparing their wall times.
 pub fn run_scenario_configured(
     workload: &ScenarioWorkload,
     policy: SweepPolicy,
     delta_ms: Option<u64>,
     event_shards: Option<usize>,
-    workers: Option<usize>,
 ) -> SimResult {
     let mut config = workload.sim_config.clone();
     if let Some(delta) = delta_ms {
@@ -117,9 +113,6 @@ pub fn run_scenario_configured(
     }
     if let Some(shards) = event_shards {
         config.event_shards = shards;
-    }
-    if let Some(workers) = workers {
-        config.workers = workers;
     }
     let sim = Simulator::new(config, &workload.travel, &workload.grid);
     let mut p = policy.build(workload);

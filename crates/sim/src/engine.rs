@@ -19,16 +19,15 @@
 
 use mrvd_demand::TripRecord;
 use mrvd_spatial::{Grid, Point, RegionId, RegionIndex, TravelModel};
-use mrvd_stats::{BroadcastPool, SummaryStats};
+use mrvd_stats::SummaryStats;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::counts::RegionCounts;
 use crate::fleet::{Fleet, Tag};
 use crate::metrics::{AssignmentRecord, RenegeRecord, SimResult};
-use crate::parallel::{ParallelQueue, ShardSlots};
 use crate::policy::{AvailableDriver, BatchContext, BusyDriver, DispatchPolicy, WaitingRider};
 use crate::schedule::DriverSchedule;
-use crate::shard::{EventKey, EventQueue, ShardedEventQueue};
+use crate::shard::{EventQueue, ShardedEventQueue};
 use crate::types::{DriverId, Millis, RiderId};
 use crate::views::BatchViews;
 
@@ -56,17 +55,6 @@ pub struct SimConfig {
     /// so the tournament over shard heads reproduces the single-queue
     /// pop order exactly.
     pub event_shards: usize,
-    /// Worker threads draining shard events between batch barriers:
-    /// `1` (the default) keeps the sequential loop, `0` asks the OS
-    /// (`std::thread::available_parallelism`), and `n > 1` spawns a
-    /// persistent pool of `n` workers for the run — always clamped to
-    /// the shard count, so the single-heap layout (`event_shards = 1`)
-    /// runs sequentially regardless. Results are bit-identical for
-    /// every value: workers only pop keys into per-worker buffers, the
-    /// barrier merge sorts them back into the exact sequential pop
-    /// order, and every state transition is applied on the calling
-    /// thread (see `parallel.rs`).
-    pub workers: usize,
 }
 
 impl Default for SimConfig {
@@ -78,7 +66,6 @@ impl Default for SimConfig {
             horizon_ms: mrvd_demand::DAY_MS,
             seed: 0x51A1,
             event_shards: 0,
-            workers: 1,
         }
     }
 }
@@ -361,57 +348,6 @@ impl<'a> Simulator<'a> {
         policy: &mut dyn DispatchPolicy,
     ) -> SimResult {
         self.assert_inputs(trips, driver_pool, schedule);
-        let num_shards = match self.config.event_shards {
-            0 => ShardedEventQueue::auto_shard_count(self.grid.num_regions()),
-            n => n,
-        };
-        let workers = self.resolve_workers(num_shards);
-        if workers > 1 {
-            // The parallel layout: shard heaps shared with a persistent
-            // drain pool, spawned once here and reused across every
-            // barrier of the run (tens of thousands on a city-scale
-            // day). Dropping the queue at the end of `run_core` shuts
-            // the pool down; the scope joins the workers.
-            let slots = ShardSlots::new(num_shards, workers);
-            std::thread::scope(|scope| {
-                let pool = BroadcastPool::new(scope, workers, |w, cutoff: EventKey| {
-                    slots.drain_worker(w, cutoff);
-                });
-                let events = EventQueue::Parallel(ParallelQueue::new(&slots, pool));
-                self.run_core(trips, driver_pool, schedule, policy, events)
-            })
-        } else {
-            self.run_core(
-                trips,
-                driver_pool,
-                schedule,
-                policy,
-                EventQueue::new(num_shards),
-            )
-        }
-    }
-
-    /// Resolves [`SimConfig::workers`] against the shard layout: `0`
-    /// asks the OS, explicit counts are taken as-is, and the result is
-    /// clamped to the shard count (a worker drains whole shards, and
-    /// the single-heap layout always runs sequentially).
-    fn resolve_workers(&self, num_shards: usize) -> usize {
-        let requested = match self.config.workers {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        };
-        requested.min(num_shards)
-    }
-
-    /// The engine loop proper, generic over the event-queue layout.
-    fn run_core(
-        &self,
-        trips: &[TripRecord],
-        driver_pool: &[Point],
-        schedule: &DriverSchedule,
-        policy: &mut dyn DispatchPolicy,
-        mut events: EventQueue<'_>,
-    ) -> SimResult {
         let teleport = policy.teleports_pickup();
         let every_batch = policy.invoke_every_batch();
         // Rider state is struct-of-arrays: the caller's trip slice plus
@@ -469,12 +405,13 @@ impl<'a> Simulator<'a> {
         // Events are partitioned into per-region-band shards — dropoffs
         // by dropoff region, deadlines by pickup region — with a
         // tournament head reproducing the single-queue pop order exactly
-        // (see `shard.rs`; `event_shards = 1` keeps the single heap, and
-        // `workers > 1` drains the shards on a worker pool between
-        // barriers, see `parallel.rs`). The layout was resolved by
-        // `run_scheduled`; it arrives here as the `events` parameter.
+        // (see `shard.rs`; `event_shards = 1` keeps the single heap).
         let num_regions = self.grid.num_regions();
-        let num_shards = events.num_shards();
+        let num_shards = match self.config.event_shards {
+            0 => ShardedEventQueue::auto_shard_count(num_regions),
+            n => n,
+        };
+        let mut events = EventQueue::new(num_shards);
         let shard_of = |r: RegionId| r.idx() * num_shards / num_regions;
 
         let mut next_trip = 0usize;
@@ -525,27 +462,29 @@ impl<'a> Simulator<'a> {
                 changed = true;
             }
             // 2. Apply dropoffs, shift changes and passed deadlines in
-            // timestamp order, each at its true event time. An event is
-            // due at `tick` iff its key sorts below `(tick,
-            // PRI_DEADLINE, 0)`: dropoffs and shift changes at `t <=
-            // tick` (priorities 0 and 1 sort below PRI_DEADLINE at
-            // equal time), deadlines strictly before `tick` (at `t ==
-            // tick` a deadline key never sorts below the cutoff). Each
-            // due shift phase is a sub-barrier: queue events below the
-            // phase key drain first, then the fleet reconciles, then
-            // the next stretch drains. Queue processing between
-            // sub-barriers never pushes events, so the due set is fixed
-            // when a drain starts — what lets the parallel layout drain
-            // shards concurrently and merge at the barrier.
-            let final_cutoff: EventKey = (tick, PRI_DEADLINE, 0);
+            // timestamp order, each at its true event time.
             loop {
-                let phase = phases
+                let heap_next = events.peek();
+                let phase_next = phases
                     .get(next_phase)
-                    .map(|&(from, target)| ((from, PRI_SHIFT, next_phase as u32), target))
-                    .filter(|&(key, _)| key < final_cutoff);
-                let cutoff = phase.map_or(final_cutoff, |(key, _)| key);
-                events.drain_due(cutoff, &mut |(t, pri, id)| {
-                    if pri == PRI_DROPOFF {
+                    .map(|&(from, _)| (from, PRI_SHIFT, next_phase as u32));
+                let Some((t, pri, id)) = (match (heap_next, phase_next) {
+                    (Some(h), Some(p)) => Some(h.min(p)),
+                    (h, p) => h.or(p),
+                }) else {
+                    break;
+                };
+                let due = if pri == PRI_DEADLINE {
+                    t < tick
+                } else {
+                    t <= tick
+                };
+                if !due {
+                    break;
+                }
+                match pri {
+                    PRI_DROPOFF => {
+                        events.pop();
                         let d = id as usize;
                         assert_eq!(
                             fleet.tag(d),
@@ -574,8 +513,23 @@ impl<'a> Simulator<'a> {
                         }
                         events_processed += 1;
                         changed = true;
-                    } else {
-                        debug_assert_eq!(pri, PRI_DEADLINE, "unexpected event priority");
+                    }
+                    PRI_SHIFT => {
+                        next_phase += 1;
+                        let target = phases[id as usize].1;
+                        changed |= reconcile_fleet(
+                            self.grid,
+                            &mut fleet,
+                            &mut avail_index,
+                            &mut counts,
+                            &mut views,
+                            target,
+                            t,
+                        );
+                        events_processed += 1;
+                    }
+                    _ => {
+                        events.pop();
                         let ri = id as usize;
                         // Deadlines of assigned riders are stale no-ops.
                         if !rider_assigned[ri] {
@@ -590,21 +544,7 @@ impl<'a> Simulator<'a> {
                             changed = true;
                         }
                     }
-                });
-                let Some(((t, _, _), target)) = phase else {
-                    break;
-                };
-                next_phase += 1;
-                changed |= reconcile_fleet(
-                    self.grid,
-                    &mut fleet,
-                    &mut avail_index,
-                    &mut counts,
-                    &mut views,
-                    target,
-                    t,
-                );
-                events_processed += 1;
+                }
             }
 
             // 3. Run the batch — unless nothing changed since the last
@@ -1620,103 +1560,11 @@ mod tests {
     }
 
     #[test]
-    fn results_are_invariant_to_the_worker_count() {
-        // The parallel drain's merge must reproduce the sequential pop
-        // order exactly — so any worker count (sequential 1, several,
-        // more workers than shards, auto 0) over any shard layout
-        // yields byte-identical results, down to every engine counter,
-        // shift changes included.
-        let grid = Grid::nyc_16x16();
-        let travel = ConstantSpeedModel::new(8.0);
-        let trips = mk_trips(140);
-        let drivers: Vec<Point> = (0..7)
-            .map(|i| Point::new(-73.97 - (i % 4) as f64 * 0.003, 40.75))
-            .collect();
-        let schedule = DriverSchedule::new(vec![(0, 7), (1_200_000, 3), (2_400_000, 6)]);
-        let run_with = |workers: usize, event_shards: usize| {
-            let sim = Simulator::new(
-                SimConfig {
-                    horizon_ms: 3_600_000,
-                    event_shards,
-                    workers,
-                    ..SimConfig::default()
-                },
-                &travel,
-                &grid,
-            );
-            sim.run_scheduled(&trips, &drivers, &schedule, &mut FirstFit)
-        };
-        let sequential = run_with(1, 0);
-        assert!(sequential.served > 0 && sequential.reneged > 0);
-        for (workers, shards) in [(2, 0), (3, 7), (8, 2), (16, 0), (0, 0)] {
-            let parallel = run_with(workers, shards);
-            assert_eq!(sequential.served, parallel.served, "workers={workers}");
-            assert_eq!(sequential.reneged, parallel.reneged);
-            assert_eq!(sequential.still_waiting, parallel.still_waiting);
-            assert_eq!(
-                sequential.total_revenue.to_bits(),
-                parallel.total_revenue.to_bits()
-            );
-            assert_eq!(sequential.ticks_executed, parallel.ticks_executed);
-            assert_eq!(sequential.events_processed, parallel.events_processed);
-            // The apply order is bit-for-bit the sequential one, so the
-            // incremental-structure telemetry cannot diverge either.
-            assert_eq!(sequential.index_ops, parallel.index_ops);
-            assert_eq!(
-                sequential.index_regions_dirtied,
-                parallel.index_regions_dirtied
-            );
-            assert_eq!(sequential.counts_ops, parallel.counts_ops);
-            assert_eq!(
-                sequential.counts_regions_dirtied,
-                parallel.counts_regions_dirtied
-            );
-            assert_eq!(sequential.views_ops, parallel.views_ops);
-            assert_eq!(
-                sequential.views_entries_dirtied,
-                parallel.views_entries_dirtied
-            );
-            assert_eq!(sequential.assignments, parallel.assignments);
-            assert_eq!(sequential.reneges, parallel.reneges);
-        }
-    }
-
-    #[test]
-    fn single_heap_layout_forces_sequential_execution() {
-        // `event_shards = 1` clamps any worker request to one worker:
-        // the run must still work (and match) rather than spin up a
-        // pool over a single shard.
-        let grid = Grid::nyc_16x16();
-        let travel = ConstantSpeedModel::new(8.0);
-        let trips = mk_trips(60);
-        let drivers: Vec<Point> = (0..5).map(|_| Point::new(-73.97, 40.75)).collect();
-        let run_with = |workers: usize| {
-            let sim = Simulator::new(
-                SimConfig {
-                    horizon_ms: 3_600_000,
-                    event_shards: 1,
-                    workers,
-                    ..SimConfig::default()
-                },
-                &travel,
-                &grid,
-            );
-            sim.run(&trips, &drivers, &mut FirstFit)
-        };
-        let one = run_with(1);
-        let eight = run_with(8);
-        assert!(one.served > 0);
-        assert_eq!(one.assignments, eight.assignments);
-        assert_eq!(one.reneges, eight.reneges);
-    }
-
-    #[test]
     fn dropoff_on_a_batch_timestamp_is_dispatchable_in_that_batch_under_all_layouts() {
-        // The PR 5 half-open rejoin-window pin, extended to the
-        // parallel path: a dropoff landing *exactly* on a batch
-        // timestamp frees its driver before dispatch runs in that same
-        // batch, under the sequential loop, the parallel drain, the
-        // single-heap layout and the reference loop alike.
+        // The half-open rejoin-window pin: a dropoff landing *exactly*
+        // on a batch timestamp frees its driver before dispatch runs in
+        // that same batch, under the sharded layouts, the single-heap
+        // layout and the reference loop alike.
         //
         // Fixed 30 s legs make the timeline exact: rider 0 (request 0)
         // is assigned at batch 0, picked up at 30 s, dropped off at
@@ -1754,19 +1602,18 @@ mod tests {
                 "{label}: the dropoff at the batch timestamp must be visible to that batch"
             );
         };
-        for (workers, event_shards) in [(1, 0), (2, 0), (4, 16), (1, 1)] {
+        for event_shards in [0, 16, 1] {
             let sim = Simulator::new(
                 SimConfig {
                     horizon_ms: 600_000,
                     event_shards,
-                    workers,
                     ..SimConfig::default()
                 },
                 &travel,
                 &grid,
             );
             let res = sim.run(&trips, &drivers, &mut FirstFit);
-            check(&res, &format!("workers={workers} shards={event_shards}"));
+            check(&res, &format!("shards={event_shards}"));
         }
         let sim = Simulator::new(
             SimConfig {

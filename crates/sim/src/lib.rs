@@ -41,7 +41,6 @@ pub mod counts;
 pub mod engine;
 mod fleet;
 pub mod metrics;
-pub(crate) mod parallel;
 pub mod policy;
 pub mod reference;
 pub mod schedule;

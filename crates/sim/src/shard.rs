@@ -16,8 +16,7 @@
 //! bit-identical for any shard count, which the engine-equivalence
 //! batteries pin. Cross-shard handoff (an assignment formed in one
 //! region pushing a dropoff event into another region's shard) happens
-//! only at batch timestamps, where dispatch is already a barrier — the
-//! layout phase 1 of a parallel-shard engine needs.
+//! only at batch timestamps, where dispatch is already a barrier.
 //!
 //! The tournament head is *lazily* maintained: pushes add a head entry
 //! only when the new key becomes its shard's minimum, and stale head
@@ -132,25 +131,18 @@ impl ShardedEventQueue {
 }
 
 /// The engine's event queue: the single global heap (the pre-shard
-/// reference path, `event_shards = 1`), the sharded queue, or the
-/// sharded queue with a parallel drain pool (`workers > 1`). All three
-/// expose the same push/peek/pop surface and produce the same pop
-/// order; [`EventQueue::drain_due`] is the batched form the engine's
-/// event step uses (sequential layouts pop one by one, the parallel
-/// layout fans the due prefixes out to its workers and merges by key).
-pub(crate) enum EventQueue<'p> {
+/// reference path, `event_shards = 1`) or the sharded queue. Both expose
+/// the same push/peek/pop surface and produce the same pop order.
+#[derive(Debug)]
+pub(crate) enum EventQueue {
     /// One global min-heap — the reference layout.
     Single(BinaryHeap<Reverse<EventKey>>),
     /// Per-region-band shards with a tournament head.
     Sharded(ShardedEventQueue),
-    /// Sharded, drained by a persistent worker pool between barriers.
-    Parallel(crate::parallel::ParallelQueue<'p>),
 }
 
-impl EventQueue<'_> {
-    /// A sequential queue with `shards` shards (`<= 1` selects the
-    /// single heap; the parallel layout is constructed by the engine
-    /// around its worker scope).
+impl EventQueue {
+    /// A queue with `shards` shards (`<= 1` selects the single heap).
     pub fn new(shards: usize) -> Self {
         if shards <= 1 {
             EventQueue::Single(BinaryHeap::new())
@@ -159,21 +151,11 @@ impl EventQueue<'_> {
         }
     }
 
-    /// The shard count of this layout (`1` for the single heap).
-    pub fn num_shards(&self) -> usize {
-        match self {
-            EventQueue::Single(_) => 1,
-            EventQueue::Sharded(q) => q.num_shards(),
-            EventQueue::Parallel(q) => q.num_shards(),
-        }
-    }
-
     /// Queues `key`; `shard` is ignored by the single-heap layout.
     pub fn push(&mut self, key: EventKey, shard: usize) {
         match self {
             EventQueue::Single(h) => h.push(Reverse(key)),
             EventQueue::Sharded(q) => q.push(key, shard),
-            EventQueue::Parallel(q) => q.push(key, shard),
         }
     }
 
@@ -182,7 +164,6 @@ impl EventQueue<'_> {
         match self {
             EventQueue::Single(h) => h.peek().map(|&Reverse(k)| k),
             EventQueue::Sharded(q) => q.peek(),
-            EventQueue::Parallel(q) => q.peek(),
         }
     }
 
@@ -191,35 +172,6 @@ impl EventQueue<'_> {
         match self {
             EventQueue::Single(h) => h.pop().map(|Reverse(k)| k),
             EventQueue::Sharded(q) => q.pop(),
-            EventQueue::Parallel(q) => q.pop(),
-        }
-    }
-
-    /// Pops every key `< cutoff` and applies them in global key order.
-    /// The sequential layouts pop one by one — provably the same as the
-    /// engine's old interleaved peek-min loop; the parallel layout
-    /// drains shards concurrently and merges (see `parallel.rs`).
-    pub fn drain_due(&mut self, cutoff: EventKey, apply: &mut dyn FnMut(EventKey)) {
-        match self {
-            EventQueue::Single(h) => {
-                while let Some(&Reverse(key)) = h.peek() {
-                    if key >= cutoff {
-                        break;
-                    }
-                    h.pop();
-                    apply(key);
-                }
-            }
-            EventQueue::Sharded(q) => {
-                while let Some(key) = q.peek() {
-                    if key >= cutoff {
-                        break;
-                    }
-                    q.pop();
-                    apply(key);
-                }
-            }
-            EventQueue::Parallel(q) => q.drain_due(cutoff, apply),
         }
     }
 }

@@ -14,10 +14,9 @@
 //! * [`metrics`] — MAE / RMSE / relative RMSE and summary statistics used by
 //!   Tables 3 and 6.
 //! * [`histogram`] — fixed-width binning used to render Figures 11–12.
-//! * [`parallel`] — the scoped worker pools: [`parallel_map`] fans a fixed
-//!   job list out (order-preserving, so results are independent of the
-//!   worker count), and [`BroadcastPool`] keeps persistent workers parked
-//!   between barrier rounds for the engine's parallel event drains.
+//! * [`parallel`] — the scoped worker pool the experiment harness and the
+//!   scenario sweep fan their runs out on (order-preserving, so results
+//!   are independent of the worker count).
 //!
 //! Everything is deterministic given a seed and uses no global state.
 
@@ -33,5 +32,5 @@ pub mod poisson;
 pub use chi_square::{chi_square_critical, chi_square_gof_poisson, ChiSquareOutcome};
 pub use histogram::Histogram;
 pub use metrics::{mae, mean, relative_rmse, rmse, std_dev, variance, SummaryStats};
-pub use parallel::{parallel_map, BroadcastPool};
+pub use parallel::parallel_map;
 pub use poisson::{poisson_pmf, sample_poisson, PoissonProcess};

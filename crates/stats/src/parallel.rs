@@ -3,217 +3,52 @@
 //! Shared by the experiment harness and the scenario sweep runner: both
 //! fan a fixed job list over `std::thread::scope` workers and need the
 //! results back in input order so sweeps stay deterministic regardless
-//! of the worker count. [`BroadcastPool`] is the second shape the
-//! simulation engine needs: a *persistent* pool whose workers survive
-//! across many small rounds, so a hot loop can broadcast one job per
-//! barrier without paying a thread spawn every time.
+//! of the worker count.
+//!
+//! [`parallel_map`] is the workspace's one parallel root (`lint.toml
+//! [roots]`), so its own code is held to the `mrvd-lint` C rules: no
+//! panic-capable operation, no lock `expect`, no slice indexing. Job
+//! panics still propagate — through the scope join, not through the
+//! pool.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::Scope;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Runs `jobs` on up to `threads` scoped workers, preserving input
 /// order. Worker count is clamped to `[1, jobs.len()]`; a panicking job
 /// propagates once the scope joins.
+///
+/// Workers claim job indices from a shared counter and record
+/// `(index, result)` pairs; the pairs are put back in input order after
+/// the join, so the output never depends on which worker ran what.
 pub fn parallel_map<J, R, F>(jobs: Vec<J>, threads: usize, f: F) -> Vec<R>
 where
     J: Send + Sync,
     R: Send,
     F: Fn(&J) -> R + Sync,
 {
-    let n = jobs.len();
-    let queue: Mutex<VecDeque<usize>> = Mutex::new((0..n).collect());
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let jobs_ref = &jobs;
-    let f_ref = &f;
+    let next = AtomicUsize::new(0);
+    let done: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(jobs.len()));
     std::thread::scope(|scope| {
-        for _ in 0..threads.max(1).min(n.max(1)) {
+        for _ in 0..threads.max(1).min(jobs.len().max(1)) {
             scope.spawn(|| loop {
-                let next = queue.lock().expect("queue lock").pop_front();
-                let Some(i) = next else { break };
-                let r = f_ref(&jobs_ref[i]);
-                *results[i].lock().expect("result lock") = Some(r);
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = jobs.get(i) else { break };
+                let r = f(job);
+                relock(done.lock()).push((i, r));
             });
         }
     });
-    results
-        .into_iter()
-        .map(|m| m.into_inner().expect("poisoned").expect("job skipped"))
-        .collect()
+    let mut done = relock(done.into_inner());
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Shared pool state behind the mutex: the current round number, its
-/// job, and how many workers have yet to finish it.
-struct BroadcastState<J> {
-    round: u64,
-    job: Option<J>,
-    remaining: usize,
-    shutdown: bool,
-    panicked: bool,
-}
-
-struct BroadcastShared<J> {
-    state: Mutex<BroadcastState<J>>,
-    /// Signals workers that a new round (or shutdown) is available.
-    work: Condvar,
-    /// Signals the caller that the last worker of a round finished.
-    done: Condvar,
-}
-
-/// Recover from a poisoned lock: the pool never panics while holding
-/// the state mutex itself, so poison can only come from a caller's
-/// `catch_unwind` around a rejected round — the state is still
-/// consistent and continuing is safe.
+/// Recovers a poisoned result list. A job runs outside the lock, so a
+/// panicking job cannot poison it — and that panic re-raises at the
+/// scope join before the list is read anyway.
 fn relock<T>(r: Result<T, PoisonError<T>>) -> T {
     r.unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A persistent broadcast pool over scoped workers: every call to
-/// [`BroadcastPool::run`] hands *the same job* to every worker (each
-/// also gets its index, so workers pick their own slice of the work)
-/// and blocks until all of them finish — a reusable barrier, with no
-/// per-round thread spawn.
-///
-/// Built for the simulation engine's parallel event drains, where a
-/// city-scale day crosses tens of thousands of batch barriers: the
-/// workers are spawned once per run on the caller's
-/// [`std::thread::scope`] and then only park on a condvar between
-/// rounds.
-///
-/// The worker count is fixed at construction and rounds are strictly
-/// sequential: a `run` that overlaps an in-flight round (from another
-/// thread, or a worker re-entering the pool) is rejected by panic
-/// *before* any state changes, so the in-flight round — and the pool —
-/// continue cleanly. A panic inside a worker closure is propagated to
-/// the caller of `run`.
-pub struct BroadcastPool<J> {
-    shared: Arc<BroadcastShared<J>>,
-    workers: usize,
-}
-
-impl<J: Copy + Send + 'static> BroadcastPool<J> {
-    /// Spawns `workers` threads on `scope` running `f(worker_index,
-    /// job)` once per broadcast round. The threads exit when the pool
-    /// is dropped (and are joined when the scope ends).
-    ///
-    /// # Panics
-    /// Panics if `workers` is zero.
-    pub fn new<'scope, F>(scope: &'scope Scope<'scope, '_>, workers: usize, f: F) -> Self
-    where
-        F: Fn(usize, J) + Send + Sync + 'scope,
-    {
-        assert!(workers > 0, "BroadcastPool: need at least one worker");
-        let shared = Arc::new(BroadcastShared {
-            state: Mutex::new(BroadcastState {
-                round: 0,
-                job: None,
-                remaining: 0,
-                shutdown: false,
-                panicked: false,
-            }),
-            work: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let f = Arc::new(f);
-        for w in 0..workers {
-            let shared = Arc::clone(&shared);
-            let f = Arc::clone(&f);
-            scope.spawn(move || {
-                let mut seen = 0u64;
-                loop {
-                    let job = {
-                        let mut s = relock(shared.state.lock());
-                        loop {
-                            if s.shutdown {
-                                return;
-                            }
-                            if s.round > seen {
-                                break;
-                            }
-                            s = relock(shared.work.wait(s));
-                        }
-                        seen = s.round;
-                        // lint:allow(C002): run() sets `job` before bumping `round` under the same lock; a round without a job is unreachable
-                        s.job.expect("BroadcastPool: round without a job")
-                    };
-                    // The guard marks this worker done even if `f`
-                    // unwinds, so `run` can never deadlock on a lost
-                    // decrement; the panic flag makes it propagate.
-                    let guard = DoneGuard { shared: &shared };
-                    f(w, job);
-                    drop(guard);
-                }
-            });
-        }
-        Self { shared, workers }
-    }
-
-    /// The fixed worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Broadcasts `job` to every worker and blocks until all of them
-    /// finish it.
-    ///
-    /// # Panics
-    /// Panics if a round is already in flight (rounds are strictly
-    /// sequential — the rejected call leaves the pool fully usable), or
-    /// if any worker panicked while running `job`.
-    pub fn run(&self, job: J) {
-        let mut s = relock(self.shared.state.lock());
-        if s.remaining != 0 {
-            drop(s);
-            // lint:allow(C002): deliberate fail-fast on API misuse (overlapping rounds); documented under # Panics
-            panic!(
-                "BroadcastPool: a round is already in flight \
-                 (rounds are strictly sequential and the worker count is fixed at construction)"
-            );
-        }
-        if s.panicked {
-            drop(s);
-            // lint:allow(C002): deliberate panic propagation — a worker died; silently continuing would corrupt results
-            panic!("BroadcastPool: a worker panicked in an earlier round");
-        }
-        s.round += 1;
-        s.job = Some(job);
-        s.remaining = self.workers;
-        self.shared.work.notify_all();
-        while s.remaining > 0 {
-            s = relock(self.shared.done.wait(s));
-        }
-        let panicked = s.panicked;
-        drop(s);
-        if panicked {
-            // lint:allow(C002): deliberate panic propagation — a worker died this round; documented under # Panics
-            panic!("BroadcastPool: a worker panicked");
-        }
-    }
-}
-
-impl<J> Drop for BroadcastPool<J> {
-    fn drop(&mut self) {
-        let mut s = relock(self.shared.state.lock());
-        s.shutdown = true;
-        self.shared.work.notify_all();
-    }
-}
-
-struct DoneGuard<'a, J> {
-    shared: &'a BroadcastShared<J>,
-}
-
-impl<J> Drop for DoneGuard<'_, J> {
-    fn drop(&mut self) {
-        let mut s = relock(self.shared.state.lock());
-        if std::thread::panicking() {
-            s.panicked = true;
-        }
-        s.remaining -= 1;
-        if s.remaining == 0 {
-            self.shared.done.notify_all();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -235,128 +70,12 @@ mod tests {
         assert_eq!(parallel_map(vec![1u64, 2], 16, |&j| j + 1), vec![2, 3]);
     }
 
-    mod broadcast {
-        use super::super::*;
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-
-        #[test]
-        fn every_worker_runs_every_round() {
-            let per_worker: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
-            let job_sum = AtomicU64::new(0);
-            std::thread::scope(|scope| {
-                let pool = BroadcastPool::new(scope, 4, |w, job: u64| {
-                    per_worker[w].fetch_add(1, Ordering::SeqCst);
-                    job_sum.fetch_add(job, Ordering::SeqCst);
-                });
-                assert_eq!(pool.workers(), 4);
-                for round in 0..25u64 {
-                    pool.run(round);
-                }
-            });
-            for c in &per_worker {
-                assert_eq!(c.load(Ordering::SeqCst), 25, "a worker missed rounds");
-            }
-            // Each of the 4 workers saw every job value exactly once.
-            assert_eq!(job_sum.load(Ordering::SeqCst), 4 * (0..25).sum::<u64>());
-        }
-
-        #[test]
-        fn run_is_a_barrier() {
-            // After `run` returns, all workers' effects are visible.
-            let cells: Vec<AtomicU64> = (0..8).map(|_| AtomicU64::new(0)).collect();
-            std::thread::scope(|scope| {
-                let pool = BroadcastPool::new(scope, 8, |w, job: u64| {
-                    cells[w].store(job, Ordering::SeqCst);
-                });
-                for job in [3u64, 9, 27] {
-                    pool.run(job);
-                    for c in &cells {
-                        assert_eq!(c.load(Ordering::SeqCst), job);
-                    }
-                }
-            });
-        }
-
-        #[test]
-        fn overlapping_round_is_rejected_and_the_pool_continues() {
-            // One worker blocks on a gate, pinning a round in flight; a
-            // second `run` from another thread must be rejected without
-            // disturbing the round, and once the gate opens the pool
-            // keeps serving rounds cleanly.
-            let gate = Arc::new(AtomicBool::new(false));
-            let started = Arc::new(AtomicUsize::new(0));
-            let runs = Arc::new(AtomicUsize::new(0));
-            std::thread::scope(|scope| {
-                let (g, s, r) = (Arc::clone(&gate), Arc::clone(&started), Arc::clone(&runs));
-                // `BroadcastPool<u64>` is itself `'static` (only the
-                // closure is scope-bound), so it can be shared with a
-                // plain thread that drives the blocking round.
-                let pool = Arc::new(BroadcastPool::new(scope, 2, move |_, job: u64| {
-                    s.fetch_add(1, Ordering::SeqCst);
-                    if job == 1 {
-                        while !g.load(Ordering::SeqCst) {
-                            std::thread::yield_now();
-                        }
-                    }
-                    r.fetch_add(1, Ordering::SeqCst);
-                }));
-                let blocked = Arc::clone(&pool);
-                let driver = std::thread::spawn(move || blocked.run(1));
-                while started.load(Ordering::SeqCst) == 0 {
-                    std::thread::yield_now();
-                }
-                let rejected = catch_unwind(AssertUnwindSafe(|| pool.run(2)));
-                // Open the gate before asserting anything, so a failed
-                // assertion cannot leave spinning workers behind for
-                // the scope join to hang on.
-                gate.store(true, Ordering::SeqCst);
-                let payload = rejected.expect_err("overlapping run must be rejected");
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .copied()
-                    .map(String::from)
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_default();
-                assert!(msg.contains("already in flight"), "wrong rejection: {msg}");
-                driver.join().expect("blocked round failed");
-                // Clean continuation: the rejected call left no trace.
-                pool.run(3);
-                assert_eq!(runs.load(Ordering::SeqCst), 4);
-            });
-        }
-
-        #[test]
-        fn worker_panic_propagates_to_the_caller() {
-            // The panic surfaces from `run(13)` and unwinds through the
-            // scope (which shuts the surviving workers down via the
-            // pool's Drop), so the catch wraps the whole scope.
-            let rounds_before = AtomicUsize::new(0);
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                std::thread::scope(|scope| {
-                    let pool = BroadcastPool::new(scope, 3, |w, job: u64| {
-                        if job == 13 && w == 1 {
-                            panic!("worker bug");
-                        }
-                        rounds_before.fetch_add(1, Ordering::SeqCst);
-                    });
-                    pool.run(7);
-                    pool.run(13);
-                });
-            }));
-            assert!(result.is_err(), "worker panic was swallowed");
-            assert!(
-                rounds_before.load(Ordering::SeqCst) >= 3,
-                "first round lost"
-            );
-        }
-
-        #[test]
-        #[should_panic(expected = "at least one worker")]
-        fn zero_workers_panics() {
-            std::thread::scope(|scope| {
-                let _ = BroadcastPool::new(scope, 0, |_, _: u64| {});
-            });
-        }
+    #[test]
+    #[should_panic]
+    fn a_panicking_job_propagates() {
+        parallel_map((0..8).collect::<Vec<u64>>(), 3, |&j| {
+            assert!(j != 5, "job 5 fails");
+            j
+        });
     }
 }

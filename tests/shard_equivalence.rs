@@ -1,18 +1,10 @@
-//! Property-based parallel-drain equivalence: the engine's parallel
-//! shard execution (`SimConfig::workers > 1` — per-shard event heaps
-//! drained by a persistent worker pool between batch barriers, popped
-//! keys merged back into global key order before any state transition
-//! is applied) must reproduce the sequential run (`workers = 1`)
-//! bit-for-bit on random small worlds, for any shard layout and worker
-//! count — including every engine counter, the exact renege event
+//! Property-based shard-layout equivalence: the engine's sharded event
+//! queue (`SimConfig::event_shards` ≠ 1 — per-region-band heaps under a
+//! tournament head) must reproduce the single global heap
+//! (`event_shards = 1`) bit-for-bit on random small worlds, for any
+//! shard count — including every engine counter, the exact renege event
 //! times, and worlds dense enough that same-timestamp event keys
-//! interleave across shards inside one drain.
-//!
-//! A mid-run worker-count change is impossible by construction
-//! (`SimConfig` is fixed per run, and the pool itself rejects
-//! overlapping rounds — pinned by `mrvd-stats`' broadcast tests); what
-//! must work is changing the worker count *between* runs over the same
-//! world, which the continuation test pins as byte-identical both ways.
+//! interleave across shards within one event step.
 
 use mrvd::prelude::*;
 use proptest::prelude::*;
@@ -24,8 +16,8 @@ const HORIZON_MS: u64 = 3_600_000;
 
 /// A random world drawn from one seed: trips sorted by request time
 /// inside the horizon, a driver pool, and a Δ-aligned supply schedule
-/// (same idiom as `tests/engine_equivalence.rs`, denser on trips so
-/// drains regularly carry several due events at once).
+/// (same idiom as `tests/engine_equivalence.rs`, denser on trips so an
+/// event step regularly has several due events at once).
 fn random_world(seed: u64) -> (Vec<TripRecord>, Vec<Point>, DriverSchedule) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9A7A);
     let n_trips = rng.gen_range(0usize..70);
@@ -58,15 +50,26 @@ fn random_world(seed: u64) -> (Vec<TripRecord>, Vec<Point>, DriverSchedule) {
     (trips, pool, DriverSchedule::new(phases))
 }
 
-/// Everything that must match bit-for-bit across worker counts: the
-/// quality outputs (exact renege records included — all engine layouts
-/// charge reneges at true deadlines) *and* the engine counters, which
-/// the key-order merge makes deterministic too.
+/// Everything that must match bit-for-bit across shard layouts: the
+/// quality outputs (exact renege records included — every layout
+/// charges reneges at true deadlines) *and* every engine counter, since
+/// all layouts apply the same events in the same order.
 type Digest = (
-    (usize, usize, usize, u64, usize),
-    Vec<(u32, u32, u64, u64, u64, u64)>,
+    (usize, usize, usize, usize, u64, usize),
+    Vec<(u32, u32, u64, u64, u64, u64, u64, usize, Option<u64>)>,
     Vec<(u32, u64, u64)>,
-    (usize, usize, usize, usize, usize, usize, usize),
+    (
+        usize,
+        usize,
+        usize,
+        usize,
+        usize,
+        usize,
+        usize,
+        usize,
+        usize,
+        usize,
+    ),
 );
 
 fn digest(r: &SimResult) -> Digest {
@@ -75,6 +78,7 @@ fn digest(r: &SimResult) -> Digest {
             r.served,
             r.reneged,
             r.still_waiting,
+            r.total_riders,
             r.total_revenue.to_bits(),
             r.batches,
         ),
@@ -88,6 +92,9 @@ fn digest(r: &SimResult) -> Digest {
                     a.pickup_ms,
                     a.dropoff_ms,
                     a.revenue.to_bits(),
+                    a.driver_idle_ms,
+                    a.dropoff_region.idx(),
+                    a.estimated_idle_s.map(f64::to_bits),
                 )
             })
             .collect(),
@@ -98,21 +105,23 @@ fn digest(r: &SimResult) -> Digest {
         (
             r.ticks_executed,
             r.events_processed,
+            r.index_ops,
+            r.index_regions_dirtied,
+            r.index_rebuilds_avoided,
+            r.counts_ops,
+            r.counts_regions_dirtied,
             r.views_ops,
             r.views_entries_dirtied,
-            r.counts_ops,
-            r.index_ops,
             r.views_rebuilds_avoided,
         ),
     )
 }
 
-/// Runs one world under NEAR with the given shard/worker layout.
+/// Runs one world under NEAR with the given shard layout.
 fn run_with(
     world: &(Vec<TripRecord>, Vec<Point>, DriverSchedule),
     seed: u64,
     event_shards: usize,
-    workers: usize,
 ) -> SimResult {
     let (trips, pool, schedule) = world;
     let grid = Grid::nyc_16x16();
@@ -122,7 +131,6 @@ fn run_with(
         horizon_ms: HORIZON_MS,
         seed,
         event_shards,
-        workers,
         ..SimConfig::default()
     };
     let sim = Simulator::new(config, &travel, &grid);
@@ -131,35 +139,33 @@ fn run_with(
 }
 
 proptest! {
-    /// The tentpole pin: for random worlds × random shard layouts ×
-    /// random worker counts, the parallel drain is bit-identical to the
-    /// sequential run — outputs and counters alike.
+    /// For random worlds × shard layouts (auto-sized and explicit
+    /// counts), the sharded queue is bit-identical to the single heap —
+    /// outputs and counters alike.
     #[test]
-    fn parallel_matches_sequential_on_random_worlds(
+    fn shard_layouts_match_the_single_heap_on_random_worlds(
         seed in 0u64..40,
-        shards in 0usize..6,
-        workers in 2usize..9,
+        shards in 0usize..9,
     ) {
         let world = random_world(seed);
-        let sequential = run_with(&world, seed, shards, 1);
-        let parallel = run_with(&world, seed, shards, workers);
+        let single = run_with(&world, seed, 1);
+        let sharded = run_with(&world, seed, shards);
         prop_assert_eq!(
-            digest(&sequential),
-            digest(&parallel),
-            "seed {} shards {} workers {} diverged",
+            digest(&single),
+            digest(&sharded),
+            "seed {} shards {} diverged",
             seed,
-            shards,
-            workers
+            shards
         );
     }
 }
 
 /// Interleaved-key coverage: bursts of same-timestamp requests from
 /// scattered pickup points put same-time deadline keys (and the dropoff
-/// keys of whatever gets served) into *different* shards, so one drain
-/// round pops from several shards and the barrier merge must
-/// reconstruct the global `(time, priority, id)` order — ids are the
-/// only tiebreak. Forced small fleet keeps plenty of reneges in play.
+/// keys of whatever gets served) into *different* shards, so one event
+/// step pops from several shards and the tournament must reproduce the
+/// global `(time, priority, id)` order — ids are the only tiebreak.
+/// Forced small fleet keeps plenty of reneges in play.
 #[test]
 fn interleaved_same_time_keys_across_shards_stay_ordered() {
     let mut rng = StdRng::seed_from_u64(0xC0FFEE);
@@ -179,36 +185,16 @@ fn interleaved_same_time_keys_across_shards_stay_ordered() {
     }
     let pool: Vec<Point> = (0..3).map(|_| pt(&mut rng)).collect();
     let world = (trips, pool, DriverSchedule::constant(3));
+    let single = run_with(&world, 7, 1);
+    assert!(
+        single.reneged > 0 && single.served > 0,
+        "burst world must exercise both deadline and dropoff keys"
+    );
     for shards in [2, 4, 7] {
-        let sequential = run_with(&world, 7, shards, 1);
-        assert!(
-            sequential.reneged > 0 && sequential.served > 0,
-            "burst world must exercise both deadline and dropoff keys"
+        assert_eq!(
+            digest(&single),
+            digest(&run_with(&world, 7, shards)),
+            "shards {shards} diverged on the burst world"
         );
-        for workers in [2, 3, 8] {
-            let parallel = run_with(&world, 7, shards, workers);
-            assert_eq!(
-                digest(&sequential),
-                digest(&parallel),
-                "shards {shards} workers {workers} diverged on the burst world"
-            );
-        }
     }
-}
-
-/// Changing the worker count *between* runs continues cleanly: the same
-/// world run at workers 2 → 8 → 2 produces three byte-identical
-/// results, and the final run matches the first exactly (each run owns
-/// its pool — nothing leaks across runs). The mid-run change case
-/// cannot arise: `SimConfig` is immutable per run and the broadcast
-/// pool rejects overlapping rounds (pinned in `mrvd-stats`).
-#[test]
-fn worker_count_change_between_runs_continues_cleanly() {
-    let world = random_world(11);
-    let first = run_with(&world, 11, 0, 2);
-    let second = run_with(&world, 11, 0, 8);
-    let third = run_with(&world, 11, 0, 2);
-    assert_eq!(digest(&first), digest(&second), "workers 2 vs 8 diverged");
-    assert_eq!(digest(&second), digest(&third), "workers 8 vs 2 diverged");
-    assert_eq!(digest(&first), digest(&run_with(&world, 11, 0, 1)));
 }
