@@ -111,14 +111,14 @@ impl Value {
 /// Trailing non-whitespace input is an error.
 pub fn from_str(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
-        bytes: s.as_bytes(),
+        text: s,
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != s.len() {
         return Err(p.err("trailing characters after the JSON document"));
     }
     Ok(v)
@@ -130,7 +130,7 @@ pub fn from_str(s: &str) -> Result<Value, Error> {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     depth: usize,
 }
@@ -141,7 +141,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -174,7 +174,7 @@ impl Parser<'_> {
     }
 
     fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -280,12 +280,18 @@ impl Parser<'_> {
                         b't' => out.push('\t'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .text
+                                .as_bytes()
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a leading `+`.
+                            let code = hex
+                                .iter()
+                                .try_fold(0u32, |acc, &b| {
+                                    char::from(b).to_digit(16).map(|d| acc * 16 + d)
+                                })
+                                .ok_or_else(|| self.err("invalid \\u escape"))?;
                             self.pos += 4;
                             // Surrogate pairs are not needed by our own
                             // output (the serializer never emits them);
@@ -296,11 +302,14 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (the input is a &str, so
-                    // the bytes are valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
+                    // Consume one UTF-8 character. Every byte consumed so
+                    // far ends a character, so `pos` is a char boundary
+                    // of the input `&str`.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
                     if (c as u32) < 0x20 {
                         return Err(self.err("unescaped control character in string"));
                     }
@@ -327,7 +336,8 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        // Only ASCII was consumed, so both ends are char boundaries.
+        let text = &self.text[start..self.pos];
         if is_float {
             let v: f64 = text.parse().map_err(|_| self.err("malformed number"))?;
             Ok(Value::Number(Number::Float(v)))
@@ -632,6 +642,37 @@ mod tests {
             "\"unterminated",
             "[] []",
             "nul",
+        ] {
+            assert!(from_str(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // One pass: decoding a character must not re-read the rest of
+        // the input (that was quadratic, ~0.8 s at 200 KB).
+        let text: String = "ab\u{e9}\u{1F695}\"\n".repeat(500_000);
+        let doc = to_string_pretty(&json!({ "text": text })).unwrap();
+        assert!(doc.len() > 5_000_000);
+        let back = from_str(&doc).unwrap();
+        assert_eq!(
+            back.get("text").and_then(Value::as_str),
+            Some(text.as_str())
+        );
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(
+            from_str("\"\\u00e9\\u00C9\"").unwrap(),
+            json!("\u{e9}\u{c9}")
+        );
+        for bad in [
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u 041\"",
+            "\"\\u04\"",
+            "\"\\u04g1\"",
         ] {
             assert!(from_str(bad).is_err(), "accepted {bad:?}");
         }

@@ -2,9 +2,10 @@
 //!
 //! For every waiting rider, finds available drivers that can reach the
 //! pickup before the deadline. When the travel model exposes a speed
-//! bound, the search expands over grid rings only as far as the deadline
-//! allows (the radius-bounded search described in DESIGN.md); otherwise
-//! it scans all drivers (small instances, road networks).
+//! bound, the deadline becomes a radius and a spatial index answers it by
+//! scanning only the grid cells under a lon/lat box around the pickup
+//! (see [`RegionIndex::within_radius_into`]); otherwise it scans all
+//! drivers (small instances, road networks).
 //!
 //! Policies call this every batch. When the engine supplies its live,
 //! incrementally maintained availability index
@@ -13,7 +14,7 @@
 //! view over that index and no per-batch rebuild happens at all. Without
 //! one (hand-built contexts, the legacy reference loop), a
 //! [`CandidateScratch`] owned by the caller keeps a private index whose
-//! bucket allocations (and the ring query's hit buffers) survive across
+//! bucket allocations (and the radius query's hit buffers) survive across
 //! batches, so steady state pays only driver re-insertion — no `Grid`
 //! clone, no fresh `Vec` per region per batch.
 //!
@@ -60,7 +61,7 @@ impl CandidateSet {
 /// Reusable state for [`valid_candidates_with`], owned by the policy and
 /// carried across batches: the fallback per-region driver index (buckets
 /// are cleared, never reallocated, while the grid stays the same) used
-/// when no live engine index is available, and the ring queries' hit
+/// when no live engine index is available, and the radius queries' hit
 /// buffers. With a live index the scratch is a thin view: only the hit
 /// buffer is touched.
 #[derive(Debug, Default)]
@@ -141,7 +142,7 @@ pub fn valid_candidates_with(
         let mut cands: Vec<(usize, u64)> = match (&index, speed_bound) {
             (Some(ix), Some(v)) => {
                 let radius_m = v * budget_ms as f64 / 1000.0;
-                ix.within_radius_into(rider.pickup, radius_m, usize::MAX, hits);
+                ix.within_radius_into(rider.pickup, radius_m, hits);
                 hits.iter()
                     .filter_map(|&(i, pos)| {
                         let t = ctx.travel.travel_time_ms(pos, rider.pickup);
@@ -166,7 +167,7 @@ pub fn valid_candidates_with(
     CandidateSet { pairs }
 }
 
-/// The live-index path: ring queries against the engine-maintained
+/// The live-index path: radius queries against the engine-maintained
 /// availability index, with hits translated from [`DriverId`]s back to
 /// batch slots — through the live views' own id→slot map when the
 /// context carries one (zero per-batch table work), else through a
@@ -212,7 +213,7 @@ fn candidates_from_live_index(
     for rider in ctx.riders {
         let budget_ms = rider.deadline_ms.saturating_sub(ctx.now_ms);
         let radius_m = speed_bound_mps * budget_ms as f64 / 1000.0;
-        ix.within_radius_into(rider.pickup, radius_m, usize::MAX, id_hits);
+        ix.within_radius_into(rider.pickup, radius_m, id_hits);
         let mut cands: Vec<(usize, u64)> = id_hits
             .iter()
             .filter_map(|&(id, pos)| {

@@ -17,7 +17,7 @@
 //!   or a fitted [`mrvd_prediction::Predictor`] consulted online with
 //!   recursive multi-slot forecasting (`-P` variants).
 //! * [`candidates`] — deadline-valid rider–driver pair generation
-//!   (Definition 3) via ring-bounded spatial search.
+//!   (Definition 3) via a radius-bounded box scan of the spatial index.
 //! * [`baselines`] — **LTG** (long-trip greedy), **NEAR** (nearest-trip
 //!   greedy) and **RAND** (random valid assignment) from §6.3.
 //! * [`polar`] — the state-of-the-art comparator **POLAR** (Tong et al.,

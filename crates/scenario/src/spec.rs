@@ -404,14 +404,20 @@ impl ScenarioSpec {
                 }
             }
         };
+        // Grid sizes narrow to u32 checked: a wrapping cast would turn
+        // 2^32 + 16 columns into a valid-looking 16.
+        let opt_u32 = |key: &str, default: u32| -> Result<u32, String> {
+            u32::try_from(opt_u64(key, u64::from(default))?)
+                .map_err(|_| format!("`{key}` does not fit in a u32"))
+        };
         let spec = Self {
             name,
             description,
             orders_per_day: f64_field(v, "orders_per_day")?,
             day: opt_u64("day", 0)? as usize,
             seed: opt_u64("seed", 42)?,
-            grid_cols: opt_u64("grid_cols", 16)? as u32,
-            grid_rows: opt_u64("grid_rows", 16)? as u32,
+            grid_cols: opt_u32("grid_cols", 16)?,
+            grid_rows: opt_u32("grid_rows", 16)?,
             surges,
             hotspots,
             driver_phases,
@@ -614,6 +620,21 @@ mod tests {
             ScenarioSpec::from_json_str(&serde_json::to_string_pretty(&spec.to_json()).unwrap())
                 .unwrap();
         assert_eq!(spec, back);
+    }
+
+    #[test]
+    fn grid_sizes_past_u32_are_rejected_not_truncated() {
+        let base = r#"{"name": "x", "orders_per_day": 1000,
+                       "driver_phases": [{"from_ms": 0, "drivers": 10}]"#;
+        // 2^32 + 16 would wrap to a 16-column grid under `as u32`.
+        for key in ["grid_cols", "grid_rows"] {
+            let err = ScenarioSpec::from_json_str(&format!("{base}, \"{key}\": 4294967312}}"))
+                .unwrap_err();
+            assert!(err.contains(key) && err.contains("u32"), "{err}");
+        }
+        let max =
+            ScenarioSpec::from_json_str(&format!("{base}, \"grid_cols\": 4294967295}}")).unwrap();
+        assert_eq!(max.grid_cols, u32::MAX);
     }
 
     #[test]

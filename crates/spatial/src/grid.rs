@@ -103,13 +103,24 @@ impl Grid {
     /// nearest edge cell (trips slightly out of extent still belong to a
     /// border region, as in the paper's preprocessing).
     pub fn region_of(&self, p: Point) -> RegionId {
+        let (col, row) = self.coords_of(p);
+        RegionId(row * self.cols + col)
+    }
+
+    /// `(col, row)` of the cell [`Grid::region_of`] assigns `p` to, with
+    /// the same clamping. Every step (subtract, divide, scale, truncate,
+    /// clamp) is monotone non-decreasing in each coordinate, so a point
+    /// inside a lon/lat box always lands between the cells of the box's
+    /// corners; range queries rely on this to scan exactly the cells a
+    /// box can touch. NaN maps to the first column/row.
+    pub(crate) fn coords_of(&self, p: Point) -> (u32, u32) {
         let fx = (p.lon - self.min.lon) / (self.max.lon - self.min.lon);
         let fy = (p.lat - self.min.lat) / (self.max.lat - self.min.lat);
         let col = ((fx * self.cols as f64) as i64).clamp(0, self.cols as i64 - 1);
         let row = ((fy * self.rows as f64) as i64).clamp(0, self.rows as i64 - 1);
         let col = u32::try_from(col).expect("clamped into grid bounds");
         let row = u32::try_from(row).expect("clamped into grid bounds");
-        RegionId(row * self.cols + col)
+        (col, row)
     }
 
     /// `(col, row)` coordinates of a region.
@@ -164,8 +175,7 @@ impl Grid {
     }
 
     /// Regions at exactly Chebyshev distance `ring` from `id`
-    /// (`ring == 0` yields `id` itself). Used to expand candidate searches
-    /// outward until the pickup deadline bounds the radius.
+    /// (`ring == 0` yields `id` itself).
     pub fn ring(&self, id: RegionId, ring: u32) -> Vec<RegionId> {
         let (c, r) = self.coords(id);
         let (c, r) = (c as i64, r as i64);
@@ -194,23 +204,6 @@ impl Grid {
     /// The 8-neighbourhood (plus fewer at borders) of a region.
     pub fn neighbors(&self, id: RegionId) -> Vec<RegionId> {
         self.ring(id, 1)
-    }
-
-    /// Maximum possible Chebyshev ring distance between any two cells.
-    pub fn max_ring(&self) -> u32 {
-        self.cols.max(self.rows) - 1
-    }
-
-    /// Approximate width and height of one cell in meters, measured at the
-    /// grid center (used to convert a travel-time radius into a ring count).
-    pub fn cell_size_m(&self) -> (f64, f64) {
-        let cy = 0.5 * (self.min.lat + self.max.lat);
-        let w = Point::new(self.min.lon, cy).distance_m(&Point::new(self.max.lon, cy))
-            / self.cols as f64;
-        let h = Point::new(self.min.lon, self.min.lat)
-            .distance_m(&Point::new(self.min.lon, self.max.lat))
-            / self.rows as f64;
-        (w, h)
     }
 }
 
@@ -273,19 +266,13 @@ mod tests {
         let g = Grid::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0), 9, 9);
         let center = g.at(4, 4).unwrap();
         let mut seen = std::collections::HashSet::new();
-        for ring in 0..=g.max_ring() {
+        // The largest Chebyshev distance between two cells of a 9×9 grid.
+        for ring in 0..=8 {
             for id in g.ring(center, ring) {
                 assert!(seen.insert(id), "{id} appeared in two rings");
             }
         }
         assert_eq!(seen.len(), g.num_regions());
-    }
-
-    #[test]
-    fn nyc_cell_size_is_about_1_4_by_2_4_km() {
-        let (w, h) = nyc().cell_size_m();
-        assert!((1_200.0..1_600.0).contains(&w), "w {w}");
-        assert!((2_200.0..2_500.0).contains(&h), "h {h}");
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! The dispatcher repeatedly asks "which available drivers could reach this
 //! rider before the deadline?". A full scan per rider is O(riders × drivers)
-//! per batch; bucketing items by region and expanding over grid rings until
-//! the deadline bounds the radius keeps the candidate set small, which is
-//! the standard practical optimization noted in DESIGN.md.
+//! per batch. Bucketing items by region lets a radius query
+//! ([`RegionIndex::within_radius_into`]) scan only the buckets under a
+//! lon/lat box that provably holds the radius, rejecting most items by
+//! four compares against the box before the exact distance test.
 //!
 //! Between consecutive batch timestamps almost nothing moves: drivers only
 //! change position at dropoffs, and only change availability at
@@ -20,14 +21,13 @@
 //! every applied mutation, so callers can observe how sparse the
 //! batch-to-batch state change really is.
 
-use crate::geo::Point;
+use crate::geo::{radius_box, Point};
 use crate::grid::{Grid, RegionId};
 
 /// An index of items bucketed by their grid region.
 ///
 /// `T` is typically a driver id. Items carry their exact position so that
-/// callers can apply precise travel-time filters after the coarse ring
-/// search.
+/// callers can apply precise travel-time filters after the radius query.
 ///
 /// # Example
 ///
@@ -40,9 +40,9 @@ use crate::grid::{Grid, RegionId};
 /// ix.insert(1u32, midtown);
 /// ix.insert(2u32, harlem);
 ///
-/// // Ring-bounded radius query: only the midtown driver is within 2 km.
+/// // Radius query: only the midtown driver is within 2 km.
 /// let near: Vec<u32> = ix
-///     .within_radius(midtown, 2_000.0, usize::MAX)
+///     .within_radius(midtown, 2_000.0)
 ///     .into_iter()
 ///     .map(|(id, _)| id)
 ///     .collect();
@@ -51,8 +51,8 @@ use crate::grid::{Grid, RegionId};
 /// // Incremental maintenance: the driver drops off in Harlem and the
 /// // index follows without a rebuild.
 /// assert!(ix.move_item(1u32, midtown, harlem));
-/// assert_eq!(ix.within_radius(midtown, 2_000.0, usize::MAX).len(), 0);
-/// assert_eq!(ix.within_radius(harlem, 2_000.0, usize::MAX).len(), 2);
+/// assert_eq!(ix.within_radius(midtown, 2_000.0).len(), 0);
+/// assert_eq!(ix.within_radius(harlem, 2_000.0).len(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RegionIndex<T> {
@@ -235,85 +235,53 @@ impl<T: Copy> RegionIndex<T> {
         &self.grid
     }
 
-    /// Visits items in expanding rings around `center` (ring 0 first).
-    ///
-    /// `visit` returns `true` to keep expanding after the current ring is
-    /// exhausted, `false` to stop early — callers stop once they have
-    /// enough candidates or the ring distance exceeds what the pickup
-    /// deadline allows.
-    pub fn visit_rings<F>(&self, center: RegionId, max_ring: u32, mut visit: F)
-    where
-        F: FnMut(u32, &[(T, Point)]) -> bool,
-    {
-        let limit = max_ring.min(self.grid.max_ring());
-        for ring in 0..=limit {
-            let mut keep_going = true;
-            for r in self.grid.ring(center, ring) {
-                keep_going &= visit(ring, &self.buckets[r.idx()]);
-            }
-            if !keep_going {
-                return;
-            }
-        }
-    }
-
-    /// Collects up to `cap` items whose straight-line distance to `p` is at
-    /// most `radius_m`, searching outward by rings. The result is not
-    /// sorted; callers order by their own criterion (travel time, cost…).
-    /// A binding cap keeps the `cap` nearest qualifying items, ties broken
-    /// by item then position — never a prefix in bucket order, which would
-    /// depend on the index's churn history.
-    pub fn within_radius(&self, p: Point, radius_m: f64, cap: usize) -> Vec<(T, Point)>
-    where
-        T: Ord,
-    {
+    /// Collects every item whose straight-line distance to `p` is at most
+    /// `radius_m`. The result is not sorted; callers order by their own
+    /// criterion (travel time, cost…).
+    pub fn within_radius(&self, p: Point, radius_m: f64) -> Vec<(T, Point)> {
         let mut out = Vec::new();
-        self.within_radius_into(p, radius_m, cap, &mut out);
+        self.within_radius_into(p, radius_m, &mut out);
         out
     }
 
     /// Like [`RegionIndex::within_radius`], appending into a caller-held
     /// buffer so per-query allocations amortize away. `out` is cleared
     /// first.
-    pub fn within_radius_into(&self, p: Point, radius_m: f64, cap: usize, out: &mut Vec<(T, Point)>)
-    where
-        T: Ord,
-    {
+    ///
+    /// One pass over the buckets of a lon/lat box that holds the whole
+    /// radius, allocating nothing. The box corners map to a cell range
+    /// through `Grid::coords_of`, the arithmetic that assigns items to
+    /// buckets, so every item inside the box sits in a scanned bucket —
+    /// out-of-extent items clamped into border cells included. Four
+    /// compares against the box drop most non-hits before the haversine,
+    /// which stays the only membership test: the hits are exactly those
+    /// of a linear scan, for latitudes in [−90°, 90°] and longitudes that
+    /// do not wrap across the antimeridian.
+    pub fn within_radius_into(&self, p: Point, radius_m: f64, out: &mut Vec<(T, Point)>) {
         out.clear();
-        if cap == 0 {
+        if radius_m.is_nan() || radius_m < 0.0 {
+            // No distance qualifies (and the box would be inside out).
             return;
         }
-        let center = self.grid.region_of(p);
-        let (cw, ch) = self.grid.cell_size_m();
-        let cell = cw.min(ch);
-        // Ring k is at least (k−1) cells away from p, so once
-        // (ring−1)·cell > radius no further item can qualify.
-        // lint:allow(D005): f64 → u32 saturates by design and the grid bounds the ring walk
-        let max_ring = (radius_m / cell).ceil() as u32 + 1;
-        self.visit_rings(center, max_ring, |_, items| {
-            for &(item, q) in items {
-                if p.distance_m(&q) <= radius_m {
-                    out.push((item, q));
+        let (lo, hi) = radius_box(p, radius_m);
+        let (c0, r0) = self.grid.coords_of(lo);
+        let (c1, r1) = self.grid.coords_of(hi);
+        let cols = self.grid.cols();
+        for row in r0..=r1 {
+            let first = RegionId(row * cols + c0).idx();
+            let last = RegionId(row * cols + c1).idx();
+            for bucket in &self.buckets[first..=last] {
+                for &(item, q) in bucket {
+                    // An unbounded axis has infinite corners, and NaN
+                    // compares false, so neither rejects anything here.
+                    if q.lon < lo.lon || q.lon > hi.lon || q.lat < lo.lat || q.lat > hi.lat {
+                        continue;
+                    }
+                    if p.distance_m(&q) <= radius_m {
+                        out.push((item, q));
+                    }
                 }
             }
-            // A binding cap stops the expansion only at a ring boundary:
-            // every bucket of the current ring still contributes, so the
-            // collected set never depends on bucket or visit order.
-            out.len() < cap
-        });
-        if out.len() > cap {
-            // Deterministic cut: keep the `cap` nearest, ids (then
-            // position bits) breaking distance ties.
-            out.sort_unstable_by(|a, b| {
-                p.distance_m(&a.1)
-                    .total_cmp(&p.distance_m(&b.1))
-                    .then_with(|| a.0.cmp(&b.0))
-                    .then_with(|| {
-                        (a.1.lon.to_bits(), a.1.lat.to_bits())
-                            .cmp(&(b.1.lon.to_bits(), b.1.lat.to_bits()))
-                    })
-            });
-            out.truncate(cap);
         }
     }
 }
@@ -321,7 +289,7 @@ impl<T: Copy> RegionIndex<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::Grid;
+    use crate::grid::{Grid, NYC_EXTENT};
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -465,7 +433,7 @@ mod tests {
         let q = Point::new(-73.9, 40.75);
         let radius = 3_000.0;
         let got: std::collections::HashSet<u32> = ix
-            .within_radius(q, radius, usize::MAX)
+            .within_radius(q, radius)
             .into_iter()
             .map(|(i, _)| i)
             .collect();
@@ -508,122 +476,153 @@ mod tests {
             ix.insert(i, p);
         }
         let mut buf = vec![(99u32, p)]; // stale content must be cleared
-        ix.within_radius_into(p, 100.0, usize::MAX, &mut buf);
+        ix.within_radius_into(p, 100.0, &mut buf);
         assert_eq!(buf.len(), 20);
-        assert_eq!(ix.within_radius(p, 100.0, usize::MAX), buf);
+        assert_eq!(ix.within_radius(p, 100.0), buf);
     }
 
-    #[test]
-    fn cap_limits_results() {
-        let mut ix = RegionIndex::new(grid());
-        let p = Point::new(-73.9, 40.75);
-        for i in 0..50u32 {
-            ix.insert(i, p);
-        }
-        assert_eq!(ix.within_radius(p, 100.0, 10).len(), 10);
-        assert!(ix.within_radius(p, 100.0, 0).is_empty());
+    /// Ids of the items a linear scan finds within `radius` of `q`.
+    fn linear_scan(pts: &[Point], q: Point, radius: f64) -> Vec<u32> {
+        (0u32..)
+            .zip(pts)
+            .filter(|(_, p)| q.distance_m(p) <= radius)
+            .map(|(i, _)| i)
+            .collect()
     }
 
-    #[test]
-    fn binding_cap_is_deterministic_across_bucket_orders() {
-        // Regression: the old cap cut truncated in bucket order, so a
-        // live index (whose bucket order reflects churn history) and a
-        // rebuilt one could return *different candidate sets* under a
-        // binding cap. The cut must depend only on (distance, id).
-        let g = grid();
-        let p = Point::new(-73.905, 40.75);
-        // Five items in one region at strictly increasing distances.
-        let pts: Vec<Point> = (0..5)
-            .map(|i| Point::new(-73.905 + i as f64 * 0.0004, 40.75))
-            .collect();
-        let r = g.region_of(p);
-        assert!(
-            pts.iter().all(|q| g.region_of(*q) == r),
-            "fixture points must share a region"
-        );
-        // Live index: remove + re-insert item 0 leaves it at the tail.
-        let mut live = RegionIndex::new(g.clone());
-        for (i, &q) in pts.iter().enumerate() {
-            live.insert(i as u32, q);
-        }
-        live.remove_at(0, pts[0]);
-        live.insert(0, pts[0]);
-        let mut rebuilt = RegionIndex::new(g.clone());
-        rebuilt.rebuild_reference(pts.iter().enumerate().map(|(i, &q)| (i as u32, q)));
-        // The bucket orders genuinely differ…
-        assert_ne!(live.in_region(r), rebuilt.in_region(r));
-        // …yet a binding cap returns the identical nearest set.
-        let ids = |v: Vec<(u32, Point)>| {
-            let mut ids: Vec<u32> = v.into_iter().map(|(i, _)| i).collect();
-            ids.sort_unstable();
-            ids
-        };
-        let a = ids(live.within_radius(p, 10_000.0, 3));
-        let b = ids(rebuilt.within_radius(p, 10_000.0, 3));
-        assert_eq!(a, b);
-        assert_eq!(a, vec![0, 1, 2], "the cut keeps the nearest cap items");
-        // A non-binding cap still returns everything in range.
-        assert_eq!(ids(live.within_radius(p, 10_000.0, 5)).len(), 5);
-    }
-
-    #[test]
-    fn binding_cap_breaks_distance_ties_by_id() {
-        // All items equidistant (same point): the kept set must be the
-        // lowest ids regardless of insertion order.
-        let mut ix = RegionIndex::new(grid());
-        let p = Point::new(-73.9, 40.75);
-        for i in (0..20u32).rev() {
-            ix.insert(i, p);
-        }
-        let mut got: Vec<u32> = ix
-            .within_radius(p, 100.0, 4)
+    /// Ids of the items the index finds within `radius` of `q`, sorted.
+    fn indexed(ix: &RegionIndex<u32>, q: Point, radius: f64) -> Vec<u32> {
+        let mut ids: Vec<u32> = ix
+            .within_radius(q, radius)
             .into_iter()
             .map(|(i, _)| i)
             .collect();
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2, 3]);
+        ids.sort_unstable();
+        ids
     }
 
     #[test]
-    fn visit_rings_stops_on_false() {
+    fn unbounded_longitude_branches_match_linear_scan() {
+        use crate::geo::radius_box;
+        let mut rng = StdRng::seed_from_u64(11);
+        // A polar cap, every longitude: a query ~220 m from the pole gets
+        // a box past 90° (the φmax branch), so hits come from all columns.
+        let polar = Grid::new(Point::new(-180.0, 85.0), Point::new(180.0, 90.0), 36, 5);
+        let mut ix = RegionIndex::new(polar);
+        let pts: Vec<Point> = (0..1_000)
+            .map(|_| Point::new(rng.gen_range(-180.0..180.0), rng.gen_range(89.9..90.0)))
+            .collect();
+        for (i, &p) in (0u32..).zip(&pts) {
+            ix.insert(i, p);
+        }
+        let q = Point::new(0.0, 89.998);
+        let (lo, hi) = radius_box(q, 2_000.0);
+        assert!(lo.lon.is_infinite() && hi.lon.is_infinite() && hi.lat < 90.02);
+        let hits = indexed(&ix, q, 2_000.0);
+        assert!(hits.len() > 10, "{} hits", hits.len());
+        assert_eq!(hits, linear_scan(&pts, q, 2_000.0));
+        // At 80° N an 800 km radius stays short of the pole but needs an
+        // asin argument above 1: the longitude is unbounded again.
+        let arctic = Grid::new(Point::new(-180.0, 60.0), Point::new(180.0, 90.0), 72, 30);
+        let mut ix = RegionIndex::new(arctic);
+        let pts: Vec<Point> = (0..2_000)
+            .map(|_| Point::new(rng.gen_range(-180.0..180.0), rng.gen_range(60.0..90.0)))
+            .collect();
+        for (i, &p) in (0u32..).zip(&pts) {
+            ix.insert(i, p);
+        }
+        let q = Point::new(0.0, 80.0);
+        let (lo, hi) = radius_box(q, 800_000.0);
+        assert!(lo.lon.is_infinite() && hi.lon.is_infinite() && hi.lat < 90.0);
+        let hits = indexed(&ix, q, 800_000.0);
+        assert!(hits.len() > 50, "{} hits", hits.len());
+        assert_eq!(hits, linear_scan(&pts, q, 800_000.0));
+    }
+
+    #[test]
+    fn degenerate_queries_and_positions_match_linear_scan() {
+        // Non-finite query points, radii and item positions must neither
+        // panic nor change the answer a linear scan gives. (A NaN
+        // position is πR from everything under `distance_m`, so a
+        // radius past πR takes it in.)
         let mut ix = RegionIndex::new(grid());
-        let p = Point::new(-73.9, 40.75);
-        ix.insert(0u32, p);
-        let mut rings_seen = Vec::new();
-        ix.visit_rings(ix.grid().region_of(p), 5, |ring, _| {
-            rings_seen.push(ring);
-            ring < 2
-        });
-        assert!(rings_seen.iter().all(|&r| r <= 2));
-        assert!(rings_seen.contains(&2));
-        assert!(!rings_seen.contains(&3));
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let mut pts = vec![Point::new(-73.9, 40.75), Point::new(-73.9001, 40.7501)];
+        for &x in &specials {
+            pts.push(Point::new(x, 40.75));
+            pts.push(Point::new(-73.9, x));
+        }
+        for (i, &p) in (0u32..).zip(&pts) {
+            ix.insert(i, p);
+        }
+        let mut queries = vec![Point::new(-73.9, 40.75), Point::new(-75.0, 39.0)];
+        for &x in &specials {
+            queries.push(Point::new(x, 40.75));
+            queries.push(Point::new(-73.9, x));
+        }
+        for q in queries {
+            for radius in [0.0, 50.0, -1.0, f64::NAN, 3e7, f64::INFINITY] {
+                assert_eq!(
+                    indexed(&ix, q, radius),
+                    linear_scan(&pts, q, radius),
+                    "query {q:?} radius {radius}"
+                );
+            }
+        }
     }
 
     proptest! {
+        /// The box scan finds exactly what a linear scan finds: random
+        /// grid shapes (1×N, N×1, non-square cells, up to 200×200) over
+        /// the NYC extent or a box near 60° N, points up to one grid
+        /// width outside the extent (clamped into border buckets), some
+        /// coincident, and radii from 0 to past the grid diagonal,
+        /// including radii that put an item exactly on the boundary.
         #[test]
-        fn radius_query_matches_linear_scan(seed in 0u64..30, radius in 500.0f64..8_000.0) {
+        fn radius_query_matches_linear_scan(
+            seed in 0u64..1_000_000,
+            shape in 0u32..3,
+            cols in 1u32..=200,
+            rows in 1u32..=200,
+        ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let g = grid();
-            let mut ix = RegionIndex::new(g);
-            let mut pts = Vec::new();
-            for i in 0..120u32 {
-                let p = Point::new(
-                    rng.gen_range(-74.03..-73.77),
-                    rng.gen_range(40.58..40.92),
-                );
-                ix.insert(i, p);
-                pts.push(p);
+            let (cols, rows) = match shape {
+                0 => (1, rows),
+                1 => (cols, 1),
+                _ => (cols, rows),
+            };
+            let (min, max) = if seed % 2 == 0 {
+                NYC_EXTENT
+            } else {
+                (Point::new(10.0, 59.5), Point::new(11.2, 60.3))
+            };
+            let mut ix = RegionIndex::new(Grid::new(min, max, cols, rows));
+            let (w, h) = (max.lon - min.lon, max.lat - min.lat);
+            let pt = |rng: &mut StdRng| Point::new(
+                rng.gen_range(min.lon - w..max.lon + w),
+                rng.gen_range(min.lat - h..max.lat + h),
+            );
+            let mut pts: Vec<Point> = (0..150).map(|_| pt(&mut rng)).collect();
+            // Coincident items: copies of earlier positions.
+            for k in 0..10 {
+                pts.push(pts[k * 7]);
             }
-            let q = Point::new(rng.gen_range(-74.03..-73.77), rng.gen_range(40.58..40.92));
-            let got: std::collections::HashSet<u32> =
-                ix.within_radius(q, radius, usize::MAX).into_iter().map(|(i, _)| i).collect();
-            let expect: std::collections::HashSet<u32> = pts
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| q.distance_m(p) <= radius)
-                .map(|(i, _)| i as u32)
-                .collect();
-            prop_assert_eq!(got, expect);
+            for (i, &p) in (0u32..).zip(&pts) {
+                ix.insert(i, p);
+            }
+            let diagonal = min.distance_m(&max);
+            for k in 0..10 {
+                // Every other query sits exactly on an item.
+                let q = if k % 2 == 0 { pts[rng.gen_range(0..pts.len())] } else { pt(&mut rng) };
+                let radius = match k % 5 {
+                    0 => 0.0,
+                    1 => rng.gen_range(0.0..2_000.0),
+                    2 => rng.gen_range(0.0..diagonal),
+                    3 => rng.gen_range(diagonal..3.0 * diagonal),
+                    _ => q.distance_m(&pts[rng.gen_range(0..pts.len())]),
+                };
+                prop_assert_eq!(indexed(&ix, q, radius), linear_scan(&pts, q, radius));
+            }
         }
 
         /// The tentpole equivalence: an incrementally maintained index
