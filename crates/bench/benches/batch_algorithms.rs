@@ -6,22 +6,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrvd_bench::BatchFixture;
 use mrvd_core::{DispatchConfig, Ltg, Near, Polar, PolarConfig, QueueingPolicy, Rand};
-use mrvd_sim::{BatchContext, DispatchPolicy};
+use mrvd_sim::DispatchPolicy;
 use mrvd_spatial::ConstantSpeedModel;
-
-fn ctx<'a>(f: &'a BatchFixture, travel: &'a ConstantSpeedModel) -> BatchContext<'a> {
-    BatchContext {
-        now_ms: f.now_ms,
-        riders: &f.riders,
-        drivers: &f.drivers,
-        busy: &f.busy,
-        travel,
-        grid: &f.grid,
-        avail_index: None,
-        region_counts: None,
-        views: None,
-    }
-}
 
 fn bench_policies(c: &mut Criterion) {
     let travel = ConstantSpeedModel::default();
@@ -33,30 +19,32 @@ fn bench_policies(c: &mut Criterion) {
         (1200, 120, 3000),
     ] {
         let f = BatchFixture::rush_hour(riders, avail, busy, 7);
+        let state = f.batch_state();
+        let ctx = state.context(f.now_ms, &travel);
         let size = format!("{riders}r/{avail}d");
         g.bench_with_input(BenchmarkId::new("IRG", &size), &f, |b, f| {
             let mut p = QueueingPolicy::irg(DispatchConfig::default(), f.oracle());
-            b.iter(|| p.assign(&ctx(f, &travel)))
+            b.iter(|| p.assign(&ctx))
         });
         g.bench_with_input(BenchmarkId::new("LS", &size), &f, |b, f| {
             let mut p = QueueingPolicy::ls(DispatchConfig::default(), f.oracle());
-            b.iter(|| p.assign(&ctx(f, &travel)))
+            b.iter(|| p.assign(&ctx))
         });
         g.bench_with_input(BenchmarkId::new("SHORT", &size), &f, |b, f| {
             let mut p = QueueingPolicy::short(DispatchConfig::default(), f.oracle());
-            b.iter(|| p.assign(&ctx(f, &travel)))
+            b.iter(|| p.assign(&ctx))
         });
-        g.bench_with_input(BenchmarkId::new("LTG", &size), &f, |b, f| {
+        g.bench_with_input(BenchmarkId::new("LTG", &size), &f, |b, _| {
             let mut p = Ltg::default();
-            b.iter(|| p.assign(&ctx(f, &travel)))
+            b.iter(|| p.assign(&ctx))
         });
-        g.bench_with_input(BenchmarkId::new("NEAR", &size), &f, |b, f| {
+        g.bench_with_input(BenchmarkId::new("NEAR", &size), &f, |b, _| {
             let mut p = Near::default();
-            b.iter(|| p.assign(&ctx(f, &travel)))
+            b.iter(|| p.assign(&ctx))
         });
-        g.bench_with_input(BenchmarkId::new("RAND", &size), &f, |b, f| {
+        g.bench_with_input(BenchmarkId::new("RAND", &size), &f, |b, _| {
             let mut p = Rand::new(3);
-            b.iter(|| p.assign(&ctx(f, &travel)))
+            b.iter(|| p.assign(&ctx))
         });
         g.bench_with_input(BenchmarkId::new("POLAR", &size), &f, |b, f| {
             let mut p = Polar::new(
@@ -65,7 +53,7 @@ fn bench_policies(c: &mut Criterion) {
                 &f.grid,
                 f.drivers.len(),
             );
-            b.iter(|| p.assign(&ctx(f, &travel)))
+            b.iter(|| p.assign(&ctx))
         });
     }
     g.finish();

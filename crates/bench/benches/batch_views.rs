@@ -41,7 +41,12 @@ fn bench_views(c: &mut Criterion) {
         // rider leaves, a driver goes busy and rejoins) and the batch
         // itself just drains the dirty counter.
         g.bench_with_input(BenchmarkId::new("incremental", &size), &f, |b, f| {
-            let mut views = f.batch_views();
+            let mut views = BatchViews::new();
+            views.rebuild_reference(
+                f.riders.iter().copied(),
+                f.drivers.iter().copied(),
+                f.busy.iter().copied(),
+            );
             let rider = f.riders[0];
             let driver = f.drivers[0];
             let busy = mrvd_sim::BusyDriver {

@@ -1,33 +1,15 @@
-//! Candidate-generation cost: the engine-maintained live index
-//! (incremental insert/remove at event times, zero per-batch setup)
-//! against the per-batch retarget-and-rebuild it replaced. Both paths
-//! produce identical candidate sets; the difference is pure maintenance
-//! overhead, which is what the incremental index eliminates from the
+//! Candidate-generation cost: a query against an availability index that
+//! is already built (the engine's live index, maintained by incremental
+//! insert/remove at event times) against a from-scratch `BatchState`
+//! rebuild plus the same query (what the legacy reference loop pays
+//! every batch). Both produce identical candidate sets; the difference
+//! is the per-batch rebuild the incremental index removes from the
 //! dispatch hot path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrvd_bench::BatchFixture;
 use mrvd_core::{valid_candidates_with, CandidateScratch};
-use mrvd_sim::{BatchContext, DriverId};
-use mrvd_spatial::{ConstantSpeedModel, RegionIndex};
-
-fn ctx<'a>(
-    f: &'a BatchFixture,
-    travel: &'a ConstantSpeedModel,
-    avail_index: Option<&'a RegionIndex<DriverId>>,
-) -> BatchContext<'a> {
-    BatchContext {
-        now_ms: f.now_ms,
-        riders: &f.riders,
-        drivers: &f.drivers,
-        busy: &f.busy,
-        travel,
-        grid: &f.grid,
-        avail_index,
-        region_counts: None,
-        views: None,
-    }
-}
+use mrvd_spatial::ConstantSpeedModel;
 
 fn bench_candidates(c: &mut Criterion) {
     let travel = ConstantSpeedModel::default();
@@ -38,18 +20,23 @@ fn bench_candidates(c: &mut Criterion) {
     // batches carry a handful of state changes).
     for &(riders, avail) in &[(1usize, 4000usize), (5, 500), (20, 2000), (50, 8000)] {
         let f = BatchFixture::rush_hour(riders, avail, 0, 7);
-        let mut live: RegionIndex<DriverId> = RegionIndex::new(f.grid.clone());
-        for d in &f.drivers {
-            live.insert(d.id, d.pos);
-        }
         let size = format!("{riders}r/{avail}d");
         g.bench_with_input(BenchmarkId::new("rebuild", &size), &f, |b, f| {
+            let mut state = f.batch_state();
             let mut scratch = CandidateScratch::new();
-            b.iter(|| valid_candidates_with(&ctx(f, &travel, None), 32, &mut scratch))
+            b.iter(|| {
+                state.rebuild(
+                    f.riders.iter().copied(),
+                    f.drivers.iter().copied(),
+                    f.busy.iter().copied(),
+                );
+                valid_candidates_with(&state.context(f.now_ms, &travel), 32, &mut scratch)
+            })
         });
         g.bench_with_input(BenchmarkId::new("live-index", &size), &f, |b, f| {
+            let state = f.batch_state();
             let mut scratch = CandidateScratch::new();
-            b.iter(|| valid_candidates_with(&ctx(f, &travel, Some(&live)), 32, &mut scratch))
+            b.iter(|| valid_candidates_with(&state.context(f.now_ms, &travel), 32, &mut scratch))
         });
     }
     g.finish();

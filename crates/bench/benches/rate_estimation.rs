@@ -1,6 +1,6 @@
 //! Rate-estimation cost on the dispatch hot path: the incremental lazy
-//! `RateTracker` (live per-region counts from the engine, idle times
-//! solved only for touched regions) against the verbatim eager
+//! `RateTracker` (the batch's per-region counts, idle times solved only
+//! for touched regions) against the verbatim eager
 //! `estimate_rates` reference (full rider/driver/busy scans + a
 //! 256-region queueing solve per batch). Both paths produce bit-identical
 //! assignments — the difference is pure estimation overhead, which is
@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrvd_bench::BatchFixture;
 use mrvd_core::{DispatchConfig, QueueingPolicy};
-use mrvd_sim::{BatchContext, DispatchPolicy};
+use mrvd_sim::DispatchPolicy;
 use mrvd_spatial::ConstantSpeedModel;
 
 fn bench_rate_paths(c: &mut Criterion) {
@@ -24,20 +24,8 @@ fn bench_rate_paths(c: &mut Criterion) {
         // Anchored riders guarantee every batch assigns (the same
         // regime the `delta` subcommand's microbench reports).
         fixture.anchor_riders_to_drivers();
-        let live_index = fixture.live_index();
-        let counts = fixture.region_counts();
-        let views = fixture.batch_views();
-        let ctx = BatchContext {
-            now_ms: fixture.now_ms,
-            riders: views.waiting(),
-            drivers: views.available(),
-            busy: views.busy(),
-            travel: &travel,
-            grid: &fixture.grid,
-            avail_index: Some(&live_index),
-            region_counts: Some(&counts),
-            views: Some(&views),
-        };
+        let state = fixture.batch_state();
+        let ctx = state.context(fixture.now_ms, &travel);
         let size = format!("{riders}r/{avail}d/{busy}b");
         g.bench_with_input(BenchmarkId::new("reference", &size), &(), |b, ()| {
             let mut policy = QueueingPolicy::irg(

@@ -8,14 +8,13 @@
 
 use mrvd_core::DemandOracle;
 use mrvd_demand::{count_trips, DemandSeries, NycLikeConfig, NycLikeGenerator, TripRecord};
-use mrvd_sim::{
-    AvailableDriver, BatchViews, BusyDriver, DriverId, RegionCounts, RiderId, WaitingRider,
-};
-use mrvd_spatial::{Grid, Point, RegionIndex};
+use mrvd_sim::{AvailableDriver, BatchState, BusyDriver, DriverId, RiderId, WaitingRider};
+use mrvd_spatial::{Grid, Point};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// A self-contained batch state: everything needed to build a
-/// [`mrvd_sim::BatchContext`] repeatedly inside a bench loop.
+/// [`mrvd_sim::BatchContext`] repeatedly inside a bench loop (through
+/// [`BatchFixture::batch_state`]).
 pub struct BatchFixture {
     /// Waiting riders.
     pub riders: Vec<WaitingRider>,
@@ -103,7 +102,7 @@ impl BatchFixture {
     /// in benchmark batches. Shared by the rate-path measurement sites
     /// (the `rate_estimation` bench and the `delta` subcommand's
     /// microbench) so both time the same regime. Call before
-    /// [`BatchFixture::region_counts`].
+    /// [`BatchFixture::batch_state`].
     ///
     /// # Panics
     /// Panics if the fixture has no drivers.
@@ -116,47 +115,10 @@ impl BatchFixture {
         }
     }
 
-    /// A live availability index mirroring the fixture's drivers — what
-    /// the engine would hand a policy via `BatchContext::avail_index`.
-    pub fn live_index(&self) -> RegionIndex<DriverId> {
-        let mut ix = RegionIndex::new(self.grid.clone());
-        for d in &self.drivers {
-            ix.insert(d.id, d.pos);
-        }
-        ix
-    }
-
-    /// Live batch views mirroring the fixture's state — what the engine
-    /// would hand a policy via `BatchContext::views`.
-    pub fn batch_views(&self) -> BatchViews {
-        let mut v = BatchViews::new();
-        for r in &self.riders {
-            v.add_waiting(*r);
-        }
-        for d in &self.drivers {
-            v.add_available(*d);
-        }
-        for b in &self.busy {
-            v.add_busy(*b);
-        }
-        v.clear_dirty();
-        v
-    }
-
-    /// Live per-region counts mirroring the fixture's views — what the
-    /// engine would hand a policy via `BatchContext::region_counts`.
-    pub fn region_counts(&self) -> RegionCounts {
-        let mut c = RegionCounts::new(self.grid.num_regions());
-        for r in &self.riders {
-            c.add_waiting(self.grid.region_of(r.pickup));
-        }
-        for d in &self.drivers {
-            c.add_available(self.grid.region_of(d.pos));
-        }
-        for b in &self.busy {
-            c.add_rejoining(self.grid.region_of(b.dropoff_pos), b.dropoff_ms);
-        }
-        c
+    /// The fixture's batch state — the views, availability index and
+    /// region counts the engine would hand a policy — built from scratch.
+    pub fn batch_state(&self) -> BatchState {
+        BatchState::new(&self.grid, &self.riders, &self.drivers, &self.busy)
     }
 }
 

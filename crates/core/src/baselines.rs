@@ -180,7 +180,7 @@ impl DispatchPolicy for Rand {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrvd_sim::{AvailableDriver, DriverId, RiderId, WaitingRider};
+    use mrvd_sim::{AvailableDriver, BatchState, DriverId, RiderId, WaitingRider};
     use mrvd_spatial::{ConstantSpeedModel, Grid, Point};
 
     fn rider(id: u32, pickup: Point, dropoff: Point) -> WaitingRider {
@@ -222,17 +222,8 @@ mod tests {
     #[test]
     fn ltg_takes_the_expensive_order() {
         let (grid, travel, riders, drivers) = fixture();
-        let ctx = BatchContext {
-            now_ms: 0,
-            riders: &riders,
-            drivers: &drivers,
-            busy: &[],
-            travel: &travel,
-            grid: &grid,
-            avail_index: None,
-            region_counts: None,
-            views: None,
-        };
+        let state = BatchState::new(&grid, &riders, &drivers, &[]);
+        let ctx = state.context(0, &travel);
         let out = Ltg::default().assign(&ctx);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].rider, RiderId(0));
@@ -241,17 +232,8 @@ mod tests {
     #[test]
     fn near_takes_the_closest_order() {
         let (grid, travel, riders, drivers) = fixture();
-        let ctx = BatchContext {
-            now_ms: 0,
-            riders: &riders,
-            drivers: &drivers,
-            busy: &[],
-            travel: &travel,
-            grid: &grid,
-            avail_index: None,
-            region_counts: None,
-            views: None,
-        };
+        let state = BatchState::new(&grid, &riders, &drivers, &[]);
+        let ctx = state.context(0, &travel);
         let out = Near::default().assign(&ctx);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].rider, RiderId(1));
@@ -260,17 +242,8 @@ mod tests {
     #[test]
     fn rand_is_valid_and_seed_deterministic() {
         let (grid, travel, riders, drivers) = fixture();
-        let ctx = BatchContext {
-            now_ms: 0,
-            riders: &riders,
-            drivers: &drivers,
-            busy: &[],
-            travel: &travel,
-            grid: &grid,
-            avail_index: None,
-            region_counts: None,
-            views: None,
-        };
+        let state = BatchState::new(&grid, &riders, &drivers, &[]);
+        let ctx = state.context(0, &travel);
         let a = Rand::new(7).assign(&ctx);
         let b = Rand::new(7).assign(&ctx);
         assert_eq!(a.len(), 1);
@@ -298,17 +271,8 @@ mod tests {
         let drivers: Vec<AvailableDriver> = (0..3)
             .map(|i| driver(i, Point::new(-73.979, 40.751)))
             .collect();
-        let ctx = BatchContext {
-            now_ms: 0,
-            riders: &riders,
-            drivers: &drivers,
-            busy: &[],
-            travel: &travel,
-            grid: &grid,
-            avail_index: None,
-            region_counts: None,
-            views: None,
-        };
+        let state = BatchState::new(&grid, &riders, &drivers, &[]);
+        let ctx = state.context(0, &travel);
         for out in [
             Ltg::default().assign(&ctx),
             Near::default().assign(&ctx),

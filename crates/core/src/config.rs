@@ -1,7 +1,8 @@
 //! Configuration of the queueing-theoretic dispatcher.
 
 /// Parameters of the queueing policies (defaults follow the paper's
-/// Table 2 defaults where stated, DESIGN.md otherwise).
+/// Table 2 where it states a value; each field documents the choice made
+/// where it does not).
 #[derive(Debug, Clone)]
 pub struct DispatchConfig {
     /// Scheduling window `t_c` in ms over which arrival rates are
@@ -16,7 +17,8 @@ pub struct DispatchConfig {
     pub max_candidates: usize,
     /// Ablation switch: when true, every region gets the same constant
     /// expected idle time, silencing the destination-side queueing term
-    /// of the idle ratio (experiment E13 in DESIGN.md).
+    /// of the idle ratio (the `ablation` experiment of
+    /// `mrvd-experiments`).
     pub uniform_et: bool,
     /// Differential-testing switch: when true, the queueing policies
     /// estimate rates through the verbatim eager reference path

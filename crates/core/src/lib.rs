@@ -11,8 +11,8 @@
 //!   the expected-idle-time table driving the idle ratio (Eq. 17), kept
 //!   verbatim as the differential-testing reference.
 //! * [`rate_tracker`] — the incremental hot-path replacement: counts from
-//!   the engine's live [`mrvd_sim::RegionCounts`], expected idle times
-//!   solved lazily only for regions the policy touches.
+//!   the batch's [`mrvd_sim::RegionCounts`], expected idle times solved
+//!   lazily only for regions the policy touches.
 //! * [`oracle`] — the demand oracle: ground-truth counts (`-R` variants)
 //!   or a fitted [`mrvd_prediction::Predictor`] consulted online with
 //!   recursive multi-slot forecasting (`-P` variants).

@@ -214,7 +214,7 @@ impl DispatchPolicy for Polar {
 mod tests {
     use super::*;
     use mrvd_demand::DemandSeries;
-    use mrvd_sim::{AvailableDriver, DriverId, RiderId, WaitingRider};
+    use mrvd_sim::{AvailableDriver, BatchState, DriverId, RiderId, WaitingRider};
     use mrvd_spatial::{ConstantSpeedModel, Point};
 
     fn oracle(grid: &Grid) -> DemandOracle {
@@ -274,17 +274,8 @@ mod tests {
             pos: Point::new(-73.985, 40.752),
             available_since_ms: 0,
         }];
-        let ctx = BatchContext {
-            now_ms: 0,
-            riders: &riders,
-            drivers: &drivers,
-            busy: &[],
-            travel: &travel,
-            grid: &grid,
-            avail_index: None,
-            region_counts: None,
-            views: None,
-        };
+        let state = BatchState::new(&grid, &riders, &drivers, &[]);
+        let ctx = state.context(0, &travel);
         let mut polar = Polar::new(PolarConfig::default(), &oracle(&grid), &grid, 1);
         let out = polar.assign(&ctx);
         assert_eq!(out.len(), 1);

@@ -133,9 +133,9 @@ impl QueueingPolicy {
         }
     }
 
-    /// The rate tracker's lifetime counters — how many batches ran off
-    /// the engine's live counts and how many idle-time solves the lazy
-    /// path actually performed (vs. one per region per batch eagerly).
+    /// The rate tracker's lifetime counters — how many batches it
+    /// prepared and how many idle-time solves the lazy path actually
+    /// performed (vs. one per region per batch eagerly).
     pub fn rate_stats(&self) -> RateTrackerStats {
         self.tracker.stats()
     }
@@ -371,7 +371,7 @@ mod tests {
     use super::*;
     use crate::rates::et_for;
     use mrvd_demand::DemandSeries;
-    use mrvd_sim::{AvailableDriver, DriverId, RiderId, WaitingRider};
+    use mrvd_sim::{AvailableDriver, BatchState, DriverId, RiderId, WaitingRider};
     use mrvd_spatial::{ConstantSpeedModel, Grid, Point, TravelModel};
 
     /// Two probe regions with controllable upcoming demand.
@@ -410,23 +410,8 @@ mod tests {
         }
     }
 
-    fn ctx<'a>(
-        grid: &'a Grid,
-        travel: &'a ConstantSpeedModel,
-        riders: &'a [WaitingRider],
-        drivers: &'a [AvailableDriver],
-    ) -> BatchContext<'a> {
-        BatchContext {
-            now_ms: 0,
-            riders,
-            drivers,
-            busy: &[],
-            travel,
-            grid,
-            avail_index: None,
-            region_counts: None,
-            views: None,
-        }
+    fn state(grid: &Grid, riders: &[WaitingRider], drivers: &[AvailableDriver]) -> BatchState {
+        BatchState::new(grid, riders, drivers, &[])
     }
 
     #[test]
@@ -442,7 +427,7 @@ mod tests {
         let drivers = [driver(0, base)];
         let mut policy =
             QueueingPolicy::irg(DispatchConfig::default(), oracle_with_hot(&grid, 50.0));
-        let out = policy.assign(&ctx(&grid, &travel, &riders, &drivers));
+        let out = policy.assign(&state(&grid, &riders, &drivers).context(0, &travel));
         assert_eq!(out.len(), 1);
         assert_eq!(
             out[0].rider,
@@ -468,7 +453,7 @@ mod tests {
         let drivers = [driver(0, Point::new(-74.0, 40.7))];
         let mut policy =
             QueueingPolicy::irg(DispatchConfig::default(), oracle_with_hot(&grid, 5.0));
-        let out = policy.assign(&ctx(&grid, &travel, &riders, &drivers));
+        let out = policy.assign(&state(&grid, &riders, &drivers).context(0, &travel));
         assert_eq!(out.len(), 1);
         assert_eq!(
             out[0].rider,
@@ -491,7 +476,7 @@ mod tests {
         let drivers = [driver(0, Point::new(-74.0, 40.7))];
         let mut policy =
             QueueingPolicy::short(DispatchConfig::default(), oracle_with_hot(&grid, 5.0));
-        let out = policy.assign(&ctx(&grid, &travel, &riders, &drivers));
+        let out = policy.assign(&state(&grid, &riders, &drivers).context(0, &travel));
         assert_eq!(out.len(), 1);
         assert_eq!(
             out[0].rider,
@@ -521,7 +506,7 @@ mod tests {
             ..DispatchConfig::default()
         };
         let mut policy = QueueingPolicy::irg(cfg.clone(), oracle_with_hot(&grid, 500.0));
-        let out = policy.assign(&ctx(&grid, &travel, &riders, &drivers));
+        let out = policy.assign(&state(&grid, &riders, &drivers).context(0, &travel));
         assert_eq!(out.len(), 1);
         // Uniform-ET estimate is the constant t_c / 2.
         assert_eq!(out[0].estimated_idle_s, Some(cfg.tc_s() / 2.0));
@@ -547,7 +532,8 @@ mod tests {
         let cfg = DispatchConfig::default();
         let oracle = oracle_with_hot(&grid, 30.0);
         let mut policy = QueueingPolicy::ls(cfg.clone(), oracle);
-        let c = ctx(&grid, &travel, &riders, &drivers);
+        let s = state(&grid, &riders, &drivers);
+        let c = s.context(0, &travel);
         let out = policy.assign(&c);
         assert!(!out.is_empty());
         // Recompute the final region state exactly as the policy would,
@@ -607,7 +593,7 @@ mod tests {
         ];
         let mut policy =
             QueueingPolicy::irg(DispatchConfig::default(), oracle_with_hot(&grid, 5.0));
-        let out = policy.assign(&ctx(&grid, &travel, &riders, &drivers));
+        let out = policy.assign(&state(&grid, &riders, &drivers).context(0, &travel));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].driver, DriverId(1));
     }
@@ -618,10 +604,12 @@ mod tests {
         let travel = ConstantSpeedModel::new(8.0);
         let mut policy =
             QueueingPolicy::irg(DispatchConfig::default(), oracle_with_hot(&grid, 5.0));
-        assert!(policy.assign(&ctx(&grid, &travel, &[], &[])).is_empty());
+        assert!(policy
+            .assign(&state(&grid, &[], &[]).context(0, &travel))
+            .is_empty());
         let drivers = [driver(0, HOT)];
         assert!(policy
-            .assign(&ctx(&grid, &travel, &[], &drivers))
+            .assign(&state(&grid, &[], &drivers).context(0, &travel))
             .is_empty());
     }
 

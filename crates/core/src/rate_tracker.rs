@@ -7,15 +7,14 @@
 //! rider is waiting and a single destination region matters. The
 //! [`RateTracker`] replaces that on the hot path:
 //!
-//! * **Counts** come from the engine's live
-//!   [`mrvd_sim::RegionCounts`] ([`mrvd_sim::BatchContext::region_counts`])
-//!   when present — no scans; the rejoining-in-window count is two binary
-//!   searches per region over the engine's rejoin-time multisets. Without
-//!   live counts (hand-built contexts, the legacy reference loop) the
-//!   tracker falls back to the same scans as the reference estimator,
-//!   into buffers reused across batches.
+//! * **Counts** come from the batch's per-region counts
+//!   ([`mrvd_sim::BatchContext::region_counts`]) — no scans; the
+//!   rejoining-in-window count is two binary searches per region over
+//!   the rejoin-time multisets. Only the regions those counts list as
+//!   occupied, plus the oracle's active regions, are written; every other
+//!   region keeps the all-zero baseline.
 //! * **λ/μ/K** are derived through the shared [`region_rates`] formula,
-//!   so both paths are bit-identical to the reference by construction.
+//!   so the tracker is bit-identical to the reference by construction.
 //! * **Expected idle times** (the per-region queueing solve, Eqs.
 //!   10/13/16) are computed *lazily*: only for regions a policy actually
 //!   asks about — destinations of current candidate pairs plus regions
@@ -37,12 +36,9 @@ use crate::rates::{et_for, region_rates, RegionEstimates};
 /// Lifetime counters of a [`RateTracker`], for benchmarks and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RateTrackerStats {
-    /// Batches prepared ([`RateTracker::begin_batch`] +
+    /// Batches prepared ([`RateTracker::begin_batch_sparse`] +
     /// [`RateTracker::load_reference`] calls).
     pub batches: u64,
-    /// Batches whose counts came from the engine's live
-    /// [`mrvd_sim::RegionCounts`] instead of view scans.
-    pub live_batches: u64,
     /// Expected-idle-time solves performed (lazy evaluations plus
     /// μ-bump recomputations; eager reference loads count one solve per
     /// region).
@@ -66,12 +62,11 @@ pub struct RateTracker {
     /// Regions the last *sparse* batch set away from the all-zero
     /// baseline — exactly the entries the next sparse batch re-zeroes.
     touched: Vec<u32>,
-    /// Set when a dense fill (reference load, scan fallback, resize)
-    /// left entries outside `touched` non-baseline; the next sparse
-    /// batch then does one full reset before going incremental.
+    /// Set when a dense fill (reference load, resize) left entries
+    /// outside `touched` non-baseline; the next sparse batch then does
+    /// one full reset before going incremental.
     dense_dirty: bool,
     batches: u64,
-    live_batches: u64,
     ets_computed: u64,
 }
 
@@ -99,90 +94,20 @@ impl RateTracker {
         self.batches += 1;
     }
 
-    /// Prepares the tracker for one batch: per-region counts (live or
-    /// scanned) and λ/μ/K for every region; expected idle times stay
-    /// unevaluated until [`RateTracker::et`] asks for them.
+    /// Prepares the tracker for one batch: per-region counts and λ/μ/K.
+    /// Instead of writing all `num_regions` entries it resets only the
+    /// regions the previous batch touched and fills only the union of
+    /// the batch's [`RegionCounts::occupied_regions`] (a superset of
+    /// every region with a waiting rider, available driver or pending
+    /// rejoin) and `upcoming_active` (the oracle regions with nonzero
+    /// window demand, e.g. [`crate::oracle::SparseUpcoming::active`]).
+    /// Every other region keeps the exact `(0, 0, 0, +0.0, +0.0, K=0)`
+    /// baseline — bit-identical to what a dense loop computes for it,
+    /// since [`region_rates`] of all-zero inputs is the baseline.
+    /// Expected idle times stay unevaluated until [`RateTracker::et`]
+    /// asks for them.
     ///
     /// `upcoming[k]` is the oracle's `|R̂_k|` for `[now, now + t_c)`.
-    ///
-    /// # Panics
-    /// Panics if `upcoming` does not cover the grid's regions.
-    pub fn begin_batch(&mut self, ctx: &BatchContext<'_>, upcoming: &[f64], cfg: &DispatchConfig) {
-        let n = ctx.grid.num_regions();
-        assert_eq!(
-            upcoming.len(),
-            n,
-            "RateTracker::begin_batch: oracle regions != grid regions"
-        );
-        self.resize(n);
-        let window_end = ctx.now_ms + cfg.tc_ms;
-        // The live path requires counts consistent with the batch views —
-        // the contract `BatchContext::region_counts` documents and the
-        // engine maintains. The cheap totals check below catches grossly
-        // stale hand-built counts and falls back to the scans; per-region
-        // *placement* is not re-validated (that would reintroduce the
-        // very scans this path removes), so counts with matching totals
-        // but wrong regions are the provider's bug, like a misplaced
-        // `avail_index`.
-        let live = ctx.region_counts.filter(|rc| {
-            rc.num_regions() == n
-                && rc.totals() == (ctx.riders.len(), ctx.drivers.len(), ctx.busy.len())
-        });
-        if let Some(rc) = live {
-            self.live_batches += 1;
-            self.waiting.copy_from_slice(rc.waiting());
-            self.available.copy_from_slice(rc.available());
-            for (k, r) in self.rejoining.iter_mut().enumerate() {
-                *r = rc.rejoining_between(RegionId(k as u32), ctx.now_ms, window_end);
-            }
-        } else {
-            self.waiting.fill(0);
-            self.available.fill(0);
-            self.rejoining.fill(0);
-            for r in ctx.riders {
-                self.waiting[ctx.grid.region_of(r.pickup).idx()] += 1;
-            }
-            for d in ctx.drivers {
-                self.available[ctx.grid.region_of(d.pos).idx()] += 1;
-            }
-            for b in ctx.busy {
-                if b.dropoff_ms > ctx.now_ms && b.dropoff_ms < window_end {
-                    self.rejoining[ctx.grid.region_of(b.dropoff_pos).idx()] += 1;
-                }
-            }
-        }
-        let tc_s = cfg.tc_s();
-        for (k, &up) in upcoming.iter().enumerate() {
-            let (l, m, c) = region_rates(
-                self.waiting[k],
-                self.available[k],
-                self.rejoining[k],
-                up,
-                tc_s,
-            );
-            self.lambda[k] = l;
-            self.mu[k] = m;
-            self.capacity_k[k] = c;
-        }
-        // Every region was written — the next sparse batch must reset
-        // densely rather than trust its touched list.
-        self.dense_dirty = true;
-    }
-
-    /// The sparse counterpart of [`RateTracker::begin_batch`] for the
-    /// city-scale hot path: instead of writing all `num_regions` entries
-    /// it resets only the regions the previous sparse batch touched and
-    /// fills only the union of the engine's
-    /// [`RegionCounts::occupied_regions`] (a superset of every region
-    /// with a waiting rider, available driver or pending rejoin) and
-    /// `upcoming_active` (the oracle regions with nonzero window
-    /// demand, e.g. [`crate::oracle::SparseUpcoming::active`]). Every
-    /// other region keeps the exact `(0, 0, 0, +0.0, +0.0, K=0)`
-    /// baseline — bit-identical to what the dense loop computes for it,
-    /// since [`region_rates`] of all-zero inputs is the baseline.
-    ///
-    /// Without consistent live counts this falls back to the dense scan
-    /// path (there is no occupied list to go sparse with).
     ///
     /// # Panics
     /// Panics if `upcoming` does not cover the grid's regions.
@@ -194,22 +119,13 @@ impl RateTracker {
         cfg: &DispatchConfig,
     ) {
         let n = ctx.grid.num_regions();
-        let live_ok = ctx.region_counts.is_some_and(|rc| {
-            rc.num_regions() == n
-                && rc.totals() == (ctx.riders.len(), ctx.drivers.len(), ctx.busy.len())
-        });
-        if !live_ok {
-            self.begin_batch(ctx, upcoming, cfg);
-            return;
-        }
         assert_eq!(
             upcoming.len(),
             n,
             "RateTracker::begin_batch_sparse: oracle regions != grid regions"
         );
         self.resize(n);
-        self.live_batches += 1;
-        let rc = ctx.region_counts.expect("live_ok checked above");
+        let rc = ctx.region_counts;
         if self.dense_dirty {
             self.waiting.fill(0);
             self.available.fill(0);
@@ -247,8 +163,8 @@ impl RateTracker {
         }
     }
 
-    /// One region of the sparse fill: live counts → λ/μ/K via the shared
-    /// formula, and a `touched` entry so the next sparse batch resets it.
+    /// One region of the sparse fill: batch counts → λ/μ/K via the
+    /// shared formula, and a `touched` entry so the next batch resets it.
     fn fill_region(
         &mut self,
         rc: &RegionCounts,
@@ -392,7 +308,6 @@ impl RateTracker {
     pub fn stats(&self) -> RateTrackerStats {
         RateTrackerStats {
             batches: self.batches,
-            live_batches: self.live_batches,
             ets_computed: self.ets_computed,
         }
     }
@@ -402,15 +317,15 @@ impl RateTracker {
 mod tests {
     use super::*;
     use crate::rates::estimate_rates;
-    use mrvd_sim::{AvailableDriver, BusyDriver, DriverId, RegionCounts, RiderId, WaitingRider};
+    use mrvd_sim::{AvailableDriver, BatchState, BusyDriver, DriverId, RiderId, WaitingRider};
     use mrvd_spatial::{ConstantSpeedModel, Grid, Point};
 
     const P: Point = Point::new(-73.985, 40.755);
     const Q: Point = Point::new(-73.80, 40.90);
 
-    fn rider(p: Point) -> WaitingRider {
+    fn rider(id: u32, p: Point) -> WaitingRider {
         WaitingRider {
-            id: RiderId(0),
+            id: RiderId(id),
             pickup: p,
             dropoff: p,
             request_ms: 0,
@@ -418,144 +333,20 @@ mod tests {
         }
     }
 
-    fn driver(p: Point) -> AvailableDriver {
+    fn driver(id: u32, p: Point) -> AvailableDriver {
         AvailableDriver {
-            id: DriverId(0),
+            id: DriverId(id),
             pos: p,
             available_since_ms: 0,
         }
     }
 
-    fn busy(dropoff_ms: u64, p: Point) -> BusyDriver {
+    fn busy(id: u32, dropoff_ms: u64, p: Point) -> BusyDriver {
         BusyDriver {
-            id: DriverId(9),
+            id: DriverId(id),
             dropoff_ms,
             dropoff_pos: p,
         }
-    }
-
-    /// Live counts mirroring the given views, as the engine would hold.
-    fn counts_for(
-        grid: &Grid,
-        riders: &[WaitingRider],
-        drivers: &[AvailableDriver],
-        busys: &[BusyDriver],
-    ) -> RegionCounts {
-        let mut c = RegionCounts::new(grid.num_regions());
-        for r in riders {
-            c.add_waiting(grid.region_of(r.pickup));
-        }
-        for d in drivers {
-            c.add_available(grid.region_of(d.pos));
-        }
-        for b in busys {
-            c.add_rejoining(grid.region_of(b.dropoff_pos), b.dropoff_ms);
-        }
-        c
-    }
-
-    fn ctx<'a>(
-        grid: &'a Grid,
-        travel: &'a ConstantSpeedModel,
-        riders: &'a [WaitingRider],
-        drivers: &'a [AvailableDriver],
-        busys: &'a [BusyDriver],
-        counts: Option<&'a RegionCounts>,
-    ) -> BatchContext<'a> {
-        BatchContext {
-            now_ms: 0,
-            riders,
-            drivers,
-            busy: busys,
-            travel,
-            grid,
-            avail_index: None,
-            region_counts: counts,
-            views: None,
-        }
-    }
-
-    #[test]
-    fn live_and_scan_paths_match_the_reference_estimator() {
-        let grid = Grid::nyc_16x16();
-        let travel = ConstantSpeedModel::default();
-        let cfg = DispatchConfig::default();
-        let riders = [rider(P), rider(P), rider(Q)];
-        let drivers = [driver(P), driver(Q), driver(Q)];
-        let busys = [busy(100_000, P), busy(2_000_000, Q), busy(5_000, Q)];
-        let counts = counts_for(&grid, &riders, &drivers, &busys);
-        let mut upcoming = vec![0.0; grid.num_regions()];
-        upcoming[grid.region_of(P).idx()] = 12.0;
-
-        let live_ctx = ctx(&grid, &travel, &riders, &drivers, &busys, Some(&counts));
-        let scan_ctx = ctx(&grid, &travel, &riders, &drivers, &busys, None);
-        let est = estimate_rates(&scan_ctx, &upcoming, &cfg);
-        let ets = est.expected_idle_times(&cfg);
-
-        for c in [&live_ctx, &scan_ctx] {
-            let mut t = RateTracker::new();
-            t.begin_batch(c, &upcoming, &cfg);
-            assert_eq!(t.waiting(), &est.waiting[..]);
-            assert_eq!(t.available(), &est.available[..]);
-            assert_eq!(t.rejoining(), &est.rejoining[..]);
-            for (k, et_eager) in ets.iter().enumerate() {
-                assert_eq!(t.lambda()[k].to_bits(), est.lambda[k].to_bits());
-                assert_eq!(t.mu()[k].to_bits(), est.mu[k].to_bits());
-                assert_eq!(t.capacity_k()[k], est.capacity_k[k]);
-                assert_eq!(t.et(k, &cfg).to_bits(), et_eager.to_bits(), "region {k}");
-            }
-        }
-        let mut t = RateTracker::new();
-        t.begin_batch(&live_ctx, &upcoming, &cfg);
-        assert_eq!(t.stats().live_batches, 1);
-        let mut t = RateTracker::new();
-        t.begin_batch(&scan_ctx, &upcoming, &cfg);
-        assert_eq!(t.stats().live_batches, 0);
-    }
-
-    #[test]
-    fn et_is_lazy_and_cached_within_a_batch() {
-        let grid = Grid::nyc_16x16();
-        let travel = ConstantSpeedModel::default();
-        let cfg = DispatchConfig::default();
-        let riders = [rider(P)];
-        let upcoming = vec![3.0; grid.num_regions()];
-        let c = ctx(&grid, &travel, &riders, &[], &[], None);
-        let mut t = RateTracker::new();
-        t.begin_batch(&c, &upcoming, &cfg);
-        assert_eq!(t.stats().ets_computed, 0, "nothing evaluated yet");
-        let k = grid.region_of(P).idx();
-        let a = t.et(k, &cfg);
-        assert_eq!(t.stats().ets_computed, 1);
-        let b = t.et(k, &cfg);
-        assert_eq!(t.stats().ets_computed, 1, "second read hits the cache");
-        assert_eq!(a.to_bits(), b.to_bits());
-        // A new batch invalidates the cache lazily.
-        t.begin_batch(&c, &upcoming, &cfg);
-        t.et(k, &cfg);
-        assert_eq!(t.stats().ets_computed, 2);
-    }
-
-    #[test]
-    fn bump_and_unbump_round_trip_matches_fresh_solve() {
-        let grid = Grid::nyc_16x16();
-        let travel = ConstantSpeedModel::default();
-        let cfg = DispatchConfig::default();
-        let riders = [rider(P), rider(P)];
-        let drivers = [driver(P)];
-        let mut upcoming = vec![0.0; grid.num_regions()];
-        let k = grid.region_of(P).idx();
-        upcoming[k] = 6.0;
-        let c = ctx(&grid, &travel, &riders, &drivers, &[], None);
-        let mut t = RateTracker::new();
-        t.begin_batch(&c, &upcoming, &cfg);
-        let tc_s = cfg.tc_s();
-        t.bump_mu(k, &cfg);
-        let bumped = t.et(k, &cfg);
-        let expect = et_for(t.lambda()[k], t.mu()[k], t.capacity_k()[k], cfg.beta, tc_s);
-        assert_eq!(bumped.to_bits(), expect.to_bits());
-        t.unbump_mu(k, &cfg);
-        assert_eq!(t.capacity_k()[k], 1);
     }
 
     /// The active list of a dense upcoming buffer: every region whose
@@ -568,6 +359,12 @@ mod tests {
             .filter(|(_, v)| v.to_bits() != 0)
             .map(|(k, _)| k as u32)
             .collect()
+    }
+
+    /// One batch on the production fill: the dense buffer plus its
+    /// active list.
+    fn begin(t: &mut RateTracker, ctx: &BatchContext<'_>, upcoming: &[f64], cfg: &DispatchConfig) {
+        t.begin_batch_sparse(ctx, upcoming, &active_of(upcoming), cfg);
     }
 
     fn assert_tracker_matches(t: &mut RateTracker, est: &RegionEstimates, cfg: &DispatchConfig) {
@@ -584,34 +381,123 @@ mod tests {
     }
 
     #[test]
+    fn live_and_scan_paths_match_the_reference_estimator() {
+        let grid = Grid::nyc_16x16();
+        let travel = ConstantSpeedModel::default();
+        let cfg = DispatchConfig::default();
+        let riders = [rider(0, P), rider(1, P), rider(2, Q)];
+        let drivers = [driver(0, P), driver(1, Q), driver(2, Q)];
+        let busys = [
+            busy(9, 100_000, P),
+            busy(10, 2_000_000, Q),
+            busy(11, 5_000, Q),
+        ];
+        let scanned = BatchState::new(&grid, &riders, &drivers, &busys);
+        // Counts maintained the way the engine does: through a history
+        // that also removes entries, leaving stale occupied listings.
+        let mut live = RegionCounts::new(grid.num_regions());
+        for r in &riders {
+            live.add_waiting(grid.region_of(r.pickup));
+        }
+        live.add_waiting(RegionId(3));
+        live.remove_waiting(RegionId(3));
+        for d in &drivers {
+            live.add_available(grid.region_of(d.pos));
+        }
+        for b in &busys {
+            live.add_rejoining(grid.region_of(b.dropoff_pos), b.dropoff_ms);
+        }
+        let mut upcoming = vec![0.0; grid.num_regions()];
+        upcoming[grid.region_of(P).idx()] = 12.0;
+
+        let scan_ctx = scanned.context(0, &travel);
+        let live_ctx = BatchContext {
+            region_counts: &live,
+            ..scanned.context(0, &travel)
+        };
+        let est = estimate_rates(&scan_ctx, &upcoming, &cfg);
+        for c in [&live_ctx, &scan_ctx] {
+            let mut t = RateTracker::new();
+            begin(&mut t, c, &upcoming, &cfg);
+            assert_tracker_matches(&mut t, &est, &cfg);
+        }
+    }
+
+    #[test]
+    fn et_is_lazy_and_cached_within_a_batch() {
+        let grid = Grid::nyc_16x16();
+        let travel = ConstantSpeedModel::default();
+        let cfg = DispatchConfig::default();
+        let upcoming = vec![3.0; grid.num_regions()];
+        let state = BatchState::new(&grid, &[rider(0, P)], &[], &[]);
+        let c = state.context(0, &travel);
+        let mut t = RateTracker::new();
+        begin(&mut t, &c, &upcoming, &cfg);
+        assert_eq!(t.stats().ets_computed, 0, "nothing evaluated yet");
+        let k = grid.region_of(P).idx();
+        let a = t.et(k, &cfg);
+        assert_eq!(t.stats().ets_computed, 1);
+        let b = t.et(k, &cfg);
+        assert_eq!(t.stats().ets_computed, 1, "second read hits the cache");
+        assert_eq!(a.to_bits(), b.to_bits());
+        // A new batch invalidates the cache lazily.
+        begin(&mut t, &c, &upcoming, &cfg);
+        t.et(k, &cfg);
+        assert_eq!(t.stats().ets_computed, 2);
+    }
+
+    #[test]
+    fn bump_and_unbump_round_trip_matches_fresh_solve() {
+        let grid = Grid::nyc_16x16();
+        let travel = ConstantSpeedModel::default();
+        let cfg = DispatchConfig::default();
+        let riders = [rider(0, P), rider(1, P)];
+        let mut upcoming = vec![0.0; grid.num_regions()];
+        let k = grid.region_of(P).idx();
+        upcoming[k] = 6.0;
+        let state = BatchState::new(&grid, &riders, &[driver(0, P)], &[]);
+        let mut t = RateTracker::new();
+        begin(&mut t, &state.context(0, &travel), &upcoming, &cfg);
+        let tc_s = cfg.tc_s();
+        t.bump_mu(k, &cfg);
+        let bumped = t.et(k, &cfg);
+        let expect = et_for(t.lambda()[k], t.mu()[k], t.capacity_k()[k], cfg.beta, tc_s);
+        assert_eq!(bumped.to_bits(), expect.to_bits());
+        t.unbump_mu(k, &cfg);
+        assert_eq!(t.capacity_k()[k], 1);
+    }
+
+    #[test]
     fn sparse_live_path_matches_the_dense_reference() {
         let grid = Grid::nyc_16x16();
         let travel = ConstantSpeedModel::default();
         let cfg = DispatchConfig::default();
-        let riders = [rider(P), rider(P), rider(Q)];
-        let drivers = [driver(P), driver(Q), driver(Q)];
-        let busys = [busy(100_000, P), busy(2_000_000, Q), busy(5_000, Q)];
-        let counts = counts_for(&grid, &riders, &drivers, &busys);
+        let riders = [rider(0, P), rider(1, P), rider(2, Q)];
+        let drivers = [driver(0, P), driver(1, Q), driver(2, Q)];
+        let busys = [
+            busy(9, 100_000, P),
+            busy(10, 2_000_000, Q),
+            busy(11, 5_000, Q),
+        ];
+        let state = BatchState::new(&grid, &riders, &drivers, &busys);
         let mut upcoming = vec![0.0; grid.num_regions()];
         upcoming[grid.region_of(P).idx()] = 12.0;
         // A region with demand but no riders/drivers: only the active
         // list can reach it.
         upcoming[7] = 3.5;
 
-        let live_ctx = ctx(&grid, &travel, &riders, &drivers, &busys, Some(&counts));
-        let scan_ctx = ctx(&grid, &travel, &riders, &drivers, &busys, None);
-        let est = estimate_rates(&scan_ctx, &upcoming, &cfg);
+        let ctx = state.context(0, &travel);
+        let est = estimate_rates(&ctx, &upcoming, &cfg);
 
         let mut t = RateTracker::new();
-        t.begin_batch_sparse(&live_ctx, &upcoming, &active_of(&upcoming), &cfg);
+        begin(&mut t, &ctx, &upcoming, &cfg);
         assert_tracker_matches(&mut t, &est, &cfg);
-        assert_eq!(t.stats().live_batches, 1);
 
         // A second sparse batch over the same world exercises the
         // touched-list reset instead of the first batch's dense reset.
-        t.begin_batch_sparse(&live_ctx, &upcoming, &active_of(&upcoming), &cfg);
+        begin(&mut t, &ctx, &upcoming, &cfg);
         assert_tracker_matches(&mut t, &est, &cfg);
-        assert_eq!(t.stats().live_batches, 2);
+        assert_eq!(t.stats().batches, 2);
     }
 
     #[test]
@@ -621,29 +507,21 @@ mod tests {
         let cfg = DispatchConfig::default();
         // World A occupies P and Q; world B empties Q entirely and has
         // zero demand — every world-A region must fall back to baseline.
-        let riders_a = [rider(P), rider(Q)];
-        let drivers_a = [driver(Q)];
-        let busys_a = [busy(100_000, Q)];
-        let counts_a = counts_for(&grid, &riders_a, &drivers_a, &busys_a);
+        let state_a = BatchState::new(
+            &grid,
+            &[rider(0, P), rider(1, Q)],
+            &[driver(0, Q)],
+            &[busy(9, 100_000, Q)],
+        );
         let mut upcoming_a = vec![0.0; grid.num_regions()];
         upcoming_a[grid.region_of(Q).idx()] = 9.0;
-        let ctx_a = ctx(
-            &grid,
-            &travel,
-            &riders_a,
-            &drivers_a,
-            &busys_a,
-            Some(&counts_a),
-        );
-
-        let riders_b = [rider(P)];
-        let counts_b = counts_for(&grid, &riders_b, &[], &[]);
+        let state_b = BatchState::new(&grid, &[rider(0, P)], &[], &[]);
         let upcoming_b = vec![0.0; grid.num_regions()];
-        let ctx_b = ctx(&grid, &travel, &riders_b, &[], &[], Some(&counts_b));
+        let ctx_b = state_b.context(0, &travel);
 
         let mut t = RateTracker::new();
-        t.begin_batch_sparse(&ctx_a, &upcoming_a, &active_of(&upcoming_a), &cfg);
-        t.begin_batch_sparse(&ctx_b, &upcoming_b, &active_of(&upcoming_b), &cfg);
+        begin(&mut t, &state_a.context(0, &travel), &upcoming_a, &cfg);
+        begin(&mut t, &ctx_b, &upcoming_b, &cfg);
         let est_b = estimate_rates(&ctx_b, &upcoming_b, &cfg);
         assert_tracker_matches(&mut t, &est_b, &cfg);
         let q = grid.region_of(Q).idx();
@@ -655,62 +533,34 @@ mod tests {
         let grid = Grid::nyc_16x16();
         let travel = ConstantSpeedModel::default();
         let cfg = DispatchConfig::default();
-        let riders = [rider(P)];
-        let drivers = [driver(Q)];
-        let counts = counts_for(&grid, &riders, &drivers, &[]);
-        // Dense demand everywhere, then sparse demand: the dense fill
-        // leaves non-baseline entries in every region, which the next
-        // sparse batch must wipe before going incremental.
+        let riders = [rider(0, P)];
+        let drivers = [driver(0, Q)];
+        let state = BatchState::new(&grid, &riders, &drivers, &[]);
+        let live = state.context(0, &travel);
         let dense_up = vec![2.0; grid.num_regions()];
         let sparse_up = vec![0.0; grid.num_regions()];
-        let live = ctx(&grid, &travel, &riders, &drivers, &[], Some(&counts));
 
+        // A reference load writes every region; the next sparse batch
+        // must wipe them all before going incremental.
         let mut t = RateTracker::new();
-        t.begin_batch(&live, &dense_up, &cfg);
-        t.begin_batch_sparse(&live, &sparse_up, &active_of(&sparse_up), &cfg);
-        let est = estimate_rates(&live, &sparse_up, &cfg);
-        assert_tracker_matches(&mut t, &est, &cfg);
-
-        // Same story after a reference load.
         let est_dense = estimate_rates(&live, &dense_up, &cfg);
         let ets_dense = est_dense.expected_idle_times(&cfg);
         t.load_reference(&est_dense, &ets_dense);
-        t.begin_batch_sparse(&live, &sparse_up, &active_of(&sparse_up), &cfg);
+        begin(&mut t, &live, &sparse_up, &cfg);
         let est = estimate_rates(&live, &sparse_up, &cfg);
         assert_tracker_matches(&mut t, &est, &cfg);
-    }
 
-    #[test]
-    fn sparse_without_live_counts_falls_back_to_scans() {
-        let grid = Grid::nyc_16x16();
-        let travel = ConstantSpeedModel::default();
-        let cfg = DispatchConfig::default();
-        let riders = [rider(P)];
-        let drivers = [driver(Q)];
-        let upcoming = vec![0.0; grid.num_regions()];
-        let c = ctx(&grid, &travel, &riders, &drivers, &[], None);
+        // A change of region count resets densely too: the touched list
+        // of a 256-region batch indexes past a 16-region grid.
+        let coarse = Grid::new(Point::new(-74.03, 40.58), Point::new(-73.77, 40.92), 4, 4);
+        let coarse_state = BatchState::new(&coarse, &riders, &drivers, &[]);
+        let coarse_ctx = coarse_state.context(0, &travel);
+        let coarse_up = vec![0.0; coarse.num_regions()];
         let mut t = RateTracker::new();
-        t.begin_batch_sparse(&c, &upcoming, &active_of(&upcoming), &cfg);
-        assert_eq!(t.stats().live_batches, 0);
-        let est = estimate_rates(&c, &upcoming, &cfg);
+        begin(&mut t, &live, &dense_up, &cfg);
+        begin(&mut t, &coarse_ctx, &coarse_up, &cfg);
+        let est = estimate_rates(&coarse_ctx, &coarse_up, &cfg);
         assert_tracker_matches(&mut t, &est, &cfg);
-    }
-
-    #[test]
-    fn inconsistent_live_counts_fall_back_to_scans() {
-        let grid = Grid::nyc_16x16();
-        let travel = ConstantSpeedModel::default();
-        let cfg = DispatchConfig::default();
-        let riders = [rider(P)];
-        let drivers = [driver(P), driver(Q)];
-        // Counts describing a different world (one driver missing).
-        let stale = counts_for(&grid, &riders, &drivers[..1], &[]);
-        let upcoming = vec![0.0; grid.num_regions()];
-        let c = ctx(&grid, &travel, &riders, &drivers, &[], Some(&stale));
-        let mut t = RateTracker::new();
-        t.begin_batch(&c, &upcoming, &cfg);
-        assert_eq!(t.stats().live_batches, 0, "stale counts must be ignored");
-        assert_eq!(t.available()[grid.region_of(Q).idx()], 1);
     }
 
     #[test]
@@ -721,11 +571,10 @@ mod tests {
             uniform_et: true,
             ..DispatchConfig::default()
         };
-        let riders = [rider(P)];
         let upcoming = vec![40.0; grid.num_regions()];
-        let c = ctx(&grid, &travel, &riders, &[], &[], None);
+        let state = BatchState::new(&grid, &[rider(0, P)], &[], &[]);
         let mut t = RateTracker::new();
-        t.begin_batch(&c, &upcoming, &cfg);
+        begin(&mut t, &state.context(0, &travel), &upcoming, &cfg);
         assert_eq!(t.et(3, &cfg), cfg.tc_s() / 2.0);
         t.bump_mu(3, &cfg);
         assert_eq!(t.et(3, &cfg), cfg.tc_s() / 2.0);

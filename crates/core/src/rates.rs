@@ -91,7 +91,8 @@ impl RegionEstimates {
     /// the current rate estimates (Eqs. 10/13/16). Infinite values (a
     /// region where no riders are expected) are clamped to `t_c` — the
     /// driver will be re-evaluated next window. With `cfg.uniform_et`
-    /// every region gets the constant `t_c / 2` (the E13 ablation).
+    /// every region gets the constant `t_c / 2` (the `ablation`
+    /// experiment).
     pub fn expected_idle_times(&self, cfg: &DispatchConfig) -> Vec<f64> {
         let tc_s = cfg.tc_s();
         if cfg.uniform_et {
@@ -161,32 +162,12 @@ pub fn idle_ratio(cost_s: f64, et_s: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrvd_sim::{AvailableDriver, BusyDriver, DriverId, RiderId, WaitingRider};
+    use mrvd_sim::{AvailableDriver, BatchState, BusyDriver, DriverId, RiderId, WaitingRider};
     use mrvd_spatial::{ConstantSpeedModel, Grid, Point};
 
-    fn ctx_fixture<'a>(
-        grid: &'a Grid,
-        travel: &'a ConstantSpeedModel,
-        riders: &'a [WaitingRider],
-        drivers: &'a [AvailableDriver],
-        busy: &'a [BusyDriver],
-    ) -> BatchContext<'a> {
-        BatchContext {
-            now_ms: 0,
-            riders,
-            drivers,
-            busy,
-            travel,
-            grid,
-            avail_index: None,
-            region_counts: None,
-            views: None,
-        }
-    }
-
-    fn rider(p: Point) -> WaitingRider {
+    fn rider(id: u32, p: Point) -> WaitingRider {
         WaitingRider {
-            id: RiderId(0),
+            id: RiderId(id),
             pickup: p,
             dropoff: p,
             request_ms: 0,
@@ -194,9 +175,9 @@ mod tests {
         }
     }
 
-    fn driver(p: Point) -> AvailableDriver {
+    fn driver(id: u32, p: Point) -> AvailableDriver {
         AvailableDriver {
-            id: DriverId(0),
+            id: DriverId(id),
             pos: p,
             available_since_ms: 0,
         }
@@ -213,20 +194,20 @@ mod tests {
             ..DispatchConfig::default()
         };
         // 3 waiting riders, 1 driver, 0 rejoining, 5 predicted riders.
-        let riders = [rider(p), rider(p), rider(p)];
-        let drivers = [driver(p)];
+        let riders = [rider(0, p), rider(1, p), rider(2, p)];
+        let drivers = [driver(0, p)];
         let mut upcoming = vec![0.0; grid.num_regions()];
         upcoming[k] = 5.0;
-        let ctx = ctx_fixture(&grid, &travel, &riders, &drivers, &[]);
-        let est = estimate_rates(&ctx, &upcoming, &cfg);
+        let state = BatchState::new(&grid, &riders, &drivers, &[]);
+        let est = estimate_rates(&state.context(0, &travel), &upcoming, &cfg);
         // |R_k| > |D_k|: λ = (5 + 3 − 1)/600 s, μ = 0/600.
         assert!((est.lambda[k] - 7.0 / 600.0).abs() < 1e-12);
         assert_eq!(est.mu[k], 0.0);
         assert_eq!(est.capacity_k[k], 1);
 
         // Flip: 1 rider, 3 drivers, 2 rejoining.
-        let riders = [rider(p)];
-        let drivers = [driver(p), driver(p), driver(p)];
+        let riders = [rider(0, p)];
+        let drivers = [driver(0, p), driver(1, p), driver(2, p)];
         let busy = [
             BusyDriver {
                 id: DriverId(9),
@@ -239,8 +220,8 @@ mod tests {
                 dropoff_pos: p,
             },
         ];
-        let ctx = ctx_fixture(&grid, &travel, &riders, &drivers, &busy);
-        let est = estimate_rates(&ctx, &upcoming, &cfg);
+        let state = BatchState::new(&grid, &riders, &drivers, &busy);
+        let est = estimate_rates(&state.context(0, &travel), &upcoming, &cfg);
         // |R_k| ≤ |D_k|: λ = 5/600, μ = (2 + 3 − 1)/600.
         assert!((est.lambda[k] - 5.0 / 600.0).abs() < 1e-12);
         assert!((est.mu[k] - 4.0 / 600.0).abs() < 1e-12);
@@ -261,8 +242,12 @@ mod tests {
             dropoff_ms: 400_000, // beyond the 5-minute window
             dropoff_pos: p,
         }];
-        let ctx = ctx_fixture(&grid, &travel, &[], &[], &busy);
-        let est = estimate_rates(&ctx, &vec![0.0; grid.num_regions()], &cfg);
+        let state = BatchState::new(&grid, &[], &[], &busy);
+        let est = estimate_rates(
+            &state.context(0, &travel),
+            &vec![0.0; grid.num_regions()],
+            &cfg,
+        );
         assert_eq!(est.rejoining[grid.region_of(p).idx()], 0);
     }
 
@@ -270,7 +255,7 @@ mod tests {
     fn dropoff_exactly_on_the_batch_slot_is_not_double_counted() {
         // A dropoff landing exactly at the batch timestamp means the
         // engine has already moved that driver to the available set; a
-        // stale busy entry at `now` (possible only in hand-built views)
+        // stale busy entry at `now` (possible only in a hand-built state)
         // must not be counted again in μ/`capacity_k`. The window end is
         // likewise exclusive.
         let grid = Grid::nyc_16x16();
@@ -282,7 +267,7 @@ mod tests {
             ..DispatchConfig::default()
         };
         let now = 600_000;
-        let drivers = [driver(p)]; // the just-dropped-off driver, available
+        let drivers = [driver(0, p)]; // the just-dropped-off driver, available
         let busy = [
             BusyDriver {
                 id: DriverId(1),
@@ -300,9 +285,12 @@ mod tests {
                 dropoff_pos: p,
             },
         ];
-        let mut ctx = ctx_fixture(&grid, &travel, &[], &drivers, &busy);
-        ctx.now_ms = now;
-        let est = estimate_rates(&ctx, &vec![0.0; grid.num_regions()], &cfg);
+        let state = BatchState::new(&grid, &[], &drivers, &busy);
+        let est = estimate_rates(
+            &state.context(now, &travel),
+            &vec![0.0; grid.num_regions()],
+            &cfg,
+        );
         assert_eq!(est.rejoining[k], 1, "only the strictly-inside dropoff");
         assert_eq!(est.capacity_k[k], 2, "1 available + 1 rejoining");
         assert!((est.mu[k] - 2.0 / cfg.tc_s()).abs() < 1e-12);
@@ -338,15 +326,14 @@ mod tests {
         let grid = Grid::nyc_16x16();
         let travel = ConstantSpeedModel::default();
         let p = Point::new(-73.985, 40.755);
-        let riders = [rider(p), rider(p)];
-        let ctx = ctx_fixture(&grid, &travel, &riders, &[], &[]);
+        let state = BatchState::new(&grid, &[rider(0, p), rider(1, p)], &[], &[]);
         let mut upcoming = vec![0.0; grid.num_regions()];
         upcoming[10] = 40.0;
         let cfg = DispatchConfig {
             uniform_et: true,
             ..DispatchConfig::default()
         };
-        let est = estimate_rates(&ctx, &upcoming, &cfg);
+        let est = estimate_rates(&state.context(0, &travel), &upcoming, &cfg);
         let ets = est.expected_idle_times(&cfg);
         assert!(ets.windows(2).all(|w| w[0] == w[1]));
     }

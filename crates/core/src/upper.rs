@@ -57,7 +57,7 @@ impl DispatchPolicy for Upper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrvd_sim::{AvailableDriver, DriverId, RiderId, WaitingRider};
+    use mrvd_sim::{AvailableDriver, BatchState, DriverId, RiderId, WaitingRider};
     use mrvd_spatial::{ConstantSpeedModel, Grid, Point};
 
     #[test]
@@ -86,17 +86,8 @@ mod tests {
                 available_since_ms: 0,
             },
         ];
-        let ctx = BatchContext {
-            now_ms: 9_000,
-            riders: &riders,
-            drivers: &drivers,
-            busy: &[],
-            travel: &travel,
-            grid: &grid,
-            avail_index: None,
-            region_counts: None,
-            views: None,
-        };
+        let state = BatchState::new(&grid, &riders, &drivers, &[]);
+        let ctx = state.context(9_000, &travel);
         let out = Upper.assign(&ctx);
         assert_eq!(out.len(), 2);
         let chosen: Vec<u32> = out.iter().map(|a| a.rider.0).collect();

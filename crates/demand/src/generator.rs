@@ -68,8 +68,8 @@ pub struct NoShaping;
 
 impl DemandShaper for NoShaping {}
 
-/// Generates NYC-like trips and demand counts (substitution for the NYC
-/// TLC dataset; see DESIGN.md).
+/// Generates NYC-like trips and demand counts (a synthetic stand-in for
+/// the NYC TLC yellow-taxi trips the paper evaluates on).
 ///
 /// Per region and 30-minute slot, order counts are Poisson with the rate
 /// given by [`NycProfile::expected_slot_count`]; within a slot, arrival

@@ -2,8 +2,9 @@
 //! yellow-taxi trips the paper evaluates on.
 //!
 //! The raw NYC data cannot be downloaded in this environment, so this crate
-//! generates a statistically equivalent workload (substitution #1 in
-//! DESIGN.md):
+//! generates a synthetic workload with the same statistical structure —
+//! Poisson arrivals per region and slot, hotspot-shaped origins and
+//! gravity-model destinations:
 //!
 //! * [`profile`] — the spatio-temporal intensity model: a Manhattan-like
 //!   hotspot field over the paper's 16×16 NYC grid, a two-peak time-of-day

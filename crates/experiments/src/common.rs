@@ -99,7 +99,8 @@ pub struct World {
     pub series: DemandSeries,
     /// The dispatch day's trips, time-sorted.
     pub trips: Vec<TripRecord>,
-    /// The travel model (constant 5 m/s, see DESIGN.md).
+    /// The travel model (straight-line distance at a constant 5 m/s, the
+    /// average Manhattan taxi speed).
     pub travel: ConstantSpeedModel,
     /// Fitted predictors.
     pub models: TrainedModels,

@@ -20,7 +20,7 @@
 use mrvd_bench::BatchFixture;
 use mrvd_core::{DemandOracle, DispatchConfig, QueueingPolicy};
 use mrvd_scenario::{builtins, sweep_deltas, SweepPolicy};
-use mrvd_sim::{BatchContext, DispatchPolicy};
+use mrvd_sim::DispatchPolicy;
 use mrvd_spatial::ConstantSpeedModel;
 use serde_json::{json, Value};
 
@@ -119,12 +119,10 @@ pub fn delta(opts: &Options) {
                 "events_processed": c.events_processed,
                 "index_ops": c.index_ops,
                 "index_regions_dirtied": c.index_regions_dirtied,
-                "index_rebuilds_avoided": c.index_rebuilds_avoided,
                 "counts_ops": c.counts_ops,
                 "counts_regions_dirtied": c.counts_regions_dirtied,
                 "views_ops": c.views_ops,
                 "views_entries_dirtied": c.views_entries_dirtied,
-                "views_rebuilds_avoided": c.views_rebuilds_avoided,
                 "wall_s": c.wall_s,
             })
         })
@@ -203,7 +201,12 @@ fn views_microbench() -> ViewsBench {
     }
     let scan_us = t0.elapsed().as_secs_f64() * 1e6 / ITERS as f64;
 
-    let mut views = fixture.batch_views();
+    let mut views = BatchViews::new();
+    views.rebuild_reference(
+        fixture.riders.iter().copied(),
+        fixture.drivers.iter().copied(),
+        fixture.busy.iter().copied(),
+    );
     let rider = fixture.riders[0];
     let driver = fixture.drivers[0];
     let busy = BusyDriver {
@@ -252,10 +255,10 @@ struct SparseBench {
 }
 
 /// Times one executed IRG-R batch in the regime fine Δ produces (one
-/// waiting rider over a large idle fleet), with the engine's live
-/// structures present, under the eager reference rate path vs the
-/// incremental lazy tracker. Candidate generation is identical in both
-/// runs (both use the live index), so the difference is the rate path.
+/// waiting rider over a large idle fleet), over a prebuilt batch state
+/// (the structures the engine keeps live), under the eager reference
+/// rate path vs the incremental lazy tracker. Candidate generation is
+/// identical in both runs, so the difference is the rate path.
 fn sparse_batch_microbench() -> SparseBench {
     let mut fixture = BatchFixture::rush_hour(1, 4_000, 200, 7);
     // Anchored riders guarantee the batch actually assigns: the tracker
@@ -263,20 +266,8 @@ fn sparse_batch_microbench() -> SparseBench {
     // the representative executed-batch cost, not the no-candidate floor.
     fixture.anchor_riders_to_drivers();
     let travel = ConstantSpeedModel::default();
-    let live_index = fixture.live_index();
-    let counts = fixture.region_counts();
-    let views = fixture.batch_views();
-    let ctx = BatchContext {
-        now_ms: fixture.now_ms,
-        riders: views.waiting(),
-        drivers: views.available(),
-        busy: views.busy(),
-        travel: &travel,
-        grid: &fixture.grid,
-        avail_index: Some(&live_index),
-        region_counts: Some(&counts),
-        views: Some(&views),
-    };
+    let state = fixture.batch_state();
+    let ctx = state.context(fixture.now_ms, &travel);
     let time_policy = |policy: &mut QueueingPolicy| {
         const WARMUP: usize = 10;
         const ITERS: usize = 200;

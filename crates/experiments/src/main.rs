@@ -1,6 +1,6 @@
 //! `mrvd-experiments` — regenerates every table and figure of the
-//! paper's evaluation (see DESIGN.md §4 for the experiment index), plus
-//! the scenario sweep of `mrvd-scenario`.
+//! paper's evaluation (the command list below names the table or figure
+//! each command produces), plus the scenario sweep of `mrvd-scenario`.
 //!
 //! ```text
 //! mrvd-experiments <command> [--scale F] [--instances N] [--seed S]

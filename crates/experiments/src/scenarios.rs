@@ -44,7 +44,6 @@ pub fn scenarios(opts: &Options) {
                 format!("{:.0}%", c.skip_rate * 100.0),
                 c.index_ops.to_string(),
                 c.index_regions_dirtied.to_string(),
-                c.index_rebuilds_avoided.to_string(),
                 format!("{:.2}", c.wall_s),
             ]
         })
@@ -53,7 +52,7 @@ pub fn scenarios(opts: &Options) {
         "Scenario sweep — policies × built-in scenarios",
         &[
             "scenario", "policy", "riders", "served", "reneged", "rate", "revenue", "skip",
-            "ix ops", "ix dirty", "ix saved", "wall (s)",
+            "ix ops", "ix dirty", "wall (s)",
         ],
         &rows,
     );
@@ -88,9 +87,8 @@ pub fn scenarios(opts: &Options) {
     );
 
     // Engine counters per cell: how much of the batch grid the event
-    // core skipped, how many true-time events it applied, and how cheap
-    // the incremental candidate-index maintenance was compared to the
-    // per-batch rebuilds it replaced.
+    // core skipped, how many true-time events it applied, and how much
+    // incremental maintenance the live structures needed.
     let engine_cells: Vec<Value> = cells
         .iter()
         .map(|c| {
@@ -104,12 +102,10 @@ pub fn scenarios(opts: &Options) {
                 "events_processed": c.events_processed,
                 "index_ops": c.index_ops,
                 "index_regions_dirtied": c.index_regions_dirtied,
-                "index_rebuilds_avoided": c.index_rebuilds_avoided,
                 "counts_ops": c.counts_ops,
                 "counts_regions_dirtied": c.counts_regions_dirtied,
                 "views_ops": c.views_ops,
                 "views_entries_dirtied": c.views_entries_dirtied,
-                "views_rebuilds_avoided": c.views_rebuilds_avoided,
                 "wall_s": c.wall_s,
             })
         })
@@ -131,16 +127,12 @@ pub fn scenarios(opts: &Options) {
             "total_index_ops": cells.iter().map(|c| c.index_ops).sum::<usize>(),
             "total_index_regions_dirtied":
                 cells.iter().map(|c| c.index_regions_dirtied).sum::<usize>(),
-            "total_index_rebuilds_avoided":
-                cells.iter().map(|c| c.index_rebuilds_avoided).sum::<usize>(),
             "total_counts_ops": cells.iter().map(|c| c.counts_ops).sum::<usize>(),
             "total_counts_regions_dirtied":
                 cells.iter().map(|c| c.counts_regions_dirtied).sum::<usize>(),
             "total_views_ops": cells.iter().map(|c| c.views_ops).sum::<usize>(),
             "total_views_entries_dirtied":
                 cells.iter().map(|c| c.views_entries_dirtied).sum::<usize>(),
-            "total_views_rebuilds_avoided":
-                cells.iter().map(|c| c.views_rebuilds_avoided).sum::<usize>(),
             "cells": engine_cells,
         }),
     );

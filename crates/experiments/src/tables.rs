@@ -363,7 +363,8 @@ pub fn table7_8(world: &World, destinations: bool, show_histograms: bool) {
     );
 }
 
-/// The ablation of DESIGN.md E13: destination-aware ET vs uniform ET.
+/// The idle-time ablation: destination-aware ET vs uniform ET (the
+/// constant `t_c / 2` in every region).
 pub fn ablation(world: &World) {
     let n = world.opts.drivers(3_000);
     let specs = [

@@ -109,18 +109,14 @@ fn assert_builtin_equivalent(name: &str, policy: SweepPolicy) {
     );
     assert!(fast.events_processed > 0, "{name}: no events processed");
     // The bit-identical result above was produced through the live
-    // incremental index (fast) against the per-batch rebuild path
-    // (slow, which has no live index) — assert that differential
-    // actually happened.
-    assert_eq!(
-        fast.index_rebuilds_avoided, fast.ticks_executed,
-        "{name}: a policy invocation ran without the live index"
-    );
+    // incremental index (fast) against the reference loop's per-batch
+    // from-scratch rebuild (slow) — assert that differential actually
+    // happened.
     assert!(fast.index_ops > 0, "{name}: index never maintained");
     assert_eq!(slow.index_ops, 0, "{name}: reference loop grew an index");
-    assert_eq!(slow.index_rebuilds_avoided, 0);
     // Same story for the live per-region rate counts: maintained (and
-    // sparse) under the event core, absent under the reference loop.
+    // sparse) under the event core, rebuilt per batch under the
+    // reference loop.
     assert!(fast.counts_ops > 0, "{name}: counts never maintained");
     assert!(
         fast.counts_regions_dirtied <= fast.counts_ops,
@@ -128,13 +124,9 @@ fn assert_builtin_equivalent(name: &str, policy: SweepPolicy) {
     );
     assert_eq!(slow.counts_ops, 0, "{name}: reference loop grew counts");
     assert_eq!(slow.counts_regions_dirtied, 0);
-    // And for the live batch views: every executed batch ran off them
-    // (zero full waiting/available/busy scans), while the reference loop
-    // scan-builds its views and reports no live-view activity.
-    assert_eq!(
-        fast.views_rebuilds_avoided, fast.ticks_executed,
-        "{name}: an executed batch fell back to a full scan"
-    );
+    // And for the live batch views: maintained at event times under the
+    // event core, while the reference loop scan-builds its views and
+    // reports no live-view activity.
     assert!(fast.views_ops > 0, "{name}: views never maintained");
     assert!(
         fast.views_entries_dirtied <= 2 * fast.views_ops,
@@ -142,7 +134,6 @@ fn assert_builtin_equivalent(name: &str, policy: SweepPolicy) {
     );
     assert_eq!(slow.views_ops, 0, "{name}: reference loop grew views");
     assert_eq!(slow.views_entries_dirtied, 0);
-    assert_eq!(slow.views_rebuilds_avoided, 0);
 }
 
 #[test]

@@ -219,8 +219,8 @@ impl RegionCounts {
     }
 
     /// Totals `(waiting, available, rejoining)` across all regions —
-    /// consumers compare these against the batch views to detect a
-    /// hand-built context the counts do not describe.
+    /// they equal the batch views' lengths whenever the counts describe
+    /// the batch (the engine debug-asserts this every executed batch).
     pub fn totals(&self) -> (usize, usize, usize) {
         (
             self.total_waiting,

@@ -423,10 +423,8 @@ impl<'a> Simulator<'a> {
         let mut ticks_executed = 0usize;
         let mut events_processed = 0usize;
         let mut index_regions_dirtied = 0usize;
-        let mut index_rebuilds_avoided = 0usize;
         let mut counts_regions_dirtied = 0usize;
         let mut views_entries_dirtied = 0usize;
-        let mut views_rebuilds_avoided = 0usize;
         // Scratch flags for validation.
         let mut rider_assigned = vec![false; trips.len()];
         let mut driver_taken = vec![false; fleet.len()];
@@ -555,8 +553,7 @@ impl<'a> Simulator<'a> {
                 // fleet scan happens here. Settle the change tracking of
                 // all three live structures for this batch: the dirtied
                 // regions/entries are the state that actually changed
-                // since the previous policy invocation, and handing each
-                // structure over is one rebuild the batch skips.
+                // since the previous policy invocation.
                 debug_assert_eq!(
                     avail_index.len(),
                     views.available().len(),
@@ -564,7 +561,6 @@ impl<'a> Simulator<'a> {
                 );
                 index_regions_dirtied += avail_index.dirty_regions().len();
                 avail_index.clear_dirty();
-                index_rebuilds_avoided += 1;
                 debug_assert_eq!(
                     counts.totals(),
                     (
@@ -578,7 +574,6 @@ impl<'a> Simulator<'a> {
                 counts.clear_dirty();
                 views_entries_dirtied += views.entries_dirtied();
                 views.clear_dirty();
-                views_rebuilds_avoided += 1;
                 let ctx = BatchContext {
                     now_ms: tick,
                     riders: views.waiting(),
@@ -586,9 +581,9 @@ impl<'a> Simulator<'a> {
                     busy: views.busy(),
                     travel: self.travel,
                     grid: self.grid,
-                    avail_index: Some(&avail_index),
-                    region_counts: Some(&counts),
-                    views: Some(&views),
+                    avail_index: &avail_index,
+                    region_counts: &counts,
+                    views: &views,
                 };
 
                 // lint:allow(D002): feeds only the batch_time telemetry column, never simulated results
@@ -773,12 +768,10 @@ impl<'a> Simulator<'a> {
             events_processed,
             index_ops: avail_index.ops_applied() as usize,
             index_regions_dirtied,
-            index_rebuilds_avoided,
             counts_ops: counts.ops_applied() as usize,
             counts_regions_dirtied,
             views_ops: views.ops_applied() as usize,
             views_entries_dirtied,
-            views_rebuilds_avoided,
             assignments,
             reneges,
         }
@@ -1362,9 +1355,7 @@ mod tests {
     fn live_index_counters_track_maintenance() {
         let res = run(&mut FirstFit, 120, 10);
         assert!(res.served > 0);
-        // Every policy invocation was served by the live index…
-        assert_eq!(res.index_rebuilds_avoided, res.ticks_executed);
-        // …whose maintenance is event-driven: the 10 seed inserts, one
+        // Index maintenance is event-driven: the 10 seed inserts, one
         // remove per assignment, one insert per dropoff (dropoffs after
         // the last processed slot never re-enter the index).
         assert!(res.index_ops >= 10 + res.served);
@@ -1380,9 +1371,7 @@ mod tests {
     fn live_views_counters_track_maintenance() {
         let res = run(&mut FirstFit, 120, 10);
         assert!(res.served > 0);
-        // Every executed batch ran straight off the live views…
-        assert_eq!(res.views_rebuilds_avoided, res.ticks_executed);
-        // …whose maintenance is event-driven: 10 seed adds, one add per
+        // View maintenance is event-driven: 10 seed adds, one add per
         // admission, one waiting remove per assignment or renege, three
         // mutations per assignment (waiting out, available out, busy
         // in), two per processed dropoff (busy out, available in).
@@ -1412,10 +1401,8 @@ mod tests {
         );
         assert_eq!(res.index_ops, 0);
         assert_eq!(res.index_regions_dirtied, 0);
-        assert_eq!(res.index_rebuilds_avoided, 0);
         assert_eq!(res.views_ops, 0);
         assert_eq!(res.views_entries_dirtied, 0);
-        assert_eq!(res.views_rebuilds_avoided, 0);
     }
 
     #[test]

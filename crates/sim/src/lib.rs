@@ -23,8 +23,9 @@
 //! executed batch does zero full fleet or rider scans — candidate
 //! generation, rate estimation and view construction are all
 //! `O(changes)`. The literal per-Δ loop survives as
-//! [`Simulator::run_scheduled_reference`] (no skipping, no live index,
-//! no live counts, scan-built views) for differential testing.
+//! [`Simulator::run_scheduled_reference`] for differential testing: it
+//! skips nothing, and its [`BatchState`] (views, index and counts) is
+//! rebuilt from scratch every batch.
 //!
 //! The simulator is deterministic given its seed, enforces the paper's
 //! validity constraint (Definition 3: the driver must reach the pickup
@@ -45,6 +46,7 @@ pub mod policy;
 pub mod reference;
 pub mod schedule;
 pub mod shard;
+pub mod state;
 pub mod types;
 pub mod views;
 
@@ -56,5 +58,6 @@ pub use policy::{
 };
 pub use schedule::DriverSchedule;
 pub use shard::{EventKey, ShardedEventQueue};
+pub use state::BatchState;
 pub use types::{DriverId, Millis, RiderId};
 pub use views::BatchViews;

@@ -89,7 +89,7 @@ pub struct SimResult {
     /// Mutations applied to the live availability index (one per insert,
     /// one per remove, two per move) while maintaining it incrementally
     /// across the whole run. Zero under the legacy reference loop, which
-    /// has no live index — policies rebuild their own every batch.
+    /// rebuilds its index from scratch every batch instead.
     pub index_ops: usize,
     /// Cumulative count of regions whose index bucket changed between
     /// consecutive *executed* batches (the dirty-set size drained at each
@@ -97,16 +97,11 @@ pub struct SimResult {
     /// `ticks_executed × num_regions` are what make incremental
     /// maintenance pay off.
     pub index_regions_dirtied: usize,
-    /// Policy invocations that were handed the live index instead of
-    /// having to rebuild a candidate index from scratch — equals
-    /// [`SimResult::ticks_executed`] under the event engine, zero under
-    /// the legacy reference loop.
-    pub index_rebuilds_avoided: usize,
     /// Mutations applied to the live per-region batch-state counts
     /// ([`crate::RegionCounts`]: waiting/available/rejoining) while
     /// maintaining them incrementally across the whole run. Zero under
-    /// the legacy reference loop, which has no live counts — policies
-    /// re-scan the batch views instead.
+    /// the legacy reference loop, which rebuilds its counts from scratch
+    /// every batch instead.
     pub counts_ops: usize,
     /// Cumulative count of regions whose live batch-state counts changed
     /// between consecutive *executed* batches (the counts' dirty-set size
@@ -125,11 +120,6 @@ pub struct SimResult {
     /// to `ticks_executed × world size` are what make the incremental
     /// views pay off.
     pub views_entries_dirtied: usize,
-    /// Policy invocations that were handed the live views instead of the
-    /// engine rebuilding them from full rider/fleet scans — equals
-    /// [`SimResult::ticks_executed`] under the event engine, zero under
-    /// the legacy reference loop.
-    pub views_rebuilds_avoided: usize,
     /// Complete assignment log (chronological).
     pub assignments: Vec<AssignmentRecord>,
     /// Complete renege log (chronological).
@@ -272,12 +262,10 @@ mod tests {
             events_processed: 0,
             index_ops: 0,
             index_regions_dirtied: 0,
-            index_rebuilds_avoided: 0,
             counts_ops: 0,
             counts_regions_dirtied: 0,
             views_ops: 0,
             views_entries_dirtied: 0,
-            views_rebuilds_avoided: 0,
             assignments: vec![
                 // Driver 0: drops off at 100_000, estimated idle 30 s,
                 // next assignment at batch 140_000 → realized 40 s.
@@ -307,12 +295,10 @@ mod tests {
             events_processed: 0,
             index_ops: 0,
             index_regions_dirtied: 0,
-            index_rebuilds_avoided: 0,
             counts_ops: 0,
             counts_regions_dirtied: 0,
             views_ops: 0,
             views_entries_dirtied: 0,
-            views_rebuilds_avoided: 0,
             assignments: vec![
                 rec(0, 10_000, 10_000, 100_000, None),
                 rec(0, 140_000, 40_000, 200_000, None),
@@ -341,12 +327,10 @@ mod tests {
             events_processed: 0,
             index_ops: 0,
             index_regions_dirtied: 0,
-            index_rebuilds_avoided: 0,
             counts_ops: 0,
             counts_regions_dirtied: 0,
             views_ops: 0,
             views_entries_dirtied: 0,
-            views_rebuilds_avoided: 0,
             assignments: vec![
                 rec(7, 10_000, 10_000, 100_000, Some(30.0)),
                 rec(2, 12_000, 12_000, 110_000, Some(20.0)),
@@ -401,12 +385,10 @@ mod tests {
             events_processed: 0,
             index_ops: 0,
             index_regions_dirtied: 0,
-            index_rebuilds_avoided: 0,
             counts_ops: 0,
             counts_regions_dirtied: 0,
             views_ops: 0,
             views_entries_dirtied: 0,
-            views_rebuilds_avoided: 0,
             assignments: vec![],
             reneges: vec![],
         };
@@ -432,12 +414,10 @@ mod tests {
             events_processed: 0,
             index_ops: 0,
             index_regions_dirtied: 0,
-            index_rebuilds_avoided: 0,
             counts_ops: 0,
             counts_regions_dirtied: 0,
             views_ops: 0,
             views_entries_dirtied: 0,
-            views_rebuilds_avoided: 0,
             assignments: vec![],
             reneges: vec![],
         };

@@ -49,6 +49,10 @@ pub struct BusyDriver {
 }
 
 /// Everything a policy sees at one batch timestamp.
+///
+/// The event engine builds it from its live structures; everywhere else
+/// [`crate::BatchState::context`] builds it from scratch. Both uphold the
+/// consistency the fields below document.
 pub struct BatchContext<'a> {
     /// The batch timestamp `t̄`.
     pub now_ms: Millis,
@@ -62,43 +66,27 @@ pub struct BatchContext<'a> {
     pub travel: &'a dyn TravelModel,
     /// The region partition.
     pub grid: &'a Grid,
-    /// The engine's incrementally maintained spatial index of the
-    /// available drivers, when one is live (`None` under the legacy
-    /// reference loop and in hand-built contexts).
-    ///
-    /// When present, it is guaranteed to be consistent with
-    /// [`BatchContext::drivers`]: same driver set, same positions, built
-    /// over [`BatchContext::grid`]; [`BatchContext::driver_slot`]
-    /// translates index hits back to slice positions. Candidate
-    /// generation uses it to skip the per-batch index rebuild (drivers
-    /// only move at dropoffs, so consecutive batches share almost all
-    /// spatial state).
-    pub avail_index: Option<&'a RegionIndex<DriverId>>,
-    /// The engine's incrementally maintained per-region batch-state
-    /// counts, when live (`None` under the legacy reference loop and in
-    /// hand-built contexts).
-    ///
-    /// When present, it is guaranteed to be consistent with the views:
+    /// The spatial index of the available drivers: the same driver set
+    /// and positions as [`BatchContext::drivers`], built over
+    /// [`BatchContext::grid`]. Candidate generation answers its radius
+    /// queries here, so no policy rebuilds an index per batch.
+    pub avail_index: &'a RegionIndex<DriverId>,
+    /// Per-region counts of the batch state over [`BatchContext::grid`]:
     /// waiting counts mirror [`BatchContext::riders`] by pickup region,
     /// available counts mirror [`BatchContext::drivers`] by position
-    /// region, and the rejoin-time multisets mirror [`BatchContext::busy`]
-    /// by dropoff region, all over [`BatchContext::grid`]. Rate
-    /// estimation uses it to skip the per-batch rider/driver/busy scans
-    /// (see `mrvd-core`'s `RateTracker`).
-    pub region_counts: Option<&'a RegionCounts>,
-    /// The engine's incrementally maintained batch views, when live
-    /// (`None` under the legacy reference loop and in hand-built
-    /// contexts).
-    ///
-    /// When present, [`BatchContext::riders`], [`BatchContext::drivers`]
-    /// and [`BatchContext::busy`] are exactly its waiting / available /
-    /// busy slices, and its id→slot maps answer membership and slot
-    /// queries in `O(1)` ([`BatchContext::driver_slot`] uses the
-    /// available-driver map). Note the slices are **not** id-sorted: the
-    /// views keep slots stable under `swap_remove`, and every policy
-    /// breaks ties on rider/driver ids so its output is invariant to the
-    /// view order.
-    pub views: Option<&'a BatchViews>,
+    /// region, and the rejoin-time multisets mirror
+    /// [`BatchContext::busy`] by dropoff region. Rate estimation reads
+    /// them instead of scanning the slices (see `mrvd-core`'s
+    /// `RateTracker`).
+    pub region_counts: &'a RegionCounts,
+    /// The batch views: [`BatchContext::riders`],
+    /// [`BatchContext::drivers`] and [`BatchContext::busy`] are exactly
+    /// its waiting / available / busy slices, and its id→slot maps
+    /// answer membership and slot queries in `O(1)`. The slices are
+    /// **not** id-sorted: the engine's views keep slots stable under
+    /// `swap_remove`, and every policy breaks ties on rider/driver ids
+    /// so its output is invariant to the view order.
+    pub views: &'a BatchViews,
 }
 
 impl BatchContext<'_> {
@@ -107,23 +95,6 @@ impl BatchContext<'_> {
     pub fn is_valid_pair(&self, rider: &WaitingRider, driver: &AvailableDriver) -> bool {
         let t = self.travel.travel_time_ms(driver.pos, rider.pickup);
         self.now_ms + t <= rider.deadline_ms
-    }
-
-    /// Position of `id` in [`BatchContext::drivers`] — `O(1)` through the
-    /// live views' id→slot map when the engine supplied one, a linear
-    /// scan in hand-built contexts. Returns `None` for drivers not in
-    /// the batch (busy, offline, unknown).
-    pub fn driver_slot(&self, id: DriverId) -> Option<usize> {
-        if let Some(views) = self.views {
-            let slot = views.avail_slot(id);
-            debug_assert_eq!(
-                slot,
-                self.drivers.iter().position(|d| d.id == id),
-                "live views diverged from BatchContext::drivers"
-            );
-            return slot;
-        }
-        self.drivers.iter().position(|d| d.id == id)
     }
 }
 
@@ -190,6 +161,7 @@ pub trait DispatchPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::BatchState;
     use mrvd_spatial::ConstantSpeedModel;
 
     #[test]
@@ -213,54 +185,9 @@ mod tests {
             pos: Point::new(-73.80, 40.60),
             available_since_ms: 0,
         };
-        let ctx = BatchContext {
-            now_ms: 30_000,
-            riders: &[],
-            drivers: &[],
-            busy: &[],
-            travel: &travel,
-            grid: &grid,
-            avail_index: None,
-            region_counts: None,
-            views: None,
-        };
+        let state = BatchState::new(&grid, &[], &[], &[]);
+        let ctx = state.context(30_000, &travel);
         assert!(ctx.is_valid_pair(&rider, &near));
         assert!(!ctx.is_valid_pair(&rider, &far));
-    }
-
-    #[test]
-    fn driver_slot_finds_drivers_in_any_view_order() {
-        let grid = Grid::nyc_16x16();
-        let travel = ConstantSpeedModel::new(10.0);
-        // Deliberately not id-sorted: the live views permute slots.
-        let drivers: Vec<AvailableDriver> = [7u32, 0, 3]
-            .iter()
-            .map(|&i| AvailableDriver {
-                id: DriverId(i),
-                pos: Point::new(-73.98, 40.75),
-                available_since_ms: 0,
-            })
-            .collect();
-        let mut views = BatchViews::new();
-        for d in &drivers {
-            views.add_available(*d);
-        }
-        for views in [None, Some(&views)] {
-            let ctx = BatchContext {
-                now_ms: 0,
-                riders: &[],
-                drivers: &drivers,
-                busy: &[],
-                travel: &travel,
-                grid: &grid,
-                avail_index: None,
-                region_counts: None,
-                views,
-            };
-            assert_eq!(ctx.driver_slot(DriverId(7)), Some(0));
-            assert_eq!(ctx.driver_slot(DriverId(0)), Some(1));
-            assert_eq!(ctx.driver_slot(DriverId(3)), Some(2));
-            assert_eq!(ctx.driver_slot(DriverId(5)), None);
-        }
     }
 }

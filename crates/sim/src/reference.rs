@@ -7,9 +7,11 @@
 //! schedule drift each tick, and only *observes* reneges and dropoffs at
 //! batch boundaries — which quantizes renege timestamps up by as much as
 //! Δ (the bug the event core fixes; see
-//! [`crate::metrics::RenegeRecord`]). On Δ-aligned inputs both engines
-//! produce identical [`SimResult`]s; the equivalence batteries in
-//! `mrvd-scenario` and the workspace root pin that.
+//! [`crate::metrics::RenegeRecord`]). Its batch state (views,
+//! availability index, region counts) is rebuilt from scratch every
+//! batch, where the event core maintains it incrementally. On Δ-aligned
+//! inputs both engines produce identical [`SimResult`]s; the equivalence
+//! batteries in `mrvd-scenario` and the workspace root pin that.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -20,8 +22,9 @@ use mrvd_stats::SummaryStats;
 
 use crate::engine::{DriverState, Simulator};
 use crate::metrics::{AssignmentRecord, RenegeRecord, SimResult};
-use crate::policy::{AvailableDriver, BatchContext, BusyDriver, DispatchPolicy, WaitingRider};
+use crate::policy::{AvailableDriver, BusyDriver, DispatchPolicy, WaitingRider};
 use crate::schedule::DriverSchedule;
+use crate::state::BatchState;
 use crate::types::{DriverId, RiderId};
 
 impl Simulator<'_> {
@@ -33,11 +36,11 @@ impl Simulator<'_> {
     /// slot ([`SimResult::ticks_executed`] equals
     /// [`SimResult::batches`], and [`SimResult::events_processed`] is 0
     /// since this loop scans instead of queueing events; the index-,
-    /// counts- and views-maintenance counters are likewise 0 because no
-    /// live structures exist here — policies rebuild their own candidate
-    /// index and the loop rebuilds the batch views by full scans every
-    /// batch). Counts, revenue and assignments are identical to the
-    /// event core on Δ-aligned schedules.
+    /// counts- and views-maintenance counters are likewise 0 because
+    /// nothing is maintained here — the loop rebuilds its
+    /// [`BatchState`] from scratch every batch). Counts, revenue and
+    /// assignments are identical to the event core on Δ-aligned
+    /// schedules.
     ///
     /// # Panics
     /// Panics under the same conditions as [`Simulator::run_scheduled`].
@@ -84,6 +87,7 @@ impl Simulator<'_> {
         let mut batches = 0usize;
         // Scratch flags for validation.
         let mut rider_assigned = vec![false; riders.len()];
+        let mut state = BatchState::new(self.grid(), &[], &[], &[]);
 
         let mut now = 0u64;
         while now < self.config().horizon_ms {
@@ -180,10 +184,10 @@ impl Simulator<'_> {
                 }
             });
 
-            // 4. Build the batch view.
-            let waiting_view: Vec<WaitingRider> = waiting
-                .iter()
-                .map(|&ri| {
+            // 4. Rebuild the batch state — views, availability index and
+            // region counts — from full scans.
+            state.rebuild(
+                waiting.iter().map(|&ri| {
                     let r = &riders[ri as usize];
                     WaitingRider {
                         id: RiderId(ri),
@@ -192,43 +196,27 @@ impl Simulator<'_> {
                         request_ms: r.trip.request_ms,
                         deadline_ms: r.deadline_ms,
                     }
-                })
-                .collect();
-            let mut avail_view: Vec<AvailableDriver> = Vec::new();
-            let mut busy_view: Vec<BusyDriver> = Vec::new();
-            for (i, d) in drivers.iter().enumerate() {
-                match *d {
-                    DriverState::Available { pos, since_ms } => avail_view.push(AvailableDriver {
+                }),
+                drivers.iter().enumerate().filter_map(|(i, d)| match *d {
+                    DriverState::Available { pos, since_ms } => Some(AvailableDriver {
                         id: DriverId(i as u32),
                         pos,
                         available_since_ms: since_ms,
                     }),
-                    // Retiring drivers will not rejoin, so they are not
-                    // upcoming supply and stay out of the busy view.
-                    DriverState::Busy { until_ms, dropoff } if !retiring[i] => {
-                        busy_view.push(BusyDriver {
-                            id: DriverId(i as u32),
-                            dropoff_ms: until_ms,
-                            dropoff_pos: dropoff,
-                        })
-                    }
-                    DriverState::Busy { .. } | DriverState::Offline { .. } => {}
-                }
-            }
-            let ctx = BatchContext {
-                now_ms: now,
-                riders: &waiting_view,
-                drivers: &avail_view,
-                busy: &busy_view,
-                travel: self.travel(),
-                grid: self.grid(),
-                // The reference loop maintains no live index: policies
-                // fall back to their per-batch candidate-index rebuild,
-                // which is exactly the differential this loop exists for.
-                avail_index: None,
-                region_counts: None,
-                views: None,
-            };
+                    _ => None,
+                }),
+                // Retiring drivers will not rejoin, so they are not
+                // upcoming supply and stay out of the busy view.
+                drivers.iter().enumerate().filter_map(|(i, d)| match *d {
+                    DriverState::Busy { until_ms, dropoff } if !retiring[i] => Some(BusyDriver {
+                        id: DriverId(i as u32),
+                        dropoff_ms: until_ms,
+                        dropoff_pos: dropoff,
+                    }),
+                    _ => None,
+                }),
+            );
+            let ctx = state.context(now, self.travel());
 
             // 5. Run the policy, timed.
             // lint:allow(D002): feeds only the batch_time telemetry column, never simulated results
@@ -354,12 +342,10 @@ impl Simulator<'_> {
             events_processed: 0,
             index_ops: 0,
             index_regions_dirtied: 0,
-            index_rebuilds_avoided: 0,
             counts_ops: 0,
             counts_regions_dirtied: 0,
             views_ops: 0,
             views_entries_dirtied: 0,
-            views_rebuilds_avoided: 0,
             assignments,
             reneges,
         }

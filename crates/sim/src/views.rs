@@ -235,10 +235,14 @@ impl BatchViews {
     }
 
     /// The from-scratch scan construction the incremental path replaced,
-    /// kept verbatim for differential testing: discards all state and
-    /// rebuilds the three views (in the given order) and their slot maps
-    /// from full iterations. Counts neither ops nor dirtied entries —
-    /// it is the reference, not a maintenance event.
+    /// kept for differential testing: discards all state and rebuilds
+    /// the three views (in the given order) and their slot maps from
+    /// full iterations. Counts neither ops nor dirtied entries — it is
+    /// the reference, not a maintenance event.
+    ///
+    /// # Panics
+    /// Panics if a rider id appears twice, or a driver id appears twice
+    /// across `available` and `busy`.
     pub fn rebuild_reference<W, A, B>(&mut self, waiting: W, available: A, busy: B)
     where
         W: IntoIterator<Item = WaitingRider>,
@@ -252,14 +256,29 @@ impl BatchViews {
         self.avail_slot.clear();
         self.busy_slot.clear();
         for r in waiting {
+            assert!(
+                self.waiting_slot(r.id).is_none(),
+                "rider {} appears twice",
+                r.id
+            );
             map_set(&mut self.waiting_slot, r.id.0, self.waiting.len() as u32);
             self.waiting.push(r);
         }
         for d in available {
+            assert!(
+                self.avail_slot(d.id).is_none(),
+                "driver {} appears twice",
+                d.id
+            );
             map_set(&mut self.avail_slot, d.id.0, self.avail.len() as u32);
             self.avail.push(d);
         }
         for b in busy {
+            assert!(
+                self.avail_slot(b.id).is_none() && self.busy_slot(b.id).is_none(),
+                "driver {} appears twice",
+                b.id
+            );
             map_set(&mut self.busy_slot, b.id.0, self.busy.len() as u32);
             self.busy.push(b);
         }

@@ -165,27 +165,6 @@ impl<T: Copy> RegionIndex<T> {
         self.len = 0;
     }
 
-    /// Re-points the index at `grid` and clears it, reusing the bucket
-    /// allocations whenever the region count is unchanged. Callers that
-    /// rebuild an index every batch over the same grid pay only the
-    /// clear, not `num_regions` fresh `Vec`s. The dirty set is reset:
-    /// after a retarget the caller is starting from scratch, so
-    /// per-region change tracking has no baseline to diff against.
-    pub fn retarget(&mut self, grid: &Grid) {
-        // Drain the dirty set while its entries still index the old
-        // grid's flag vector.
-        self.clear_dirty();
-        if self.grid != *grid {
-            self.buckets.resize(grid.num_regions(), Vec::new());
-            self.dirty_flag.resize(grid.num_regions(), false);
-            self.grid = grid.clone();
-        }
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.len = 0;
-    }
-
     /// Clears and refills the index from `items` — the from-scratch path
     /// the per-batch rebuild used before incremental maintenance existed,
     /// kept as the differential-testing reference: after any sequence of
@@ -444,28 +423,6 @@ mod tests {
             .map(|(i, _)| i as u32)
             .collect();
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn retarget_clears_and_reuses_buckets() {
-        let g = grid();
-        let mut ix = RegionIndex::new(g.clone());
-        let p = Point::new(-73.9, 40.75);
-        ix.insert(1u32, p);
-        assert_eq!(ix.len(), 1);
-        // Same grid: contents cleared, index usable again.
-        ix.retarget(&g);
-        assert!(ix.is_empty());
-        assert!(ix.dirty_regions().is_empty());
-        ix.insert(2u32, p);
-        assert_eq!(ix.in_region(ix.grid().region_of(p)), &[(2, p)]);
-        // Different grid: bucket count follows the new region count.
-        let g2 = Grid::new(Point::new(-74.03, 40.58), Point::new(-73.77, 40.92), 4, 4);
-        ix.retarget(&g2);
-        assert!(ix.is_empty());
-        assert_eq!(ix.grid(), &g2);
-        ix.insert(3u32, p);
-        assert_eq!(ix.len(), 1);
     }
 
     #[test]

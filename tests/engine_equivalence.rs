@@ -142,14 +142,12 @@ proptest! {
                 name
             );
             prop_assert!(fast.ticks_executed <= slow.ticks_executed);
-            // Every executed batch in the event core runs off the live
-            // views (zero full scans); the reference loop scan-builds its
-            // views and reports no live-view activity at all.
-            prop_assert_eq!(fast.views_rebuilds_avoided, fast.ticks_executed);
+            // The event core maintains its views at event times; the
+            // reference loop scan-builds them every batch and reports no
+            // live-view activity at all.
             prop_assert!(fast.views_entries_dirtied <= 2 * fast.views_ops);
             prop_assert_eq!(slow.views_ops, 0);
             prop_assert_eq!(slow.views_entries_dirtied, 0);
-            prop_assert_eq!(slow.views_rebuilds_avoided, 0);
             // Exact renege times are never later than the legacy's
             // quantized ones, and never more than Δ earlier (record
             // order may differ inside one batch interval, so join by

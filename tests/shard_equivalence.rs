@@ -58,18 +58,7 @@ type Digest = (
     (usize, usize, usize, usize, u64, usize),
     Vec<(u32, u32, u64, u64, u64, u64, u64, usize, Option<u64>)>,
     Vec<(u32, u64, u64)>,
-    (
-        usize,
-        usize,
-        usize,
-        usize,
-        usize,
-        usize,
-        usize,
-        usize,
-        usize,
-        usize,
-    ),
+    (usize, usize, usize, usize, usize, usize, usize, usize),
 );
 
 fn digest(r: &SimResult) -> Digest {
@@ -107,12 +96,10 @@ fn digest(r: &SimResult) -> Digest {
             r.events_processed,
             r.index_ops,
             r.index_regions_dirtied,
-            r.index_rebuilds_avoided,
             r.counts_ops,
             r.counts_regions_dirtied,
             r.views_ops,
             r.views_entries_dirtied,
-            r.views_rebuilds_avoided,
         ),
     )
 }
