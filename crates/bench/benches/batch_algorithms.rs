@@ -18,7 +18,7 @@ fn bench_policies(c: &mut Criterion) {
         (600, 60, 1500),
         (1200, 120, 3000),
     ] {
-        let f = BatchFixture::rush_hour(riders, avail, busy, 7);
+        let f = BatchFixture::rush_hour(16, riders, avail, busy, 7);
         let state = f.batch_state();
         let ctx = state.context(f.now_ms, &travel);
         let size = format!("{riders}r/{avail}d");

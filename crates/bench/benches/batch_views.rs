@@ -21,7 +21,7 @@ fn bench_views(c: &mut Criterion) {
         (1, 4_000, 200),
         (1, 10_000, 500),
     ] {
-        let f = BatchFixture::rush_hour(riders, avail, busy, 7);
+        let f = BatchFixture::rush_hour(16, riders, avail, busy, 7);
         let size = format!("{riders}r/{avail}d/{busy}b");
         // The old engine: rebuild all three views from scratch scans of
         // the rider pool and the fleet, every executed batch.

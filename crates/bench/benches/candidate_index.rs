@@ -19,7 +19,7 @@ fn bench_candidates(c: &mut Criterion) {
     // rebuild dominates useful work (e.g. fine-grained Δ: most executed
     // batches carry a handful of state changes).
     for &(riders, avail) in &[(1usize, 4000usize), (5, 500), (20, 2000), (50, 8000)] {
-        let f = BatchFixture::rush_hour(riders, avail, 0, 7);
+        let f = BatchFixture::rush_hour(16, riders, avail, 0, 7);
         let size = format!("{riders}r/{avail}d");
         g.bench_with_input(BenchmarkId::new("rebuild", &size), &f, |b, f| {
             let mut state = f.batch_state();

@@ -1,11 +1,13 @@
-//! Rate-estimation cost on the dispatch hot path: the incremental lazy
-//! `RateTracker` (the batch's per-region counts, idle times solved only
-//! for touched regions) against the verbatim eager
-//! `estimate_rates` reference (full rider/driver/busy scans + a
-//! 256-region queueing solve per batch). Both paths produce bit-identical
-//! assignments — the difference is pure estimation overhead, which is
-//! what dominates IRG/LS/SHORT batches once candidate generation runs
-//! off the live index (the fine-Δ regime of `BENCH_delta.json`).
+//! Rate-estimation cost on the dispatch hot path: the lazy `RateTracker`
+//! (counts, rates and idle times computed only at the batch's candidate
+//! destinations) against the verbatim eager `estimate_rates` reference
+//! (full rider/driver/busy scans + a queueing solve for every region per
+//! batch). Both paths produce bit-identical assignments — the difference
+//! is pure estimation overhead, which is what dominates IRG/LS/SHORT
+//! batches once candidate generation runs off the live index (the
+//! fine-Δ regime of `BENCH_delta.json`). The eager cost grows with the
+//! region count, so the last arm runs on the 64×64 grid of the `city-*`
+//! benchmark workloads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrvd_bench::BatchFixture;
@@ -17,16 +19,22 @@ fn bench_rate_paths(c: &mut Criterion) {
     let travel = ConstantSpeedModel::default();
     let mut g = c.benchmark_group("irg_batch_by_rate_path");
     g.sample_size(20);
-    // (riders, available, busy): the sparse-change fine-Δ regime first,
-    // then denser batches where candidate work grows alongside.
-    for &(riders, avail, busy) in &[(1usize, 4000usize, 200usize), (5, 500, 50), (20, 2000, 400)] {
-        let mut fixture = BatchFixture::rush_hour(riders, avail, busy, 7);
+    // (grid side, riders, available, busy): the sparse-change fine-Δ
+    // regime first, then denser batches where candidate work grows
+    // alongside, then a `city-irg`-sized batch on its grid.
+    for &(side, riders, avail, busy) in &[
+        (16u32, 1usize, 4000usize, 200usize),
+        (16, 5, 500, 50),
+        (16, 20, 2000, 400),
+        (64, 20, 2000, 400),
+    ] {
+        let mut fixture = BatchFixture::rush_hour(side, riders, avail, busy, 7);
         // Anchored riders guarantee every batch assigns (the same
         // regime the `delta` subcommand's microbench reports).
         fixture.anchor_riders_to_drivers();
         let state = fixture.batch_state();
         let ctx = state.context(fixture.now_ms, &travel);
-        let size = format!("{riders}r/{avail}d/{busy}b");
+        let size = format!("{side}x{side}/{riders}r/{avail}d/{busy}b");
         g.bench_with_input(BenchmarkId::new("reference", &size), &(), |b, ()| {
             let mut policy = QueueingPolicy::irg(
                 DispatchConfig {

@@ -31,14 +31,26 @@ pub struct BatchFixture {
 }
 
 impl BatchFixture {
-    /// Builds a rush-hour batch: `n_riders` waiting around the demand
+    /// Builds a rush-hour batch on a `grid_side × grid_side` grid over
+    /// the NYC extent (16 is the paper's grid, 64 the `city-*`
+    /// benchmark workloads'): `n_riders` waiting around the demand
     /// hotspots, `n_avail` available and `n_busy` busy drivers.
-    pub fn rush_hour(n_riders: usize, n_avail: usize, n_busy: usize, seed: u64) -> Self {
-        let gen = NycLikeGenerator::new(NycLikeConfig {
-            orders_per_day: 100_000.0,
-            seed,
-            ..NycLikeConfig::default()
-        });
+    pub fn rush_hour(
+        grid_side: u32,
+        n_riders: usize,
+        n_avail: usize,
+        n_busy: usize,
+        seed: u64,
+    ) -> Self {
+        let nyc = Grid::nyc_16x16();
+        let gen = NycLikeGenerator::with_grid(
+            Grid::new(nyc.min(), nyc.max(), grid_side, grid_side),
+            NycLikeConfig {
+                orders_per_day: 100_000.0,
+                seed,
+                ..NycLikeConfig::default()
+            },
+        );
         let trips = gen.generate_day_trips(0);
         let grid = gen.grid().clone();
         let series = count_trips(&trips, &grid);

@@ -23,7 +23,7 @@ pub struct DispatchConfig {
     /// Differential-testing switch: when true, the queueing policies
     /// estimate rates through the verbatim eager reference path
     /// ([`crate::estimate_rates`] + a full expected-idle-time table)
-    /// instead of the incremental lazy [`crate::RateTracker`]. Both paths
+    /// instead of the lazy [`crate::RateTracker`]. Both paths
     /// must produce byte-identical assignments; the equivalence batteries
     /// pin it.
     pub reference_rates: bool,

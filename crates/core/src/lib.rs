@@ -10,9 +10,10 @@
 //! * [`rates`] — the per-region arrival-rate estimators of Eqs. 18–19 and
 //!   the expected-idle-time table driving the idle ratio (Eq. 17), kept
 //!   verbatim as the differential-testing reference.
-//! * [`rate_tracker`] — the incremental hot-path replacement: counts from
-//!   the batch's [`mrvd_sim::RegionCounts`], expected idle times solved
-//!   lazily only for regions the policy touches.
+//! * [`rate_tracker`] — the lazy hot-path replacement: counts, rates and
+//!   expected idle times computed only for the regions a batch reads,
+//!   from the batch's [`mrvd_sim::RegionCounts`] and the oracle's
+//!   per-region window.
 //! * [`oracle`] — the demand oracle: ground-truth counts (`-R` variants)
 //!   or a fitted [`mrvd_prediction::Predictor`] consulted online with
 //!   recursive multi-slot forecasting (`-P` variants).
@@ -48,5 +49,5 @@ pub use oracle::{DemandOracle, SparseUpcoming};
 pub use polar::{Polar, PolarConfig};
 pub use queueing_policy::{PriorityRule, QueueingPolicy, SearchMode};
 pub use rate_tracker::{RateTracker, RateTrackerStats};
-pub use rates::{estimate_rates, region_rates, RegionEstimates};
+pub use rates::{estimate_rates, region_rates, RegionEstimate, RegionEstimates};
 pub use upper::Upper;

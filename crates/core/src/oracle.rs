@@ -83,10 +83,32 @@ impl DemandOracle {
 
     /// Number of regions.
     pub fn regions(&self) -> usize {
+        self.series().regions()
+    }
+
+    fn series(&self) -> &DemandSeries {
         match self {
-            DemandOracle::Real { series, .. } | DemandOracle::Predicted { series, .. } => {
-                series.regions()
-            }
+            DemandOracle::Real { series, .. } | DemandOracle::Predicted { series, .. } => series,
+        }
+    }
+
+    /// Calls `f(base_slot, slot, overlap)` for every slot of the
+    /// simulated day overlapping `[now_ms, now_ms + tc_ms)`, in slot
+    /// order, with the fraction of the slot the window covers. Windows
+    /// are truncated at the end of the day; an empty one calls nothing.
+    fn for_each_window_slot(&self, now_ms: u64, tc_ms: u64, mut f: impl FnMut(usize, usize, f64)) {
+        let spd = self.series().slots_per_day();
+        let end_ms = (now_ms + tc_ms).min(spd as u64 * SLOT_MS);
+        if now_ms >= end_ms {
+            return;
+        }
+        let s0 = (now_ms / SLOT_MS) as usize;
+        let s_last = ((end_ms - 1) / SLOT_MS) as usize;
+        for s in s0..=s_last.min(spd - 1) {
+            let slot_start = s as u64 * SLOT_MS;
+            let slot_end = slot_start + SLOT_MS;
+            let overlap = (end_ms.min(slot_end) - now_ms.max(slot_start)) as f64 / SLOT_MS as f64;
+            f(s0, s, overlap);
         }
     }
 
@@ -106,30 +128,28 @@ impl DemandOracle {
     /// call allocates nothing: slot frames are accumulated in place with
     /// the scalar overlap weights — no per-slot frame copies.
     pub fn upcoming_riders_into(&self, now_ms: u64, tc_ms: u64, out: &mut Vec<f64>) {
-        let regions = self.regions();
         out.clear();
-        out.resize(regions, 0.0);
-        let spd = match self {
-            DemandOracle::Real { series, .. } | DemandOracle::Predicted { series, .. } => {
-                series.slots_per_day()
-            }
-        };
-        let end_ms = (now_ms + tc_ms).min(spd as u64 * SLOT_MS);
-        if now_ms >= end_ms {
-            return;
-        }
-        let s0 = (now_ms / SLOT_MS) as usize;
-        let s_last = ((end_ms - 1) / SLOT_MS) as usize;
-        for s in s0..=s_last.min(spd - 1) {
-            let slot_start = s as u64 * SLOT_MS;
-            let slot_end = slot_start + SLOT_MS;
-            let overlap = (end_ms.min(slot_end) - now_ms.max(slot_start)) as f64 / SLOT_MS as f64;
+        out.resize(self.regions(), 0.0);
+        self.for_each_window_slot(now_ms, tc_ms, |s0, s, overlap| {
             self.with_slot_counts(s0, s, |frame| {
                 for (o, &v) in out.iter_mut().zip(frame) {
                     *o += overlap * v;
                 }
             });
-        }
+        });
+    }
+
+    /// Region `k`'s entry of [`DemandOracle::upcoming_riders_into`],
+    /// bit for bit: the same `overlap × frame[k]` products accumulated
+    /// from `+0.0` in the same slot order, without touching any other
+    /// region. The dispatch hot path reads only the regions a batch
+    /// needs through this.
+    pub fn upcoming_region(&self, now_ms: u64, tc_ms: u64, k: usize) -> f64 {
+        let mut acc = 0.0;
+        self.for_each_window_slot(now_ms, tc_ms, |s0, s, overlap| {
+            acc += self.with_slot_counts(s0, s, |frame| overlap * frame[k]);
+        });
+        acc
     }
 
     /// Per-region counts for `slot`, given the current slot is
@@ -157,12 +177,7 @@ impl DemandOracle {
     /// the offline view POLAR builds its blueprint from. For the real
     /// oracle this returns the realized counts (POLAR-R).
     pub fn full_day_forecast(&self) -> Vec<Vec<f64>> {
-        let spd = match self {
-            DemandOracle::Real { series, .. } | DemandOracle::Predicted { series, .. } => {
-                series.slots_per_day()
-            }
-        };
-        (0..spd)
+        (0..self.series().slots_per_day())
             .map(|s| self.with_slot_counts(0, s, |frame| frame.to_vec()))
             .collect()
     }
@@ -170,13 +185,15 @@ impl DemandOracle {
 
 /// Reusable sparse evaluation of [`DemandOracle::upcoming_riders_into`].
 ///
-/// At city scale the dense per-batch `clear + resize` over
-/// `num_regions` entries becomes the hot path even though demand is
-/// concentrated in a small set of regions. `SparseUpcoming` keeps the
-/// same dense `values` buffer policies already consume, but only
-/// re-zeroes the entries the *previous* batch set (`active`) and only
-/// accumulates over the union of regions whose slot frames carry a
-/// nonzero bit pattern anywhere in the window. The union is cached per
+/// No policy calls this: the queueing policies read single regions
+/// through [`DemandOracle::upcoming_region`]. It survives for the
+/// repository benchmark's rate probe (paired with
+/// [`crate::RateTracker::begin_batch_sparse`]) and for tests.
+///
+/// `SparseUpcoming` keeps a dense `values` buffer, but only re-zeroes
+/// the entries the *previous* batch set (`active`) and only accumulates
+/// over the union of regions whose slot frames carry a nonzero bit
+/// pattern anywhere in the window. The union is cached per
 /// `(base slot, last slot)` window — between 30-simulated-minute slot
 /// boundaries a batch pays O(active ∪ union), not O(num_regions).
 ///
@@ -444,12 +461,11 @@ mod tests {
         assert_eq!(buf, vec![0.0, 0.0]);
     }
 
-    #[test]
-    fn sparse_upcoming_matches_dense_bitwise() {
-        // 6 regions: 0–2 carry demand, 3 is always +0.0, 4 holds a
-        // -0.0 (nonzero bit pattern — must stay in the union), 5 is
-        // +0.0 except one slot.
-        let s = DemandSeries::from_fn(3, 4, 6, |d, t, r| match r {
+    /// 3 days × 4 slots × 6 regions: 0–2 carry demand, 3 is always
+    /// +0.0, 4 holds a -0.0 (nonzero bit pattern), 5 is +0.0 except in
+    /// slot 2.
+    fn signed_zero_series() -> DemandSeries {
+        DemandSeries::from_fn(3, 4, 6, |d, t, r| match r {
             3 => 0.0,
             4 => -0.0,
             5 => {
@@ -460,21 +476,74 @@ mod tests {
                 }
             }
             _ => (d * 4 + t) as f64 + r as f64 * 0.1,
-        });
-        let o = DemandOracle::real(s, 2);
+        })
+    }
+
+    /// `(now, tc)` windows over [`signed_zero_series`]'s 4-slot day.
+    const WINDOWS: [(u64, u64); 8] = [
+        (0, SLOT_MS),                // slot 0 only
+        (SLOT_MS / 2, SLOT_MS),      // spans slots 0–1: a new window
+        (SLOT_MS / 2 + 1, SLOT_MS),  // same (s0, s_last) → cached union
+        (2 * SLOT_MS, SLOT_MS / 3),  // slot 2 (region 5 active)
+        (3 * SLOT_MS, 10 * SLOT_MS), // truncated at day end
+        (4 * SLOT_MS, SLOT_MS),      // empty window
+        (SLOT_MS, 0),                // empty window
+        (SLOT_MS, 2 * SLOT_MS),      // back to a live window
+    ];
+
+    #[test]
+    fn upcoming_region_matches_the_dense_window_bitwise() {
+        // Region 4's -0.0 frames must accumulate onto +0.0 exactly as
+        // the dense buffer does.
+        let o = DemandOracle::real(signed_zero_series(), 2);
+        let mut dense = Vec::new();
+        for (now, tc) in WINDOWS {
+            o.upcoming_riders_into(now, tc, &mut dense);
+            for (k, v) in dense.iter().enumerate() {
+                assert_eq!(
+                    o.upcoming_region(now, tc, k).to_bits(),
+                    v.to_bits(),
+                    "region {k} diverged at now={now} tc={tc}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn upcoming_region_matches_a_fresh_predicted_oracle() {
+        // The lazy oracle reads single regions in scrambled order and
+        // never reads base slot 1, so its forecast cache jumps from base
+        // 0 to base 2 and later back to 0. Every read must still equal a
+        // freshly built oracle's dense window.
+        let s = signed_zero_series();
+        let lazy = DemandOracle::predicted(Box::new(HistoricalAverage), s.clone(), 2);
+        for (now, tc) in [
+            (0, 2 * SLOT_MS),
+            (SLOT_MS / 2, 2 * SLOT_MS),
+            (2 * SLOT_MS, SLOT_MS),
+            (2 * SLOT_MS + SLOT_MS / 3, SLOT_MS),
+            (3 * SLOT_MS, 10 * SLOT_MS),
+            (0, 4 * SLOT_MS),
+        ] {
+            let fresh = DemandOracle::predicted(Box::new(HistoricalAverage), s.clone(), 2)
+                .upcoming_riders(now, tc);
+            for k in [4, 1, 5, 0, 3, 2] {
+                assert_eq!(
+                    lazy.upcoming_region(now, tc, k).to_bits(),
+                    fresh[k].to_bits(),
+                    "region {k} diverged at now={now} tc={tc}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_upcoming_matches_dense_bitwise() {
+        // Region 4's -0.0 must stay in the union.
+        let o = DemandOracle::real(signed_zero_series(), 2);
         let mut sparse = SparseUpcoming::default();
         let mut dense = Vec::new();
-        let windows = [
-            (0, SLOT_MS),                // slot 0 only
-            (SLOT_MS / 2, SLOT_MS),      // spans slots 0–1, same union? no: new window
-            (SLOT_MS / 2 + 1, SLOT_MS),  // same (s0, s_last) → cached union
-            (2 * SLOT_MS, SLOT_MS / 3),  // slot 2 (region 5 active)
-            (3 * SLOT_MS, 10 * SLOT_MS), // truncated at day end
-            (4 * SLOT_MS, SLOT_MS),      // empty window
-            (SLOT_MS, 0),                // empty window
-            (SLOT_MS, 2 * SLOT_MS),      // back to a live window
-        ];
-        for (now, tc) in windows {
+        for (now, tc) in WINDOWS {
             sparse.compute(&o, now, tc);
             o.upcoming_riders_into(now, tc, &mut dense);
             assert_eq!(sparse.values().len(), dense.len());

@@ -28,7 +28,7 @@ use mrvd_sim::{Assignment, BatchContext, DispatchPolicy};
 
 use crate::candidates::{valid_candidates_with, CandidateScratch};
 use crate::config::DispatchConfig;
-use crate::oracle::{DemandOracle, SparseUpcoming};
+use crate::oracle::DemandOracle;
 use crate::rate_tracker::{RateTracker, RateTrackerStats};
 use crate::rates::{estimate_rates, idle_ratio};
 
@@ -60,17 +60,13 @@ pub struct QueueingPolicy {
     mode: SearchMode,
     rule: PriorityRule,
     scratch: CandidateScratch,
-    /// Incremental rate state, reused across batches (the per-batch
-    /// λ/μ/K/ET buffers live here — nothing is cloned per batch).
+    /// Lazy rate state, reused across batches (the per-batch λ/μ/K/ET
+    /// entries live here — nothing is cloned per batch).
     tracker: RateTracker,
-    /// Reused buffer for the oracle's `|R̂_k|` window counts — only the
-    /// reference-rates path fills it densely; the hot path goes through
-    /// `sparse_upcoming`.
+    /// Reused buffer for the oracle's `|R̂_k|` window counts, filled
+    /// densely by the reference-rates path only; the hot path reads
+    /// single regions through [`DemandOracle::upcoming_region`].
     upcoming: Vec<f64>,
-    /// Sparse evaluation of the oracle window for the hot path: touches
-    /// O(active regions) per batch instead of O(num_regions),
-    /// bit-identical to the dense buffer.
-    sparse_upcoming: SparseUpcoming,
     /// Reused per-region version stamps for the lazy greedy heap.
     /// Invariant between batches: all zero — `version_touched` undoes
     /// every bump at the end of a batch, so no per-batch
@@ -100,7 +96,6 @@ impl QueueingPolicy {
             scratch: CandidateScratch::new(),
             tracker: RateTracker::new(),
             upcoming: Vec::new(),
-            sparse_upcoming: SparseUpcoming::default(),
             version: Vec::new(),
             version_touched: Vec::new(),
         }
@@ -134,8 +129,8 @@ impl QueueingPolicy {
     }
 
     /// The rate tracker's lifetime counters — how many batches it
-    /// prepared and how many idle-time solves the lazy path actually
-    /// performed (vs. one per region per batch eagerly).
+    /// prepared, and how many regions and idle-time solves the lazy path
+    /// actually computed (vs. every region per batch eagerly).
     pub fn rate_stats(&self) -> RateTrackerStats {
         self.tracker.stats()
     }
@@ -181,12 +176,13 @@ impl DispatchPolicy for QueueingPolicy {
         if n_riders == 0 || n_drivers == 0 {
             return Vec::new();
         }
-        // Algorithm 1, lines 3–6: region state and rates — incremental
-        // counts, sparse per-batch buffers and lazy idle times by
-        // default, the verbatim eager estimator over a dense oracle
-        // buffer under `reference_rates` (byte-identical outputs; the
-        // equivalence batteries pin it). Either way the per-batch state
-        // lives in policy/tracker-owned buffers reused across batches.
+        // Algorithm 1, lines 3–6: region state and rates — computed
+        // lazily, region by region, at the candidate destinations below
+        // by default; the verbatim eager estimator over a dense oracle
+        // buffer loads every region under `reference_rates`
+        // (byte-identical outputs; the equivalence batteries pin it).
+        // Either way the per-batch state lives in policy/tracker-owned
+        // buffers reused across batches.
         if self.cfg.reference_rates {
             self.oracle
                 .upcoming_riders_into(ctx.now_ms, self.cfg.tc_ms, &mut self.upcoming);
@@ -194,14 +190,8 @@ impl DispatchPolicy for QueueingPolicy {
             let ets = est.expected_idle_times(&self.cfg);
             self.tracker.load_reference(&est, &ets);
         } else {
-            self.sparse_upcoming
-                .compute(&self.oracle, ctx.now_ms, self.cfg.tc_ms);
-            self.tracker.begin_batch_sparse(
-                ctx,
-                self.sparse_upcoming.values(),
-                self.sparse_upcoming.active(),
-                &self.cfg,
-            );
+            self.tracker
+                .begin_batch(ctx.grid.num_regions(), ctx.now_ms, &self.cfg);
         }
 
         // Valid pairs (Algorithm 2, lines 3–5).
@@ -237,11 +227,20 @@ impl DispatchPolicy for QueueingPolicy {
         let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
         for (r, cand) in cands.pairs.iter().enumerate() {
             if cand.is_empty() {
-                // No pair to key — and no reason to solve this
-                // destination's idle time.
+                // No pair to key — and no reason to estimate this
+                // destination's rates.
                 continue;
             }
             let dest = rider_dest[r];
+            // The only regions this batch reads: every later idle-time
+            // read or μ-bump lands on the destination of a rider with a
+            // candidate, all filled here before the first bump. (A
+            // reference load has already stamped every region, so this
+            // is a no-op then.)
+            self.tracker.fill(dest, ctx.region_counts, || {
+                self.oracle
+                    .upcoming_region(ctx.now_ms, self.cfg.tc_ms, dest)
+            });
             let et = self.tracker.et(dest, &self.cfg);
             let k = self.key(rider_cost[r], et);
             for &(d, pickup_ms) in cand {
@@ -596,6 +595,27 @@ mod tests {
         let out = policy.assign(&state(&grid, &riders, &drivers).context(0, &travel));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].driver, DriverId(1));
+    }
+
+    #[test]
+    fn fills_only_the_destinations_of_riders_with_candidates() {
+        let grid = Grid::nyc_16x16();
+        let travel = ConstantSpeedModel::new(8.0);
+        // Rider 0 stands next to the driver; rider 1 is ~17 km away with
+        // 30 s to go, so it has no candidate. The pickups are occupied
+        // regions and HOT carries demand, but the batch reads one region:
+        // rider 0's destination.
+        let near = rider(0, Point::new(-73.98, 40.75), HOT);
+        let mut far = rider(1, Point::new(-74.02, 40.60), COLD);
+        far.deadline_ms = 30_000;
+        let riders = [near, far];
+        let drivers = [driver(0, Point::new(-73.981, 40.751))];
+        let mut policy =
+            QueueingPolicy::irg(DispatchConfig::default(), oracle_with_hot(&grid, 5.0));
+        let out = policy.assign(&state(&grid, &riders, &drivers).context(0, &travel));
+        assert_eq!(out.len(), 1);
+        let stats = policy.rate_stats();
+        assert_eq!((stats.batches, stats.regions_filled), (1, 1));
     }
 
     #[test]

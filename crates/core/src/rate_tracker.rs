@@ -1,73 +1,93 @@
-//! Incremental, lazy per-region rate estimation for the dispatch hot
-//! path.
+//! Lazy per-region rate estimation for the dispatch hot path.
 //!
-//! [`estimate_rates`](crate::rates::estimate_rates) rebuilds every
-//! per-region count from full rider/driver/busy scans and then solves the
-//! reneging queue for *every* region, every executed batch — even when one
-//! rider is waiting and a single destination region matters. The
-//! [`RateTracker`] replaces that on the hot path:
+//! The paper scores a pair by the expected idle time ET of the rider's
+//! destination region (Algorithm 2, Eq. 17), and each region is an
+//! independent double-sided queue: ET_k depends only on region k's
+//! λ/μ/K (Eqs. 18–19), which depend only on k's counts and its predicted
+//! arrivals. A batch therefore needs rates only where it looks — the
+//! destinations of its candidate pairs — and the [`RateTracker`]
+//! computes nothing else:
 //!
-//! * **Counts** come from the batch's per-region counts
-//!   ([`mrvd_sim::BatchContext::region_counts`]) — no scans; the
-//!   rejoining-in-window count is two binary searches per region over
-//!   the rejoin-time multisets. Only the regions those counts list as
-//!   occupied, plus the oracle's active regions, are written; every other
-//!   region keeps the all-zero baseline.
-//! * **λ/μ/K** are derived through the shared [`region_rates`] formula,
-//!   so the tracker is bit-identical to the reference by construction.
-//! * **Expected idle times** (the per-region queueing solve, Eqs.
-//!   10/13/16) are computed *lazily*: only for regions a policy actually
-//!   asks about — destinations of current candidate pairs plus regions
-//!   touched by the greedy/local-search μ-bumps — with an epoch stamp
-//!   invalidating the cache between batches.
+//! * [`RateTracker::begin_batch`] only opens a new epoch. It writes no
+//!   region: every entry carries the epoch that filled it, and an entry
+//!   from an older epoch is stale.
+//! * [`RateTracker::fill`] computes one region, at most once per batch:
+//!   its counts from the batch's [`RegionCounts`] (the rejoining-in-window
+//!   count is two binary searches), its window demand from a caller
+//!   closure (the policy passes
+//!   [`DemandOracle::upcoming_region`](crate::DemandOracle::upcoming_region)),
+//!   and λ/μ/K through the shared [`region_rates`] formula — so a filled
+//!   region is bit-identical to the reference estimator by construction.
+//! * [`RateTracker::et`] solves the region's reneging queue (Eqs.
+//!   10/13/16) on first read and caches it for the batch;
+//!   [`RateTracker::bump_mu`] / [`RateTracker::unbump_mu`] apply
+//!   Algorithm 2's μ-bumps and re-solve.
 //!
-//! `estimate_rates` itself is kept verbatim as the reference path for
-//! differential testing (the same pattern as
-//! `RegionIndex::rebuild_reference` / `Simulator::run_scheduled_reference`);
-//! [`RateTracker::load_reference`] lets a policy run the reference
-//! estimator end-to-end while sharing the greedy machinery.
+//! One rule covers every read — `et`, the bumps and
+//! [`RateTracker::region`]: a region nothing filled this batch reads as
+//! the all-zero baseline `(0, 0, 0, +0.0, +0.0, K = 0)`, exactly what
+//! [`region_rates`] gives a region with no riders, drivers, rejoins or
+//! demand. The first touch of a region in a batch fixes its entry: `fill`
+//! computes it, any other touch starts it from the baseline, and later
+//! `fill`s of that region in the batch do nothing. Callers fill every
+//! region they will read before reading any.
+//!
+//! [`RateTracker::begin_batch_sparse`] is the eager variant: it fills
+//! every occupied or demand-bearing region through the same `fill`. No
+//! policy calls it; the repository benchmark's rate probe and the tests
+//! do. [`estimate_rates`](crate::rates::estimate_rates) itself is kept
+//! verbatim as the reference path for differential testing, and
+//! [`RateTracker::load_reference`] lets a policy run it end to end
+//! through the same greedy machinery.
 
 use mrvd_sim::{BatchContext, RegionCounts};
 use mrvd_spatial::RegionId;
 
 use crate::config::DispatchConfig;
-use crate::rates::{et_for, region_rates, RegionEstimates};
+use crate::rates::{et_for, region_rates, RegionEstimate, RegionEstimates};
 
 /// Lifetime counters of a [`RateTracker`], for benchmarks and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RateTrackerStats {
-    /// Batches prepared ([`RateTracker::begin_batch_sparse`] +
+    /// Batches prepared ([`RateTracker::begin_batch`], also through
+    /// [`RateTracker::begin_batch_sparse`], plus
     /// [`RateTracker::load_reference`] calls).
     pub batches: u64,
     /// Expected-idle-time solves performed (lazy evaluations plus
     /// μ-bump recomputations; eager reference loads count one solve per
     /// region).
     pub ets_computed: u64,
+    /// Regions whose counts and rates were computed ([`RateTracker::fill`]
+    /// calls that did work; eager reference loads count every region).
+    pub regions_filled: u64,
 }
 
-/// Incremental per-region rate state, owned by a policy and reused
-/// across batches (no per-batch allocations). See the module docs.
+/// One region's entry.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// Counts and rates, including any bumps applied.
+    est: RegionEstimate,
+    /// The idle time solved from `est`, once read or bumped.
+    et: Option<f64>,
+    /// The epoch that wrote this slot; any other value makes it stale.
+    filled: u64,
+}
+
+/// Lazy per-region rate state, owned by a policy and reused across
+/// batches (no per-batch allocations or resets). See the module docs.
 #[derive(Debug, Default)]
 pub struct RateTracker {
-    waiting: Vec<u32>,
-    available: Vec<u32>,
-    rejoining: Vec<u32>,
-    lambda: Vec<f64>,
-    mu: Vec<f64>,
-    capacity_k: Vec<u64>,
-    et: Vec<f64>,
-    /// `et[k]` is valid for the current batch iff `et_epoch[k] == epoch`.
-    et_epoch: Vec<u64>,
+    slots: Vec<Slot>,
+    /// The current batch's stamp. Slots start at 0 and the first batch
+    /// is epoch 1, so fresh slots are stale.
     epoch: u64,
-    /// Regions the last *sparse* batch set away from the all-zero
-    /// baseline — exactly the entries the next sparse batch re-zeroes.
-    touched: Vec<u32>,
-    /// Set when a dense fill (reference load, resize) left entries
-    /// outside `touched` non-baseline; the next sparse batch then does
-    /// one full reset before going incremental.
-    dense_dirty: bool,
+    now_ms: u64,
+    /// End of the current batch's rejoin window, `now + t_c`.
+    window_end_ms: u64,
+    tc_s: f64,
     batches: u64,
     ets_computed: u64,
+    regions_filled: u64,
 }
 
 impl RateTracker {
@@ -76,36 +96,62 @@ impl RateTracker {
         Self::default()
     }
 
-    fn resize(&mut self, n: usize) {
-        if self.waiting.len() != n {
-            self.waiting.resize(n, 0);
-            self.available.resize(n, 0);
-            self.rejoining.resize(n, 0);
-            self.lambda.resize(n, 0.0);
-            self.mu.resize(n, 0.0);
-            self.capacity_k.resize(n, 0);
-            self.et.resize(n, 0.0);
-            self.et_epoch.resize(n, 0);
-            // Surviving entries of the old size may be non-baseline.
-            self.dense_dirty = true;
-        }
-        // A new epoch lazily invalidates every cached idle time.
+    /// Sizes the tracker to `n` regions and opens a new epoch. Slots
+    /// kept across a size change carry an older epoch, so they are stale
+    /// like every other.
+    fn next_epoch(&mut self, n: usize) {
+        self.slots.resize(n, Slot::default());
         self.epoch += 1;
         self.batches += 1;
     }
 
-    /// Prepares the tracker for one batch: per-region counts and λ/μ/K.
-    /// Instead of writing all `num_regions` entries it resets only the
-    /// regions the previous batch touched and fills only the union of
-    /// the batch's [`RegionCounts::occupied_regions`] (a superset of
-    /// every region with a waiting rider, available driver or pending
-    /// rejoin) and `upcoming_active` (the oracle regions with nonzero
-    /// window demand, e.g. [`crate::oracle::SparseUpcoming::active`]).
-    /// Every other region keeps the exact `(0, 0, 0, +0.0, +0.0, K=0)`
-    /// baseline — bit-identical to what a dense loop computes for it,
-    /// since [`region_rates`] of all-zero inputs is the baseline.
-    /// Expected idle times stay unevaluated until [`RateTracker::et`]
-    /// asks for them.
+    /// Opens a batch over `n` regions at `now_ms`. Writes no region:
+    /// until [`RateTracker::fill`] computes one, it reads as the
+    /// baseline.
+    pub fn begin_batch(&mut self, n: usize, now_ms: u64, cfg: &DispatchConfig) {
+        self.next_epoch(n);
+        self.now_ms = now_ms;
+        self.window_end_ms = now_ms + cfg.tc_ms;
+        self.tc_s = cfg.tc_s();
+    }
+
+    /// Computes region `k`'s counts and λ/μ/K for the current batch from
+    /// `counts` and `upcoming()`, the oracle's `|R̂_k|` for
+    /// `[now, now + t_c)`. Does nothing — and does not call `upcoming` —
+    /// if `k` was already filled or read this batch.
+    pub fn fill(&mut self, k: usize, counts: &RegionCounts, upcoming: impl FnOnce() -> f64) {
+        if self.slots[k].filled == self.epoch {
+            return;
+        }
+        let waiting = counts.waiting()[k];
+        let available = counts.available()[k];
+        let rejoining =
+            counts.rejoining_between(RegionId(k as u32), self.now_ms, self.window_end_ms);
+        let (lambda, mu, capacity_k) =
+            region_rates(waiting, available, rejoining, upcoming(), self.tc_s);
+        self.slots[k] = Slot {
+            est: RegionEstimate {
+                waiting,
+                available,
+                rejoining,
+                lambda,
+                mu,
+                capacity_k,
+            },
+            et: None,
+            filled: self.epoch,
+        };
+        self.regions_filled += 1;
+    }
+
+    /// Opens a batch and eagerly fills the union of the batch's
+    /// [`RegionCounts::occupied_regions`] (a superset of every region
+    /// with a waiting rider, available driver or pending rejoin) and
+    /// `upcoming_active` (the oracle regions with nonzero window demand,
+    /// e.g. [`crate::oracle::SparseUpcoming::active`]). Every region
+    /// outside both lists has the all-zero inputs whose rates are the
+    /// baseline, so every read matches the reference estimator. No
+    /// policy calls this; it serves the benchmark's rate probe and tests.
     ///
     /// `upcoming[k]` is the oracle's `|R̂_k|` for `[now, now + t_c)`.
     ///
@@ -124,91 +170,49 @@ impl RateTracker {
             n,
             "RateTracker::begin_batch_sparse: oracle regions != grid regions"
         );
-        self.resize(n);
+        self.begin_batch(n, ctx.now_ms, cfg);
         let rc = ctx.region_counts;
-        if self.dense_dirty {
-            self.waiting.fill(0);
-            self.available.fill(0);
-            self.rejoining.fill(0);
-            self.lambda.fill(0.0);
-            self.mu.fill(0.0);
-            self.capacity_k.fill(0);
-            self.touched.clear();
-            self.dense_dirty = false;
-        } else {
-            let mut touched = std::mem::take(&mut self.touched);
-            for &k in &touched {
-                let k = k as usize;
-                self.waiting[k] = 0;
-                self.available[k] = 0;
-                self.rejoining[k] = 0;
-                self.lambda[k] = 0.0;
-                self.mu[k] = 0.0;
-                self.capacity_k[k] = 0;
-            }
-            touched.clear();
-            self.touched = touched;
+        let occupied = rc.occupied_regions().iter().map(|r| r.idx());
+        let active = upcoming_active.iter().map(|&k| k as usize);
+        for k in occupied.chain(active) {
+            self.fill(k, rc, || upcoming[k]);
         }
-        let window_end = ctx.now_ms + cfg.tc_ms;
-        let tc_s = cfg.tc_s();
-        // Duplicates between the two lists (and inside the occupied
-        // superset) are harmless: every write is an idempotent set.
-        for &r in rc.occupied_regions() {
-            let k = r.idx();
-            self.fill_region(rc, k, ctx.now_ms, window_end, upcoming[k], tc_s);
-        }
-        for &r in upcoming_active {
-            let k = r as usize;
-            self.fill_region(rc, k, ctx.now_ms, window_end, upcoming[k], tc_s);
-        }
-    }
-
-    /// One region of the sparse fill: batch counts → λ/μ/K via the
-    /// shared formula, and a `touched` entry so the next batch resets it.
-    fn fill_region(
-        &mut self,
-        rc: &RegionCounts,
-        k: usize,
-        now_ms: u64,
-        window_end: u64,
-        upcoming_k: f64,
-        tc_s: f64,
-    ) {
-        self.waiting[k] = rc.waiting()[k];
-        self.available[k] = rc.available()[k];
-        self.rejoining[k] = rc.rejoining_between(RegionId(k as u32), now_ms, window_end);
-        let (l, m, c) = region_rates(
-            self.waiting[k],
-            self.available[k],
-            self.rejoining[k],
-            upcoming_k,
-            tc_s,
-        );
-        self.lambda[k] = l;
-        self.mu[k] = m;
-        self.capacity_k[k] = c;
-        self.touched.push(k as u32);
     }
 
     /// Loads the *eager reference* estimates for one batch — the output
     /// of the verbatim [`estimate_rates`](crate::rates::estimate_rates) /
-    /// [`RegionEstimates::expected_idle_times`] pair — so a policy can
-    /// run the reference rate path through the same greedy machinery
-    /// (differential testing; `DispatchConfig::reference_rates`).
+    /// [`RegionEstimates::expected_idle_times`] pair — into every region,
+    /// so a policy can run the reference rate path through the same
+    /// greedy machinery (differential testing;
+    /// `DispatchConfig::reference_rates`).
     pub fn load_reference(&mut self, est: &RegionEstimates, ets: &[f64]) {
         let n = est.lambda.len();
         assert_eq!(ets.len(), n, "RateTracker::load_reference: length mismatch");
-        self.resize(n);
-        self.waiting.copy_from_slice(&est.waiting);
-        self.available.copy_from_slice(&est.available);
-        self.rejoining.copy_from_slice(&est.rejoining);
-        self.lambda.copy_from_slice(&est.lambda);
-        self.mu.copy_from_slice(&est.mu);
-        self.capacity_k.copy_from_slice(&est.capacity_k);
-        self.et.copy_from_slice(ets);
-        self.et_epoch.fill(self.epoch);
+        self.next_epoch(n);
+        let epoch = self.epoch;
+        for (k, (slot, &et)) in self.slots.iter_mut().zip(ets).enumerate() {
+            *slot = Slot {
+                est: est.region(k),
+                et: Some(et),
+                filled: epoch,
+            };
+        }
         self.ets_computed += n as u64;
-        self.dense_dirty = true;
+        self.regions_filled += n as u64;
+    }
+
+    /// Region `k`'s slot for the current batch, started from the
+    /// baseline if nothing filled it.
+    fn current(&mut self, k: usize) -> &mut Slot {
+        let epoch = self.epoch;
+        let slot = &mut self.slots[k];
+        if slot.filled != epoch {
+            *slot = Slot {
+                filled: epoch,
+                ..Slot::default()
+            };
+        }
+        slot
     }
 
     /// The expected idle time of region `k` for the current batch,
@@ -221,87 +225,55 @@ impl RateTracker {
         if cfg.uniform_et {
             return tc_s / 2.0;
         }
-        if self.et_epoch[k] != self.epoch {
-            self.et[k] = et_for(
-                self.lambda[k],
-                self.mu[k],
-                self.capacity_k[k],
-                cfg.beta,
-                tc_s,
-            );
-            self.et_epoch[k] = self.epoch;
-            self.ets_computed += 1;
+        let slot = self.current(k);
+        if let Some(et) = slot.et {
+            return et;
         }
-        self.et[k]
+        let e = slot.est;
+        let et = et_for(e.lambda, e.mu, e.capacity_k, cfg.beta, tc_s);
+        slot.et = Some(et);
+        self.ets_computed += 1;
+        et
     }
 
     /// Algorithm 2, line 11: one future rejoin moves into region `k` —
     /// bump μ and the cap, and refresh the idle time the next selection
     /// will read (unless the ablation silences it).
     pub fn bump_mu(&mut self, k: usize, cfg: &DispatchConfig) {
-        let tc_s = cfg.tc_s();
-        self.mu[k] += 1.0 / tc_s;
-        self.capacity_k[k] += 1;
-        if !cfg.uniform_et {
-            self.et[k] = et_for(
-                self.lambda[k],
-                self.mu[k],
-                self.capacity_k[k],
-                cfg.beta,
-                tc_s,
-            );
-            self.et_epoch[k] = self.epoch;
-            self.ets_computed += 1;
-        }
+        let est = &mut self.current(k).est;
+        est.mu += 1.0 / cfg.tc_s();
+        est.capacity_k += 1;
+        self.resolve(k, cfg);
     }
 
     /// Reverts one [`RateTracker::bump_mu`] on region `k` (a local-search
     /// swap moving the rejoin elsewhere).
     pub fn unbump_mu(&mut self, k: usize, cfg: &DispatchConfig) {
-        let tc_s = cfg.tc_s();
-        self.mu[k] -= 1.0 / tc_s;
-        self.capacity_k[k] = self.capacity_k[k].saturating_sub(1);
+        let est = &mut self.current(k).est;
+        est.mu -= 1.0 / cfg.tc_s();
+        est.capacity_k = est.capacity_k.saturating_sub(1);
+        self.resolve(k, cfg);
+    }
+
+    /// Re-solves a bumped region's idle time at once, so every bump
+    /// counts one solve whether or not the region is read again.
+    fn resolve(&mut self, k: usize, cfg: &DispatchConfig) {
+        self.slots[k].et = None;
         if !cfg.uniform_et {
-            self.et[k] = et_for(
-                self.lambda[k],
-                self.mu[k],
-                self.capacity_k[k],
-                cfg.beta,
-                tc_s,
-            );
-            self.et_epoch[k] = self.epoch;
-            self.ets_computed += 1;
+            self.et(k, cfg);
         }
     }
 
-    /// Waiting riders `|R_k|` of the current batch.
-    pub fn waiting(&self) -> &[u32] {
-        &self.waiting
-    }
-
-    /// Available drivers `|D_k|` of the current batch.
-    pub fn available(&self) -> &[u32] {
-        &self.available
-    }
-
-    /// Rejoining-in-window drivers `|D̂_k|` of the current batch.
-    pub fn rejoining(&self) -> &[u32] {
-        &self.rejoining
-    }
-
-    /// λ(k) of the current batch (Eq. 18).
-    pub fn lambda(&self) -> &[f64] {
-        &self.lambda
-    }
-
-    /// μ(k) of the current batch (Eq. 19), including any bumps applied.
-    pub fn mu(&self) -> &[f64] {
-        &self.mu
-    }
-
-    /// The congestion cap `K` per region, including any bumps applied.
-    pub fn capacity_k(&self) -> &[u64] {
-        &self.capacity_k
+    /// Region `k`'s counts and rates for the current batch, including
+    /// any bumps applied — the all-zero baseline if nothing filled or
+    /// touched it this batch.
+    pub fn region(&self, k: usize) -> RegionEstimate {
+        let slot = &self.slots[k];
+        if slot.filled == self.epoch {
+            slot.est
+        } else {
+            RegionEstimate::default()
+        }
     }
 
     /// Lifetime counters.
@@ -309,6 +281,7 @@ impl RateTracker {
         RateTrackerStats {
             batches: self.batches,
             ets_computed: self.ets_computed,
+            regions_filled: self.regions_filled,
         }
     }
 }
@@ -349,9 +322,22 @@ mod tests {
         }
     }
 
+    /// A region entry with its floats as bit patterns, for exact
+    /// comparison.
+    fn bits(e: RegionEstimate) -> (u32, u32, u32, u64, u64, u64) {
+        (
+            e.waiting,
+            e.available,
+            e.rejoining,
+            e.lambda.to_bits(),
+            e.mu.to_bits(),
+            e.capacity_k,
+        )
+    }
+
     /// The active list of a dense upcoming buffer: every region whose
     /// value carries a nonzero bit pattern (what `SparseUpcoming` hands
-    /// the policy on the hot path).
+    /// the benchmark probe).
     fn active_of(upcoming: &[f64]) -> Vec<u32> {
         upcoming
             .iter()
@@ -361,21 +347,32 @@ mod tests {
             .collect()
     }
 
-    /// One batch on the production fill: the dense buffer plus its
-    /// active list.
+    /// One batch on the eager prefill: the dense buffer plus its active
+    /// list.
     fn begin(t: &mut RateTracker, ctx: &BatchContext<'_>, upcoming: &[f64], cfg: &DispatchConfig) {
         t.begin_batch_sparse(ctx, upcoming, &active_of(upcoming), cfg);
     }
 
+    /// One batch on the lazy path, every region filled in a scrambled
+    /// order (37 is coprime to the grids' power-of-two region counts).
+    fn begin_lazy(
+        t: &mut RateTracker,
+        ctx: &BatchContext<'_>,
+        upcoming: &[f64],
+        cfg: &DispatchConfig,
+    ) {
+        let n = ctx.grid.num_regions();
+        t.begin_batch(n, ctx.now_ms, cfg);
+        for i in 0..n {
+            let k = (i * 37 + 11) % n;
+            t.fill(k, ctx.region_counts, || upcoming[k]);
+        }
+    }
+
     fn assert_tracker_matches(t: &mut RateTracker, est: &RegionEstimates, cfg: &DispatchConfig) {
         let ets = est.expected_idle_times(cfg);
-        assert_eq!(t.waiting(), &est.waiting[..]);
-        assert_eq!(t.available(), &est.available[..]);
-        assert_eq!(t.rejoining(), &est.rejoining[..]);
         for (k, et) in ets.iter().enumerate() {
-            assert_eq!(t.lambda()[k].to_bits(), est.lambda[k].to_bits(), "λ[{k}]");
-            assert_eq!(t.mu()[k].to_bits(), est.mu[k].to_bits(), "μ[{k}]");
-            assert_eq!(t.capacity_k()[k], est.capacity_k[k], "K[{k}]");
+            assert_eq!(bits(t.region(k)), bits(est.region(k)), "region {k}");
             assert_eq!(t.et(k, cfg).to_bits(), et.to_bits(), "ET[{k}]");
         }
     }
@@ -420,6 +417,8 @@ mod tests {
             let mut t = RateTracker::new();
             begin(&mut t, c, &upcoming, &cfg);
             assert_tracker_matches(&mut t, &est, &cfg);
+            begin_lazy(&mut t, c, &upcoming, &cfg);
+            assert_tracker_matches(&mut t, &est, &cfg);
         }
     }
 
@@ -461,10 +460,11 @@ mod tests {
         let tc_s = cfg.tc_s();
         t.bump_mu(k, &cfg);
         let bumped = t.et(k, &cfg);
-        let expect = et_for(t.lambda()[k], t.mu()[k], t.capacity_k()[k], cfg.beta, tc_s);
+        let e = t.region(k);
+        let expect = et_for(e.lambda, e.mu, e.capacity_k, cfg.beta, tc_s);
         assert_eq!(bumped.to_bits(), expect.to_bits());
         t.unbump_mu(k, &cfg);
-        assert_eq!(t.capacity_k()[k], 1);
+        assert_eq!(t.region(k).capacity_k, 1);
     }
 
     #[test]
@@ -493,8 +493,8 @@ mod tests {
         begin(&mut t, &ctx, &upcoming, &cfg);
         assert_tracker_matches(&mut t, &est, &cfg);
 
-        // A second sparse batch over the same world exercises the
-        // touched-list reset instead of the first batch's dense reset.
+        // A second batch over the same world must not see the first
+        // batch's entries: every region is refilled or reads baseline.
         begin(&mut t, &ctx, &upcoming, &cfg);
         assert_tracker_matches(&mut t, &est, &cfg);
         assert_eq!(t.stats().batches, 2);
@@ -525,7 +525,11 @@ mod tests {
         let est_b = estimate_rates(&ctx_b, &upcoming_b, &cfg);
         assert_tracker_matches(&mut t, &est_b, &cfg);
         let q = grid.region_of(Q).idx();
-        assert_eq!(t.lambda()[q].to_bits(), 0.0f64.to_bits(), "Q is baseline");
+        assert_eq!(
+            t.region(q).lambda.to_bits(),
+            0.0f64.to_bits(),
+            "Q is baseline"
+        );
     }
 
     #[test]
@@ -541,7 +545,7 @@ mod tests {
         let sparse_up = vec![0.0; grid.num_regions()];
 
         // A reference load writes every region; the next sparse batch
-        // must wipe them all before going incremental.
+        // must read none of those entries.
         let mut t = RateTracker::new();
         let est_dense = estimate_rates(&live, &dense_up, &cfg);
         let ets_dense = est_dense.expected_idle_times(&cfg);
@@ -550,8 +554,8 @@ mod tests {
         let est = estimate_rates(&live, &sparse_up, &cfg);
         assert_tracker_matches(&mut t, &est, &cfg);
 
-        // A change of region count resets densely too: the touched list
-        // of a 256-region batch indexes past a 16-region grid.
+        // Neither may a change of region count: the 256-region batch's
+        // entries that survive on a 16-region grid are stale.
         let coarse = Grid::new(Point::new(-74.03, 40.58), Point::new(-73.77, 40.92), 4, 4);
         let coarse_state = BatchState::new(&coarse, &riders, &drivers, &[]);
         let coarse_ctx = coarse_state.context(0, &travel);
@@ -561,6 +565,73 @@ mod tests {
         begin(&mut t, &coarse_ctx, &coarse_up, &cfg);
         let est = estimate_rates(&coarse_ctx, &coarse_up, &cfg);
         assert_tracker_matches(&mut t, &est, &cfg);
+    }
+
+    #[test]
+    fn unfilled_regions_read_as_baseline() {
+        let grid = Grid::nyc_16x16();
+        let n = grid.num_regions();
+        let travel = ConstantSpeedModel::default();
+        let cfg = DispatchConfig::default();
+        let state = BatchState::new(
+            &grid,
+            &[rider(0, P)],
+            &[driver(0, P)],
+            &[busy(9, 100_000, P)],
+        );
+        let ctx = state.context(0, &travel);
+        let rc = ctx.region_counts;
+        let p = grid.region_of(P).idx();
+        let baseline = bits(RegionEstimate::default());
+        let baseline_et = et_for(0.0, 0.0, 0, cfg.beta, cfg.tc_s());
+
+        // Batch A fills P; batch B fills nothing, so P reads baseline.
+        let mut t = RateTracker::new();
+        t.begin_batch(n, 0, &cfg);
+        t.fill(p, rc, || 12.0);
+        let filled = bits(t.region(p));
+        assert_ne!(filled, baseline);
+        t.et(p, &cfg);
+        t.begin_batch(n, 0, &cfg);
+        assert_eq!(bits(t.region(p)), baseline, "batch A's fill leaked");
+        assert_eq!(t.et(p, &cfg).to_bits(), baseline_et.to_bits());
+        // That read fixed P's entry for batch B: a later fill is a no-op.
+        t.fill(p, rc, || unreachable!("P was already read this batch"));
+        assert_eq!(bits(t.region(p)), baseline);
+        // A fill in the next batch computes P again.
+        t.begin_batch(n, 0, &cfg);
+        t.fill(p, rc, || 12.0);
+        assert_eq!(bits(t.region(p)), filled);
+        assert_eq!(t.stats().regions_filled, 2);
+
+        // A reference load stamps every region; none survives into the
+        // next lazy batch, where a bump starts from the baseline.
+        let est = estimate_rates(&ctx, &vec![2.0; n], &cfg);
+        t.load_reference(&est, &est.expected_idle_times(&cfg));
+        assert_eq!(bits(t.region(p)), bits(est.region(p)));
+        t.begin_batch(n, 0, &cfg);
+        for k in 0..n {
+            assert_eq!(bits(t.region(k)), baseline, "region {k} after a load");
+        }
+        t.bump_mu(p, &cfg);
+        let bumped = t.region(p);
+        assert_eq!((bumped.waiting, bumped.capacity_k), (0, 1));
+        assert_eq!(bumped.mu.to_bits(), (1.0 / cfg.tc_s()).to_bits());
+
+        // A grid-size change: entries kept through a shrink and entries
+        // regrown afterwards are all stale.
+        t.begin_batch(n, 0, &cfg);
+        t.fill(3, rc, || 5.0);
+        t.fill(p, rc, || 12.0);
+        assert_ne!(bits(t.region(3)), baseline);
+        t.begin_batch(16, 0, &cfg);
+        for k in 0..16 {
+            assert_eq!(bits(t.region(k)), baseline, "region {k} after a shrink");
+        }
+        t.begin_batch(n, 0, &cfg);
+        for k in 0..n {
+            assert_eq!(bits(t.region(k)), baseline, "region {k} after a regrow");
+        }
     }
 
     #[test]

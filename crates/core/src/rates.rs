@@ -86,7 +86,38 @@ pub fn estimate_rates(
     }
 }
 
+/// One region's counts and rates — a row of [`RegionEstimates`].
+/// `Default` is the all-zero baseline that [`region_rates`] gives a
+/// region with no riders, drivers, rejoins or predicted demand.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RegionEstimate {
+    /// Waiting riders `|R_k|`.
+    pub waiting: u32,
+    /// Available drivers `|D_k|`.
+    pub available: u32,
+    /// Busy drivers rejoining in the window `|D̂_k|`.
+    pub rejoining: u32,
+    /// λ(k), per second (Eq. 18).
+    pub lambda: f64,
+    /// μ(k), per second (Eq. 19).
+    pub mu: f64,
+    /// The congestion cap `K`.
+    pub capacity_k: u64,
+}
+
 impl RegionEstimates {
+    /// Region `k`'s row.
+    pub fn region(&self, k: usize) -> RegionEstimate {
+        RegionEstimate {
+            waiting: self.waiting[k],
+            available: self.available[k],
+            rejoining: self.rejoining[k],
+            lambda: self.lambda[k],
+            mu: self.mu[k],
+            capacity_k: self.capacity_k[k],
+        }
+    }
+
     /// Computes the expected idle time (seconds) for every region from
     /// the current rate estimates (Eqs. 10/13/16). Infinite values (a
     /// region where no riders are expected) are clamped to `t_c` — the

@@ -6,7 +6,7 @@
 //! cheap baseline. Each `(scenario, policy)` row reruns one materialized
 //! workload, so differences down a column are purely batching effects.
 //! The event core makes the empty slots free (at Δ = 100 ms a day is
-//! 864 000 slots, almost all skipped) and the incremental rate tracker +
+//! 864 000 slots, almost all skipped) and the lazy rate tracker +
 //! live candidate index make the *executed* sparse-change batches cheap —
 //! the two facts this experiment exists to demonstrate.
 //!
@@ -15,7 +15,7 @@
 //! Results go to the console table and `<out>/BENCH_delta.json`, which
 //! also carries a sparse-regime microbenchmark (1 waiting rider over a
 //! 4 000-driver fleet) timing one executed batch of IRG-R under the
-//! incremental rate path against the eager reference path.
+//! lazy rate path against the eager reference path.
 
 use mrvd_bench::BatchFixture;
 use mrvd_core::{DemandOracle, DispatchConfig, QueueingPolicy};
@@ -75,13 +75,15 @@ pub fn delta(opts: &Options) {
     let micro = sparse_batch_microbench();
     println!(
         "\nsparse-regime executed batch ({} rider(s) / {} drivers, IRG-R): \
-         reference rates {:.1} µs → incremental tracker {:.1} µs ({:.1}×); \
-         idle-time solves per batch {:.0} → {:.1}",
+         reference rates {:.1} µs → lazy tracker {:.1} µs ({:.1}×); \
+         regions filled per batch {:.0} → {:.1}; idle-time solves per batch {:.0} → {:.1}",
         micro.riders,
         micro.available_drivers,
         micro.reference_us,
         micro.tracker_us,
         micro.reference_us / micro.tracker_us,
+        micro.reference_regions_per_batch,
+        micro.tracker_regions_per_batch,
         micro.reference_ets_per_batch,
         micro.tracker_ets_per_batch,
     );
@@ -134,6 +136,8 @@ pub fn delta(opts: &Options) {
         "reference_us": micro.reference_us,
         "tracker_us": micro.tracker_us,
         "speedup": micro.reference_us / micro.tracker_us,
+        "reference_regions_per_batch": micro.reference_regions_per_batch,
+        "tracker_regions_per_batch": micro.tracker_regions_per_batch,
         "reference_ets_per_batch": micro.reference_ets_per_batch,
         "tracker_ets_per_batch": micro.tracker_ets_per_batch,
     });
@@ -180,7 +184,7 @@ struct ViewsBench {
 /// number alongside the sweep it explains.
 fn views_microbench() -> ViewsBench {
     use mrvd_sim::{BatchViews, BusyDriver};
-    let fixture = BatchFixture::rush_hour(1, 10_000, 500, 7);
+    let fixture = BatchFixture::rush_hour(16, 1, 10_000, 500, 7);
     const WARMUP: usize = 10;
     const ITERS: usize = 200;
     let mut scan_views = BatchViews::new();
@@ -250,6 +254,8 @@ struct SparseBench {
     busy_drivers: usize,
     reference_us: f64,
     tracker_us: f64,
+    reference_regions_per_batch: f64,
+    tracker_regions_per_batch: f64,
     reference_ets_per_batch: f64,
     tracker_ets_per_batch: f64,
 }
@@ -257,12 +263,13 @@ struct SparseBench {
 /// Times one executed IRG-R batch in the regime fine Δ produces (one
 /// waiting rider over a large idle fleet), over a prebuilt batch state
 /// (the structures the engine keeps live), under the eager reference
-/// rate path vs the incremental lazy tracker. Candidate generation is
+/// rate path vs the lazy tracker. Candidate generation is
 /// identical in both runs, so the difference is the rate path.
 fn sparse_batch_microbench() -> SparseBench {
-    let mut fixture = BatchFixture::rush_hour(1, 4_000, 200, 7);
+    let mut fixture = BatchFixture::rush_hour(16, 1, 4_000, 200, 7);
     // Anchored riders guarantee the batch actually assigns: the tracker
-    // path then pays its lazy idle-time solve plus the μ-bump resolve —
+    // path then pays its one region fill, lazy idle-time solve and μ-bump
+    // resolve —
     // the representative executed-batch cost, not the no-candidate floor.
     fixture.anchor_riders_to_drivers();
     let travel = ConstantSpeedModel::default();
@@ -291,17 +298,26 @@ fn sparse_batch_microbench() -> SparseBench {
     let mut tracker = QueueingPolicy::irg(DispatchConfig::default(), oracle());
     let reference_us = time_policy(&mut reference);
     let tracker_us = time_policy(&mut tracker);
+    // (regions filled, idle-time solves) per batch.
     let per_batch = |p: &QueueingPolicy| {
         let s = p.rate_stats();
-        s.ets_computed as f64 / s.batches.max(1) as f64
+        let batches = s.batches.max(1) as f64;
+        (
+            s.regions_filled as f64 / batches,
+            s.ets_computed as f64 / batches,
+        )
     };
+    let (reference_regions_per_batch, reference_ets_per_batch) = per_batch(&reference);
+    let (tracker_regions_per_batch, tracker_ets_per_batch) = per_batch(&tracker);
     SparseBench {
         riders: fixture.riders.len(),
         available_drivers: fixture.drivers.len(),
         busy_drivers: fixture.busy.len(),
         reference_us,
         tracker_us,
-        reference_ets_per_batch: per_batch(&reference),
-        tracker_ets_per_batch: per_batch(&tracker),
+        reference_regions_per_batch,
+        tracker_regions_per_batch,
+        reference_ets_per_batch,
+        tracker_ets_per_batch,
     }
 }

@@ -1,12 +1,13 @@
-//! Differential battery for the incremental rate path: the engine's live
-//! per-region counts and the lazy `RateTracker` must reproduce the
-//! verbatim eager reference estimator (`estimate_rates` + the full
-//! expected-idle-time table) bit-for-bit over random event sequences —
-//! arrivals, assignments, dropoffs, reneges and shift changes — and the
-//! queueing policies must emit byte-identical assignments whichever rate
-//! path they run.
+//! Differential battery for the lazy rate path: the engine's live
+//! per-region counts and the `RateTracker` — filled eagerly or region by
+//! region — must reproduce the verbatim eager reference estimator
+//! (`estimate_rates` + the full expected-idle-time table) bit-for-bit
+//! over random event sequences — arrivals, assignments, dropoffs,
+//! reneges and shift changes — and the queueing policies must emit
+//! byte-identical assignments whichever rate path they run, over real
+//! and predicted demand alike.
 
-use mrvd::core::{estimate_rates, RateTracker};
+use mrvd::core::{estimate_rates, RateTracker, RegionEstimate, RegionEstimates};
 use mrvd::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -50,10 +51,24 @@ fn random_world(seed: u64) -> (Vec<TripRecord>, Vec<Point>, DriverSchedule) {
     (trips, pool, DriverSchedule::new(phases))
 }
 
+/// A region entry with its floats as bit patterns, for exact comparison.
+fn bits(e: RegionEstimate) -> (u32, u32, u32, u64, u64, u64) {
+    (
+        e.waiting,
+        e.available,
+        e.rejoining,
+        e.lambda.to_bits(),
+        e.mu.to_bits(),
+        e.capacity_k,
+    )
+}
+
 /// A first-fit policy that, at every executed batch, pins the engine's
-/// live counts and the incremental tracker against the verbatim eager
-/// reference estimator for *every* region — counts, λ/μ/K bits and
-/// lazy-vs-eager expected idle times.
+/// live counts and the tracker against the verbatim eager reference
+/// estimator for *every* region — counts, λ/μ/K bits and lazy-vs-eager
+/// expected idle times — twice: after the eager prefill, and after a
+/// lazy fill of every region in a scrambled order from the oracle's
+/// per-region window.
 struct RateAudit {
     cfg: DispatchConfig,
     oracle: DemandOracle,
@@ -70,6 +85,29 @@ impl RateAudit {
             tracker: RateTracker::new(),
             checks: 0,
             batches_with_busy: 0,
+        }
+    }
+
+    fn assert_tracker_matches(
+        &mut self,
+        est: &RegionEstimates,
+        ets: &[f64],
+        now_ms: u64,
+        path: &str,
+    ) {
+        for (k, et_eager) in ets.iter().enumerate() {
+            assert_eq!(
+                bits(self.tracker.region(k)),
+                bits(est.region(k)),
+                "{path}: region {k} at {now_ms}"
+            );
+            // Lazy ET == eager ET, bit for bit, on every region either
+            // path can evaluate.
+            assert_eq!(
+                self.tracker.et(k, &self.cfg).to_bits(),
+                et_eager.to_bits(),
+                "{path}: et[{k}] at {now_ms}"
+            );
         }
     }
 }
@@ -99,7 +137,7 @@ impl DispatchPolicy for RateAudit {
             "context slices are not the live views at {}",
             ctx.now_ms
         );
-        // The production fill: sparse, over the oracle's nonzero regions.
+        // The eager prefill, over the oracle's nonzero regions.
         let active: Vec<u32> = upcoming
             .iter()
             .enumerate()
@@ -108,52 +146,18 @@ impl DispatchPolicy for RateAudit {
             .collect();
         self.tracker
             .begin_batch_sparse(ctx, &upcoming, &active, &self.cfg);
-        for (k, et_eager) in ets.iter().enumerate() {
-            assert_eq!(
-                self.tracker.waiting()[k],
-                est.waiting[k],
-                "waiting[{k}] at {}",
-                ctx.now_ms
-            );
-            assert_eq!(
-                self.tracker.available()[k],
-                est.available[k],
-                "available[{k}] at {}",
-                ctx.now_ms
-            );
-            assert_eq!(
-                self.tracker.rejoining()[k],
-                est.rejoining[k],
-                "rejoining[{k}] at {}",
-                ctx.now_ms
-            );
-            assert_eq!(
-                self.tracker.lambda()[k].to_bits(),
-                est.lambda[k].to_bits(),
-                "lambda[{k}] at {}",
-                ctx.now_ms
-            );
-            assert_eq!(
-                self.tracker.mu()[k].to_bits(),
-                est.mu[k].to_bits(),
-                "mu[{k}] at {}",
-                ctx.now_ms
-            );
-            assert_eq!(
-                self.tracker.capacity_k()[k],
-                est.capacity_k[k],
-                "capacity_k[{k}] at {}",
-                ctx.now_ms
-            );
-            // Lazy ET == eager ET, bit for bit, on every region either
-            // path can evaluate.
-            assert_eq!(
-                self.tracker.et(k, &self.cfg).to_bits(),
-                et_eager.to_bits(),
-                "et[{k}] at {}",
-                ctx.now_ms
-            );
+        self.assert_tracker_matches(&est, &ets, ctx.now_ms, "prefill");
+        // The policy's lazy fill, region by region, in an order that
+        // changes every batch (37 is coprime to the 256 regions).
+        let n = upcoming.len();
+        self.tracker.begin_batch(n, ctx.now_ms, &self.cfg);
+        for i in 0..n {
+            let k = (i * 37 + self.checks) % n;
+            self.tracker.fill(k, ctx.region_counts, || {
+                self.oracle.upcoming_region(ctx.now_ms, self.cfg.tc_ms, k)
+            });
         }
+        self.assert_tracker_matches(&est, &ets, ctx.now_ms, "lazy");
         self.checks += 1;
         self.batches_with_busy += usize::from(!ctx.busy.is_empty());
         // First-fit assignments keep the event stream rich: dropoffs,
@@ -202,10 +206,13 @@ proptest! {
         prop_assert_eq!(result.counts_ops > 0, !trips.is_empty() || !pool.is_empty());
     }
 
-    /// End-to-end policy differential: IRG/LS/SHORT produce byte-identical
-    /// results whether rates come from the incremental lazy tracker
-    /// (default), the verbatim eager reference path (`reference_rates`),
-    /// or the reference path on the legacy per-Δ loop.
+    /// End-to-end policy differential: IRG/LS/SHORT over real demand and
+    /// IRG/LS over a `HistoricalAverage` forecast produce byte-identical
+    /// results whether rates come from the lazy tracker (default), the
+    /// verbatim eager reference path (`reference_rates`), or the
+    /// reference path on the legacy per-Δ loop. The predicted variants
+    /// also pin the forecast cache, which the lazy path drives only when
+    /// it reads a region.
     #[test]
     fn queueing_policies_are_invariant_to_the_rate_path(seed in 0u64..24) {
         let (trips, pool, schedule) = random_world(seed);
@@ -219,22 +226,37 @@ proptest! {
             ..SimConfig::default()
         };
         let sim = Simulator::new(config, &travel, &grid);
-        let variants: [fn(DispatchConfig, DemandOracle) -> QueueingPolicy; 3] = [
-            QueueingPolicy::irg,
-            QueueingPolicy::ls,
-            QueueingPolicy::short,
+        // A training day ahead of the simulated one, so the forecast is
+        // nonzero and differs across regions.
+        let (slots, regions) = (series.slots_per_day(), series.regions());
+        let history = DemandSeries::from_fn(2, slots, regions, |d, t, r| {
+            if d == 0 {
+                ((t * 7 + r * 13) % 5) as f64
+            } else {
+                series.get(0, t, r)
+            }
+        });
+        let real = || DemandOracle::real(series.clone(), 0);
+        let predicted =
+            || DemandOracle::predicted(Box::new(HistoricalAverage), history.clone(), 1);
+        type Build = fn(DispatchConfig, DemandOracle) -> QueueingPolicy;
+        let variants: [(Build, &dyn Fn() -> DemandOracle); 5] = [
+            (QueueingPolicy::irg, &real),
+            (QueueingPolicy::ls, &real),
+            (QueueingPolicy::short, &real),
+            (QueueingPolicy::irg, &predicted),
+            (QueueingPolicy::ls, &predicted),
         ];
-        for build in variants {
+        for (build, oracle) in variants {
             let cfg = |reference_rates| DispatchConfig {
                 reference_rates,
                 ..DispatchConfig::default()
             };
-            let oracle = || DemandOracle::real(series.clone(), 0);
-            let mut incremental = build(cfg(false), oracle());
+            let mut lazy = build(cfg(false), oracle());
             let mut reference = build(cfg(true), oracle());
             let mut legacy = build(cfg(true), oracle());
-            let name = incremental.name();
-            let fast = sim.run_scheduled(&trips, &pool, &schedule, &mut incremental);
+            let name = lazy.name();
+            let fast = sim.run_scheduled(&trips, &pool, &schedule, &mut lazy);
             let slow = sim.run_scheduled(&trips, &pool, &schedule, &mut reference);
             let loopy = sim.run_scheduled_reference(&trips, &pool, &schedule, &mut legacy);
             for (label, other) in [("reference-rates", &slow), ("legacy-loop", &loopy)] {
