@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 
 use mrvd_demand::SLOT_MS;
 use mrvd_sim::{Assignment, BatchContext, DispatchPolicy};
-use mrvd_spatial::{Grid, RegionId};
+use mrvd_spatial::Grid;
 
 use crate::candidates::{valid_candidates_with, CandidateScratch};
 use crate::oracle::DemandOracle;
@@ -70,24 +70,7 @@ impl Polar {
     pub fn new(cfg: PolarConfig, oracle: &DemandOracle, grid: &Grid, n_drivers: usize) -> Self {
         let demand = oracle.full_day_forecast();
         let n = grid.num_regions();
-        // Pairwise region proximity order, precomputed once: all (k, j)
-        // sorted by center distance.
-        let mut by_distance: Vec<(u32, u32)> = Vec::with_capacity(n * n);
-        for k in 0..n as u32 {
-            for j in 0..n as u32 {
-                by_distance.push((k, j));
-            }
-        }
-        let dist = |k: u32, j: u32| {
-            grid.center(RegionId(k))
-                .distance_m(&grid.center(RegionId(j)))
-        };
-        by_distance.sort_by(|&(a, b), &(c, d)| {
-            dist(a, b)
-                .partial_cmp(&dist(c, d))
-                .expect("distances are finite")
-                .then((a, b).cmp(&(c, d)))
-        });
+        let by_distance = proximity_order(grid);
 
         let mut blueprint = Vec::with_capacity(demand.len());
         for slot in 0..demand.len() {
@@ -111,7 +94,7 @@ impl Polar {
             let mut need: Vec<f64> = demand[slot].clone();
             // Greedy proximity transport.
             let mut flows = BTreeMap::new();
-            for &(k, j) in &by_distance {
+            for &(_, k, j) in &by_distance {
                 let f = supply[k as usize].min(need[j as usize]);
                 if f > 1e-9 {
                     supply[k as usize] -= f;
@@ -138,6 +121,27 @@ impl Polar {
             self.remaining = self.blueprint[slot].clone();
         }
     }
+}
+
+/// Every region pair `(distance, k, j)`, by ascending center distance
+/// from `k` to `j`, ties by `(k, j)`. Each distance is computed once, a
+/// row per region `k`.
+fn proximity_order(grid: &Grid) -> Vec<(f64, u32, u32)> {
+    let n = grid.num_regions();
+    let mut by_distance = Vec::with_capacity(n * n);
+    let mut row = Vec::with_capacity(n);
+    for k in grid.regions() {
+        grid.center_distances_from(k, &mut row);
+        by_distance.extend(row.iter().zip(0u32..).map(|(&d, j)| (d, k.0, j)));
+    }
+    // (k, j) is unique, so the order is total and an unstable sort gives
+    // the one order a stable sort would.
+    by_distance.sort_unstable_by(|a, b| {
+        a.0.partial_cmp(&b.0)
+            .expect("distances are finite")
+            .then((a.1, a.2).cmp(&(b.1, b.2)))
+    });
+    by_distance
 }
 
 impl DispatchPolicy for Polar {
@@ -215,7 +219,7 @@ mod tests {
     use super::*;
     use mrvd_demand::DemandSeries;
     use mrvd_sim::{AvailableDriver, BatchState, DriverId, RiderId, WaitingRider};
-    use mrvd_spatial::{ConstantSpeedModel, Point};
+    use mrvd_spatial::{ConstantSpeedModel, Point, RegionId};
 
     fn oracle(grid: &Grid) -> DemandOracle {
         let hot = grid.region_of(Point::new(-73.985, 40.755)).idx();
@@ -300,17 +304,9 @@ mod tests {
         assert_eq!(polar.current_slot, Some(1));
     }
 
-    /// Transcription of the pre-BTreeMap blueprint construction, kept
-    /// verbatim on `std::collections::HashMap`: the greedy transport
-    /// iterates `by_distance` (a Vec), so insertion order — not map
-    /// order — drives the arithmetic, and the switch of map type must
-    /// be bit-identical per key.
-    fn hashmap_reference_blueprint(
-        oracle: &DemandOracle,
-        grid: &Grid,
-        n_drivers: usize,
-    ) -> Vec<std::collections::HashMap<(u32, u32), f64>> {
-        let demand = oracle.full_day_forecast();
+    /// The original proximity sort: a stable sort whose comparator
+    /// computes both pairs' haversines on every comparison.
+    fn reference_proximity_order(grid: &Grid) -> Vec<(u32, u32)> {
         let n = grid.num_regions();
         let mut by_distance: Vec<(u32, u32)> = Vec::with_capacity(n * n);
         for k in 0..n as u32 {
@@ -328,6 +324,35 @@ mod tests {
                 .expect("distances are finite")
                 .then((a, b).cmp(&(c, d)))
         });
+        by_distance
+    }
+
+    #[test]
+    fn proximity_order_matches_the_pairwise_comparator() {
+        for (cols, rows) in [(16, 16), (7, 3)] {
+            let nyc = Grid::nyc_16x16();
+            let grid = Grid::new(nyc.min(), nyc.max(), cols, rows);
+            let order: Vec<(u32, u32)> = proximity_order(&grid)
+                .into_iter()
+                .map(|(_, k, j)| (k, j))
+                .collect();
+            assert_eq!(order, reference_proximity_order(&grid), "{cols}x{rows}");
+        }
+    }
+
+    /// Transcription of the pre-BTreeMap blueprint construction, kept
+    /// verbatim on `std::collections::HashMap`: the greedy transport
+    /// iterates `by_distance` (a Vec), so insertion order — not map
+    /// order — drives the arithmetic, and the switch of map type must
+    /// be bit-identical per key.
+    fn hashmap_reference_blueprint(
+        oracle: &DemandOracle,
+        grid: &Grid,
+        n_drivers: usize,
+    ) -> Vec<std::collections::HashMap<(u32, u32), f64>> {
+        let demand = oracle.full_day_forecast();
+        let n = grid.num_regions();
+        let by_distance = reference_proximity_order(grid);
         let mut blueprint = Vec::with_capacity(demand.len());
         for slot in 0..demand.len() {
             let supply_src = if slot == 0 {

@@ -253,13 +253,20 @@ impl NycLikeGenerator {
     /// grids. The float sequence (raw weights, one total, per-entry
     /// division, running sum) matches the per-trip computation exactly,
     /// so sampling from it is bit-identical.
+    ///
+    /// The distances come from [`Grid::center_distances_from`], which
+    /// computes the haversine's sines and cosines once per grid row and
+    /// column rather than once per pair, and still equals
+    /// `center(i).distance_m(&center(j))` bit for bit: it performs the
+    /// same IEEE operations on the same operands in the same order. So
+    /// only the square root, the `asin` and the `exp` remain per pair,
+    /// and the kernel's weights are exactly the per-pair ones.
     fn gravity_cum_into(&self, origin: RegionId, dest_w: &[f64], cum: &mut Vec<f64>) {
-        let oc = self.grid.center(origin);
-        cum.clear();
-        cum.extend(dest_w.iter().enumerate().map(|(j, &w)| {
-            let d = oc.distance_m(&self.grid.center(RegionId(j as u32)));
-            w * (-d / self.config.gravity_scale_m).exp()
-        }));
+        self.grid.center_distances_from(origin, cum);
+        debug_assert_eq!(cum.len(), dest_w.len(), "one weight per region");
+        for (c, &w) in cum.iter_mut().zip(dest_w) {
+            *c = w * (-*c / self.config.gravity_scale_m).exp();
+        }
         let total: f64 = cum.iter().sum();
         let mut acc = 0.0;
         for w in cum.iter_mut() {
@@ -278,15 +285,20 @@ impl NycLikeGenerator {
         pickup: Point,
         rng: &mut StdRng,
     ) -> Point {
+        let mut dropoff = pickup;
         for _ in 0..32 {
             let j = sample_categorical(cum, rng);
-            let p = self.random_point_in(RegionId(j as u32), rng);
-            if pickup.distance_m(&p) >= self.config.min_trip_m {
-                return p;
+            dropoff = self.random_point_in(RegionId(j as u32), rng);
+            if pickup.distance_m(&dropoff) >= self.config.min_trip_m {
+                return dropoff;
             }
         }
-        // Degenerate fallback (tiny grids): nudge to an adjacent cell.
+        // Degenerate fallback (tiny grids): nudge to an adjacent cell. A
+        // single-region grid has none, so its last draw stands.
         let neighbors = self.grid.neighbors(origin);
+        if neighbors.is_empty() {
+            return dropoff;
+        }
         let j = neighbors[rng.gen_range(0..neighbors.len())];
         self.random_point_in(j, rng)
     }
@@ -369,6 +381,7 @@ mod tests {
     use super::*;
     use mrvd_spatial::ConstantSpeedModel;
     use mrvd_spatial::TravelModel;
+    use mrvd_spatial::NYC_EXTENT;
 
     fn small_gen() -> NycLikeGenerator {
         NycLikeGenerator::new(NycLikeConfig {
@@ -381,40 +394,81 @@ mod tests {
     #[test]
     fn hoisted_gravity_cum_matches_the_per_trip_computation() {
         // The per-(slot, origin) gravity cumulative must reproduce the
-        // float sequence the old per-trip code computed inline: raw
-        // weights, one total, divide each weight, running sum.
-        let g = small_gen();
-        let dest_w = g.profile().dest_weights(17);
+        // float sequence the old per-trip code computed inline: per-pair
+        // haversine, raw weights, one total, divide each weight, running
+        // sum. Square and non-square grids, with the buffer reused.
         let scale = NycLikeConfig::default().gravity_scale_m;
         let mut cum = Vec::new();
-        for origin in [RegionId(0), RegionId(37), RegionId(255)] {
-            g.gravity_cum_into(origin, &dest_w, &mut cum);
-            let oc = g.grid().center(origin);
-            let weights: Vec<f64> = dest_w
-                .iter()
-                .enumerate()
-                .map(|(j, &w)| {
-                    let d = oc.distance_m(&g.grid().center(RegionId(j as u32)));
-                    w * (-d / scale).exp()
-                })
-                .collect();
-            let total: f64 = weights.iter().sum();
-            let mut acc = 0.0;
-            let expect: Vec<f64> = weights
-                .iter()
-                .map(|&w| {
-                    acc += w / total;
-                    acc
-                })
-                .collect();
-            assert_eq!(cum.len(), expect.len());
-            for (j, (&got, &want)) in cum.iter().zip(&expect).enumerate() {
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "origin {origin:?} dest {j}: {got} != {want}"
-                );
+        for (cols, rows) in [(16, 16), (64, 64), (7, 3)] {
+            let g = NycLikeGenerator::with_grid(
+                Grid::new(NYC_EXTENT.0, NYC_EXTENT.1, cols, rows),
+                NycLikeConfig {
+                    orders_per_day: 20_000.0,
+                    seed: 7,
+                    ..NycLikeConfig::default()
+                },
+            );
+            let dest_w = g.profile().dest_weights(17);
+            let n = g.grid().num_regions() as u32;
+            for origin in [0, 37 % n, n / 2, n - 1].map(RegionId) {
+                g.gravity_cum_into(origin, &dest_w, &mut cum);
+                let oc = g.grid().center(origin);
+                let weights: Vec<f64> = dest_w
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &w)| {
+                        let d = oc.distance_m(&g.grid().center(RegionId(j as u32)));
+                        w * (-d / scale).exp()
+                    })
+                    .collect();
+                let total: f64 = weights.iter().sum();
+                let mut acc = 0.0;
+                let expect: Vec<f64> = weights
+                    .iter()
+                    .map(|&w| {
+                        acc += w / total;
+                        acc
+                    })
+                    .collect();
+                assert_eq!(cum.len(), expect.len());
+                for (j, (&got, &want)) in cum.iter().zip(&expect).enumerate() {
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{cols}x{rows} origin {origin:?} dest {j}: {got} != {want}"
+                    );
+                }
             }
+        }
+    }
+
+    #[test]
+    fn single_region_grid_keeps_the_last_draw_when_every_trip_is_too_short() {
+        // A 1×1 grid over a ~110 m × 84 m box: every draw is shorter than
+        // `min_trip_m` and there is no neighbour to fall back to.
+        let grid = Grid::new(
+            Point::new(-73.985, 40.750),
+            Point::new(-73.984, 40.751),
+            1,
+            1,
+        );
+        let g = NycLikeGenerator::with_grid(
+            grid.clone(),
+            NycLikeConfig {
+                orders_per_day: 200.0,
+                seed: 7,
+                ..NycLikeConfig::default()
+            },
+        );
+        let trips = g.generate_day_trips(0);
+        assert!(!trips.is_empty());
+        let (lo, hi) = grid.cell_box(RegionId(0));
+        for t in &trips {
+            let p = t.dropoff;
+            assert!(
+                (lo.lon..hi.lon).contains(&p.lon) && (lo.lat..hi.lat).contains(&p.lat),
+                "dropoff {p:?} outside the cell"
+            );
         }
     }
 

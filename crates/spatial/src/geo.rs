@@ -30,12 +30,31 @@ pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
 /// of urban travel times; the paper's grid spans ~30 km so planar error
 /// would also be acceptable, but haversine keeps the crate generally
 /// usable.
+///
+/// The formula is `h = hav(Δφ) + cos φa · cos φb · hav(Δλ)`, then the arc
+/// `2R · asin(min(√h, 1))`; `hav` and the arc are crate-private helpers
+/// that [`crate::Grid::center_distances_from`] shares. Between grid
+/// centres, `hav(Δφ)` and `cos φa · cos φb` depend only on the two rows
+/// and `hav(Δλ)` only on the two columns, so that method computes them
+/// once per row or column and still reproduces this function bit for
+/// bit: it runs the same IEEE operations on the same operands in the
+/// same order, and Rust never fuses `a + p·b` into an FMA.
 pub fn haversine_m(a: Point, b: Point) -> f64 {
-    let to_rad = std::f64::consts::PI / 180.0;
-    let (lat1, lat2) = (a.lat * to_rad, b.lat * to_rad);
-    let dlat = (b.lat - a.lat) * to_rad;
-    let dlon = (b.lon - a.lon) * to_rad;
-    let h = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
+    let h = half_angle_term(b.lat - a.lat)
+        + a.lat.to_radians().cos() * b.lat.to_radians().cos() * half_angle_term(b.lon - a.lon);
+    arc_m(h)
+}
+
+/// `sin²((Δ · π/180) / 2)` of an angle difference `Δ` in degrees: the
+/// haversine of `Δ`.
+pub(crate) fn half_angle_term(delta_deg: f64) -> f64 {
+    (delta_deg.to_radians() / 2.0).sin().powi(2)
+}
+
+/// The great-circle arc, in meters, of the haversine term `h`:
+/// `2R · asin(min(√h, 1))`. The `min` absorbs rounding that pushes `h`
+/// past 1 for near-antipodal points.
+pub(crate) fn arc_m(h: f64) -> f64 {
     2.0 * EARTH_RADIUS_M * h.sqrt().min(1.0).asin()
 }
 

@@ -4,7 +4,7 @@
 //! 40.58°..40.92° lat) evenly into 16×16 grids; each grid cell is one
 //! region `a_k` with its own double-sided queue.
 
-use crate::geo::Point;
+use crate::geo::{arc_m, half_angle_term, Point};
 
 /// Identifier of a region (a cell of the [`Grid`]).
 ///
@@ -146,12 +146,51 @@ impl Grid {
     /// Geographic center of a region.
     pub fn center(&self, id: RegionId) -> Point {
         let (c, r) = self.coords(id);
+        Point::new(self.center_lon(c), self.center_lat(r))
+    }
+
+    /// Longitude of the centres of column `c`.
+    fn center_lon(&self, c: u32) -> f64 {
         let w = (self.max.lon - self.min.lon) / self.cols as f64;
+        self.min.lon + (c as f64 + 0.5) * w
+    }
+
+    /// Latitude of the centres of row `r`.
+    fn center_lat(&self, r: u32) -> f64 {
         let h = (self.max.lat - self.min.lat) / self.rows as f64;
-        Point::new(
-            self.min.lon + (c as f64 + 0.5) * w,
-            self.min.lat + (r as f64 + 0.5) * h,
-        )
+        self.min.lat + (r as f64 + 0.5) * h
+    }
+
+    /// Fills `out[j]` with `center(origin).distance_m(&center(j))` for
+    /// every region `j`, in row-major order, bit for bit.
+    ///
+    /// A centre's latitude depends only on its row and its longitude only
+    /// on its column. So `hav(Δφ)` and `cos φo · cos φr` are computed once
+    /// per row and `hav(Δλ)` once per column, and each pair costs only
+    /// `a + p·b`, a square root, a `min` and an `asin`. These are the same
+    /// IEEE operations on the same operands, in the same order, as
+    /// [`crate::haversine_m`]. Allocates one `cols`-long buffer per call.
+    ///
+    /// # Panics
+    /// Panics if `origin` is out of range.
+    pub fn center_distances_from(&self, origin: RegionId, out: &mut Vec<f64>) {
+        let o = self.center(origin);
+        let cos_o = o.lat.to_radians().cos();
+        let lon_terms: Vec<f64> = (0..self.cols)
+            .map(|c| half_angle_term(self.center_lon(c) - o.lon))
+            .collect();
+        out.clear();
+        out.reserve(self.num_regions());
+        for r in 0..self.rows {
+            let lat = self.center_lat(r);
+            let lat_term = half_angle_term(lat - o.lat);
+            let cos_product = cos_o * lat.to_radians().cos();
+            out.extend(
+                lon_terms
+                    .iter()
+                    .map(|&lon_term| arc_m(lat_term + cos_product * lon_term)),
+            );
+        }
     }
 
     /// Geographic bounding box `[min, max)` of a region.
@@ -390,6 +429,33 @@ mod tests {
             }
             if lat > g.max().lat {
                 prop_assert_eq!(r, rows - 1);
+            }
+        }
+
+        /// The factored row of centre distances is `distance_m`, bit for
+        /// bit, on non-square grids from 1 to 200 cells a side over
+        /// extents from ~1e-4 of the range to all of it.
+        #[test]
+        fn center_distances_match_distance_m_bit_for_bit(
+            cols in 1u32..=200,
+            rows in 1u32..=200,
+            lon_lo in -179.0f64..178.0,
+            lon_log_frac in -4.0f64..0.0,
+            lat_lo in -80.0f64..79.0,
+            lat_log_frac in -4.0f64..0.0,
+            raw in 0u32..u32::MAX,
+        ) {
+            let lon_hi = lon_lo + 10f64.powf(lon_log_frac) * (179.0 - lon_lo);
+            let lat_hi = lat_lo + 10f64.powf(lat_log_frac) * (80.0 - lat_lo);
+            let g = Grid::new(Point::new(lon_lo, lat_lo), Point::new(lon_hi, lat_hi), cols, rows);
+            let origin = RegionId(raw % (cols * rows));
+            let mut out = Vec::new();
+            g.center_distances_from(origin, &mut out);
+            prop_assert_eq!(out.len(), g.num_regions());
+            let oc = g.center(origin);
+            for (j, &d) in g.regions().zip(&out) {
+                let want = oc.distance_m(&g.center(j));
+                prop_assert_eq!(d.to_bits(), want.to_bits(), "{g:?} {origin}→{j}: {d} != {want}");
             }
         }
 
