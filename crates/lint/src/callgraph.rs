@@ -120,8 +120,6 @@ pub struct Node {
     pub owner: Option<String>,
     /// First line of the fn.
     pub line: u32,
-    /// Last line of the fn body.
-    pub end_line: u32,
 }
 
 /// Edge provenance.
@@ -250,7 +248,6 @@ impl CallGraph {
                     bare: fun.name.clone(),
                     owner: fun.owner.clone(),
                     line: fun.line,
-                    end_line: fun.end_line,
                 });
                 match &fun.owner {
                     Some(o) => {
@@ -278,7 +275,7 @@ impl CallGraph {
             let fun = &files[node.file].items.fns[node.fn_idx];
             for call in &fun.calls {
                 if call.kind == CallKind::Macro {
-                    continue; // panic-capable macros are C002's business
+                    continue; // not a fn; the calls in its args are their own sites
                 }
                 match g.resolve(node.file, fun, call) {
                     Res::Edges(targets) => {

@@ -1,8 +1,8 @@
-//! The checked-in `lint.toml`: path allowlist plus parallel roots.
+//! The checked-in `lint.toml`: path allowlist plus call-graph roots.
 //!
 //! A tiny, dependency-free parser for exactly the shapes the file uses —
 //! `#` comments, repeated `[[allow]]` tables of string keys, and one
-//! `[roots]` section with repeated `fn` / `spawn_path` keys:
+//! `[roots]` section with repeated `fn` keys:
 //!
 //! ```toml
 //! [[allow]]
@@ -12,20 +12,16 @@
 //!
 //! [roots]
 //! fn = "parallel_map"
-//! spawn_path = "crates/stats/src/parallel.rs"
 //! ```
 //!
 //! `path` is a workspace-relative prefix (forward slashes); `rule` is one
 //! of the determinism rule ids; `reason` is mandatory and non-empty.
 //! Entries that match no finding are reported as unused — the allowlist
-//! must shrink when the code it excuses is fixed. C rules cannot appear
-//! in `[[allow]]` at all: worker-reachable findings are only waivable by
-//! an inline pragma at the exact site. Each `[roots]` `fn` names a
-//! parallel entry point (`Type::method` or a bare fn name) whose
-//! transitive callees the C rules audit; `spawn_path` marks the file(s)
-//! allowed to call `thread::spawn`/`scope.spawn` (C005).
+//! must shrink when the code it excuses is fixed. Each `[roots]` `fn`
+//! names an entry point (`Type::method` or a bare fn name) whose
+//! transitive callees `LINT_callgraph.json` lists as reachable.
 
-use crate::rules::{is_known_rule, is_reach_rule};
+use crate::rules::is_known_rule;
 
 /// One `[[allow]]` entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,7 +43,7 @@ impl Allow {
     }
 }
 
-/// One `[roots]` `fn = "…"` entry: a declared parallel entry point.
+/// One `[roots]` `fn = "…"` entry: a declared call-graph root.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RootSpec {
     /// `Type::method` or bare fn name to match against the call graph.
@@ -61,10 +57,8 @@ pub struct RootSpec {
 pub struct Config {
     /// All `[[allow]]` entries, in file order.
     pub allows: Vec<Allow>,
-    /// Declared parallel roots, in file order.
+    /// Declared call-graph roots, in file order.
     pub roots: Vec<RootSpec>,
-    /// Path prefixes where `thread::spawn` is sanctioned (C005).
-    pub spawn_ok: Vec<String>,
 }
 
 /// Parses `lint.toml` text. Returns the config plus any validation
@@ -88,12 +82,6 @@ pub fn parse(text: &str) -> (Config, Vec<String>) {
             ));
         } else if !is_known_rule(&a.rule) {
             errors.push(format!("lint.toml:{line}: unknown rule `{}`", a.rule));
-        } else if is_reach_rule(&a.rule) {
-            errors.push(format!(
-                "lint.toml:{line}: rule `{}` is a worker-reachability rule and cannot be \
-                 path-allowlisted — suppress it with an inline pragma at the site",
-                a.rule
-            ));
         } else if a.reason.trim().is_empty() {
             errors.push(format!(
                 "lint.toml:{line}: [[allow]] for `{}` has no `reason` — every \
@@ -156,7 +144,6 @@ pub fn parse(text: &str) -> (Config, Vec<String>) {
                     name: value.to_string(),
                     line: lineno,
                 }),
-                "spawn_path" => cfg.spawn_ok.push(value.replace('\\', "/")),
                 other => errors.push(format!(
                     "lint.toml:{lineno}: unknown key `{other}` in [roots]"
                 )),
@@ -224,10 +211,12 @@ mod tests {
         let (cfg, errs) = parse(
             "[roots]\nfn = \"parallel_map\"\nfn = \"Slots::drain_worker\"\nspawn_path = \"crates/stats/src/parallel.rs\"\n\n[[allow]]\npath = \"x\"\nrule = \"D002\"\nreason = \"r\"\n",
         );
-        assert!(errs.is_empty(), "{errs:?}");
-        assert_eq!(cfg.roots.len(), 2);
-        assert_eq!(cfg.roots[0].name, "parallel_map");
-        assert_eq!(cfg.spawn_ok, vec!["crates/stats/src/parallel.rs"]);
+        // `spawn_path` is not a [roots] key: it is an error, and the
+        // rest of the file still parses.
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].contains("unknown key `spawn_path`"), "{errs:?}");
+        let roots: Vec<&str> = cfg.roots.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(roots, ["parallel_map", "Slots::drain_worker"]);
         assert_eq!(cfg.allows.len(), 1);
     }
 
@@ -236,7 +225,7 @@ mod tests {
         let (cfg, errs) = parse("[[allow]]\npath = \"x\"\nrule = \"C002\"\nreason = \"r\"\n");
         assert!(cfg.allows.is_empty());
         assert_eq!(errs.len(), 1);
-        assert!(errs[0].contains("inline pragma"), "{errs:?}");
+        assert!(errs[0].contains("unknown rule `C002`"), "{errs:?}");
     }
 
     #[test]

@@ -1,19 +1,18 @@
 //! Orchestration: walk the workspace, run the flat rules, build the call
-//! graph, close over the declared parallel roots, run the reachability
-//! rules, apply suppressions, audit the suppressions themselves.
+//! graph and close over the declared roots (for `LINT_callgraph.json`),
+//! apply suppressions, audit the suppressions themselves.
 
 use std::fs;
 use std::path::Path;
 
 use crate::callgraph::{CallGraph, FileInput};
 use crate::config::{self, Config};
-use crate::crules::{self, CRuleCtx, FnSpan};
 use crate::lexer::{lex, Lexed};
 use crate::parser::parse_file;
 use crate::pragma::{parse_pragmas, Pragma};
 use crate::reach;
 use crate::report::{Finding, Report, Suppression};
-use crate::rules::{check_all, detect_test_spans, is_reach_rule, FileCtx};
+use crate::rules::{check_all, detect_test_spans, FileCtx};
 use crate::walk::{is_test_path, rust_files};
 
 /// Analysis of a single source text, before config-level suppression.
@@ -26,31 +25,25 @@ pub struct FileAnalysis {
 }
 
 /// The full result of a workspace scan: the findings report plus the
-/// call-graph artifact behind the C rules.
+/// call-graph artifact.
 #[derive(Debug)]
 pub struct Scan {
     /// Findings, suppressions, counts.
     pub report: Report,
-    /// `LINT_callgraph.json` content: nodes, edges, the worker-reachable
-    /// set with chains, and unresolved-call accounting.
+    /// `LINT_callgraph.json` content: nodes, edges, the set reachable
+    /// from the `[roots]` with chains, and unresolved-call accounting.
     pub callgraph_json: String,
 }
 
-/// Lexes and rule-checks one source text with the flat (D) rules only.
-/// `rel_path` decides path-scoped rules (D005) and path-level test
-/// exemption; pass a `tests/`-free path to treat fixture text as
-/// production code. Reachability rules need a whole workspace — see
-/// [`scan_sources`].
-pub fn analyze_source(rel_path: &str, source: &str) -> FileAnalysis {
-    let lexed = lex(source);
-    let test_spans = detect_test_spans(&lexed);
+/// The flat-rule findings of one lexed file, unsuppressed.
+fn flat_findings(rel_path: &str, lexed: &Lexed, test_spans: &[(u32, u32)]) -> Vec<Finding> {
     let ctx = FileCtx {
         rel_path,
-        lexed: &lexed,
-        test_spans: &test_spans,
+        lexed,
+        test_spans,
         is_test_path: is_test_path(rel_path),
     };
-    let findings = check_all(&ctx)
+    check_all(&ctx)
         .into_iter()
         .map(|raw| Finding {
             rule: raw.rule.to_string(),
@@ -58,21 +51,27 @@ pub fn analyze_source(rel_path: &str, source: &str) -> FileAnalysis {
             line: raw.line,
             message: raw.message,
             suppressed: None,
-            chain: vec![],
         })
-        .collect();
+        .collect()
+}
+
+/// Lexes and rule-checks one source text. `rel_path` decides
+/// path-scoped rules (D005) and path-level test exemption; pass a
+/// `tests/`-free path to treat fixture text as production code. The
+/// audits that need the whole workspace (unused `lint.toml` entries,
+/// unmatched roots) run in [`scan_sources`].
+pub fn analyze_source(rel_path: &str, source: &str) -> FileAnalysis {
+    let lexed = lex(source);
+    let test_spans = detect_test_spans(&lexed);
     FileAnalysis {
-        findings,
+        findings: flat_findings(rel_path, &lexed, &test_spans),
         pragmas: parse_pragmas(&lexed),
     }
 }
 
 /// Resolves suppressions for one file's findings in place. Returns, per
 /// pragma, whether it suppressed at least one finding; config usage is
-/// tracked in `config_used` (parallel to `config.allows`). C findings
-/// are never config-suppressible — only a pragma at the site counts
-/// (the config parser rejects C rules in `[[allow]]`, this is the
-/// engine-side backstop).
+/// tracked in `config_used` (parallel to `config.allows`).
 pub fn resolve_suppressions(
     findings: &mut [Finding],
     pragmas: &[Pragma],
@@ -94,7 +93,7 @@ pub fn resolve_suppressions(
                 break;
             }
         }
-        if f.suppressed.is_some() || is_reach_rule(&f.rule) {
+        if f.suppressed.is_some() {
             continue;
         }
         for (ai, a) in config.allows.iter().enumerate() {
@@ -126,21 +125,20 @@ pub fn apply_suppressions(
     )
 }
 
-/// Per-file state carried between the two scan passes.
+/// Per-file state carried from the per-file pass to the workspace pass.
 struct FileScan {
     rel: String,
-    lexed: Lexed,
     test_spans: Vec<(u32, u32)>,
-    is_test_path: bool,
     items: crate::items::FileItems,
     pragmas: Vec<Pragma>,
     findings: Vec<Finding>,
 }
 
-/// Runs the full two-pass scan over in-memory `(rel_path, source)`
-/// pairs: pass one lexes, parses and runs the flat rules per file; then
-/// the workspace call graph is built, the closure of `config.roots`
-/// computed, and the C rules run over each file's fn spans.
+/// Runs the full scan over in-memory `(rel_path, source)` pairs: pass
+/// one lexes, parses and runs the flat rules per file; pass two builds
+/// the workspace call graph, matches `config.roots` against it (P005)
+/// and renders the closure of the matched roots as the call-graph
+/// artifact; then suppressions are resolved and audited.
 pub fn scan_sources(root_display: &str, files: &[(String, String)], config: &Config) -> Scan {
     // Pass one: per-file lexing, parsing, flat rules.
     let mut scans: Vec<FileScan> = files
@@ -148,46 +146,24 @@ pub fn scan_sources(root_display: &str, files: &[(String, String)], config: &Con
         .map(|(rel, source)| {
             let lexed = lex(source);
             let test_spans = detect_test_spans(&lexed);
-            let is_test = is_test_path(rel);
-            let ctx = FileCtx {
-                rel_path: rel,
-                lexed: &lexed,
-                test_spans: &test_spans,
-                is_test_path: is_test,
-            };
-            let findings = check_all(&ctx)
-                .into_iter()
-                .map(|raw| Finding {
-                    rule: raw.rule.to_string(),
-                    path: rel.clone(),
-                    line: raw.line,
-                    message: raw.message,
-                    suppressed: None,
-                    chain: vec![],
-                })
-                .collect();
-            let pragmas = parse_pragmas(&lexed);
-            let items = parse_file(&lexed);
             FileScan {
                 rel: rel.clone(),
-                lexed,
+                findings: flat_findings(rel, &lexed, &test_spans),
+                pragmas: parse_pragmas(&lexed),
+                items: parse_file(&lexed),
                 test_spans,
-                is_test_path: is_test,
-                items,
-                pragmas,
-                findings,
             }
         })
         .collect();
 
-    // Pass two: call graph, roots, closure, C rules.
+    // Pass two: call graph, roots, closure.
     let inputs: Vec<FileInput<'_>> = scans
         .iter()
         .map(|s| FileInput {
             rel: &s.rel,
             items: &s.items,
             test_spans: &s.test_spans,
-            is_test_path: s.is_test_path,
+            is_test_path: is_test_path(&s.rel),
         })
         .collect();
     let graph = CallGraph::build(&inputs);
@@ -206,7 +182,6 @@ pub fn scan_sources(root_display: &str, files: &[(String, String)], config: &Con
                     spec.name
                 ),
                 suppressed: None,
-                chain: vec![],
             });
         }
         for id in matched {
@@ -218,47 +193,6 @@ pub fn scan_sources(root_display: &str, files: &[(String, String)], config: &Con
     let reach = reach::closure(graph.nodes.len(), &graph.adjacency(), &root_ids);
     let root_display_names: Vec<String> = config.roots.iter().map(|r| r.name.clone()).collect();
     let callgraph_json = graph.render_json(&reach, &root_ids, &root_display_names.join(", "));
-
-    // Per-file fn spans with reachability + chains, then the C rules.
-    let mut fn_spans: Vec<Vec<FnSpan>> = vec![Vec::new(); scans.len()];
-    for (id, node) in graph.nodes.iter().enumerate() {
-        let chain = if reach.is_reachable(id) {
-            reach
-                .chain_to(id)
-                .into_iter()
-                .map(|v| graph.nodes[v].name.clone())
-                .collect()
-        } else {
-            Vec::new()
-        };
-        fn_spans[node.file].push(FnSpan {
-            line: node.line,
-            end_line: node.end_line,
-            reachable: reach.is_reachable(id),
-            chain,
-        });
-    }
-    for (s, spans) in scans.iter_mut().zip(&fn_spans) {
-        let ctx = CRuleCtx {
-            rel_path: &s.rel,
-            lexed: &s.lexed,
-            test_spans: &s.test_spans,
-            is_test_path: s.is_test_path,
-            fn_spans: spans,
-            has_roots: !root_ids.is_empty(),
-            spawn_ok: &config.spawn_ok,
-        };
-        for c in crules::check_file(&ctx) {
-            s.findings.push(Finding {
-                rule: c.rule.to_string(),
-                path: s.rel.clone(),
-                line: c.line,
-                message: c.message,
-                suppressed: None,
-                chain: c.chain,
-            });
-        }
-    }
 
     // Suppression resolution + pragma/allowlist audits.
     let mut report = Report {
@@ -278,7 +212,6 @@ pub fn scan_sources(root_display: &str, files: &[(String, String)], config: &Con
                     line: p.line,
                     message: format!("malformed pragma: {err}"),
                     suppressed: None,
-                    chain: vec![],
                 });
             } else if !pragma_used[pi] {
                 report.findings.push(Finding {
@@ -291,7 +224,6 @@ pub fn scan_sources(root_display: &str, files: &[(String, String)], config: &Con
                         p.rules.join(", ")
                     ),
                     suppressed: None,
-                    chain: vec![],
                 });
             }
         }
@@ -310,7 +242,6 @@ pub fn scan_sources(root_display: &str, files: &[(String, String)], config: &Con
                     a.path, a.rule
                 ),
                 suppressed: None,
-                chain: vec![],
             });
         }
     }
@@ -343,7 +274,6 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Scan> {
             line: 0,
             message: err,
             suppressed: None,
-            chain: vec![],
         });
     }
     scan.report
@@ -421,31 +351,44 @@ mod tests {
     }
 
     #[test]
-    fn worker_reachable_unwrap_is_a_c002_with_chain() {
-        let src = "fn root_fn(v: &[u32]) { helper(v); }\nfn helper(v: &[u32]) { let _ = v.first().unwrap(); }\nfn bystander(v: &[u32]) { let _ = v.first().unwrap(); }\n";
-        let toml = "[roots]\nfn = \"root_fn\"\n";
+    fn stale_and_malformed_suppressions_are_p001_p002_p003() {
+        let src = "fn f() {
+    // lint:allow(D002): batch timing telemetry only
+    let t = std::time::Instant::now();
+    // lint:allow(D002): the read it excused was deleted
+    let u = 1;
+    // lint:allow(D002)
+    let v = std::time::Instant::now();
+}
+";
+        let toml = "[[allow]]\npath = \"crates/x\"\nrule = \"D001\"\nreason = \"no hash iteration left\"\n";
         let scan = scan_one("crates/x/src/a.rs", src, toml);
-        let c002: Vec<&Finding> = scan
+        let found: Vec<(&str, &str, u32, bool)> = scan
             .report
             .findings
             .iter()
-            .filter(|f| f.rule == "C002")
+            .map(|f| {
+                (
+                    f.rule.as_str(),
+                    f.path.as_str(),
+                    f.line,
+                    f.suppressed.is_some(),
+                )
+            })
             .collect();
-        assert_eq!(c002.len(), 1, "{:?}", scan.report.findings);
-        assert_eq!(c002[0].line, 2);
-        assert_eq!(c002[0].chain, vec!["root_fn", "helper"]);
-        assert!(scan.callgraph_json.contains("\"root_fn\""));
-    }
-
-    #[test]
-    fn c002_pragma_suppression_and_p002_audit() {
-        let src = "fn root_fn(v: &[u32]) {\n  // lint:allow(C002): bounds checked by caller\n  let _ = v[0];\n}\n";
-        let toml = "[roots]\nfn = \"root_fn\"\n";
-        let scan = scan_one("crates/x/src/a.rs", src, toml);
-        assert!(scan.report.is_clean(), "{:?}", scan.report.findings);
-        let f = &scan.report.findings[0];
-        assert_eq!(f.rule, "C002");
-        assert!(matches!(f.suppressed, Some(Suppression::Pragma { .. })));
+        assert_eq!(
+            found,
+            vec![
+                ("D002", "crates/x/src/a.rs", 3, true),
+                ("P002", "crates/x/src/a.rs", 4, false),
+                ("P001", "crates/x/src/a.rs", 6, false),
+                // A malformed pragma suppresses nothing.
+                ("D002", "crates/x/src/a.rs", 7, false),
+                ("P003", "lint.toml", 1, false),
+            ],
+            "{:#?}",
+            scan.report.findings
+        );
     }
 
     #[test]
@@ -463,28 +406,5 @@ mod tests {
             .collect();
         assert_eq!(p005.len(), 1);
         assert!(p005[0].message.contains("NoSuch::fn_name"));
-    }
-
-    #[test]
-    fn d_rules_inside_workers_escalate_to_c001() {
-        let src = "fn root_fn() { let t = std::time::Instant::now(); }\n";
-        let toml = "[roots]\nfn = \"root_fn\"\n";
-        let scan = scan_one("crates/x/src/a.rs", src, toml);
-        let rules: Vec<&str> = scan
-            .report
-            .findings
-            .iter()
-            .map(|f| f.rule.as_str())
-            .collect();
-        assert!(rules.contains(&"D002"), "{rules:?}");
-        assert!(rules.contains(&"C001"), "{rules:?}");
-    }
-
-    #[test]
-    fn no_roots_means_no_c_findings() {
-        let src = "fn f(v: &[u32]) { let _ = v[0]; }\n";
-        let scan = scan_one("crates/x/src/a.rs", src, "");
-        assert!(scan.report.is_clean(), "{:?}", scan.report.findings);
-        assert!(scan.callgraph_json.contains("\"reachable\""));
     }
 }

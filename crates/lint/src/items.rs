@@ -234,12 +234,6 @@ pub fn indexed_elem(ty: &[String]) -> Option<Vec<String>> {
     None
 }
 
-/// Whether a type mentions an `Atomic*` ident (C004's receiver
-/// evidence).
-pub fn mentions_atomic(ty: &[String]) -> bool {
-    ty.iter().any(|t| t.starts_with("Atomic"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,13 +262,6 @@ mod tests {
         );
         assert_eq!(indexed_elem(&toks("[ u32 ; 4 ]")), Some(toks("u32")));
         assert_eq!(indexed_elem(&toks("BTreeMap < u32 , u32 >")), None);
-    }
-
-    #[test]
-    fn atomic_mention_is_detected() {
-        assert!(mentions_atomic(&toks("Vec < AtomicU64 >")));
-        assert!(mentions_atomic(&toks("AtomicUsize")));
-        assert!(!mentions_atomic(&toks("Mutex < u64 >")));
     }
 
     #[test]

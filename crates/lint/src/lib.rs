@@ -19,24 +19,13 @@
 //! | D006 | `unsafe` without `// SAFETY:` | undocumented unsafety |
 //! | D007 | `{:?}`-formatting hash collections into output | nondeterministic persisted reports |
 //!
-//! On top of the flat rules, a structural pass ([`parser`] → [`items`] →
-//! [`callgraph`] → [`reach`]) recovers every fn, call expression and
-//! struct field in the workspace, resolves calls into a call graph, and
-//! computes the transitive closure of the parallel roots declared in
-//! `lint.toml [roots]` (the worker loop of the `parallel_map` pool). The
-//! **C rules** ([`crules`]) then hold that worker-reachable set to a
-//! stricter standard:
-//!
-//! | rule | pattern in worker-reachable code |
-//! |------|----------------------------------|
-//! | C001 | any D001/D002/D003/D007 hit, even where a path would exempt it |
-//! | C002 | panic-capable ops: `unwrap`/`expect`, panic-family macros, slice indexing, narrowing `as` |
-//! | C003 | non-`Sync` interior mutability (`RefCell`/`Cell`/…), `static mut`, `thread_local!` |
-//! | C004 | atomic load/store/RMW without an explicit `Ordering` argument |
-//! | C005 | `thread::spawn` outside the sanctioned pool module |
-//!
-//! C findings carry the call chain (root → … → offending fn) and are
-//! pragma-only: a `lint.toml` path prefix cannot excuse them.
+//! Alongside the flat rules, a structural pass ([`parser`] → [`items`] →
+//! [`callgraph`] → [`reach`]) recovers every fn and call expression in
+//! the workspace, resolves calls into a call graph, and computes the
+//! transitive closure of the roots declared in `lint.toml [roots]` (the
+//! `parallel_map` pool). It gates nothing: it feeds the
+//! `--callgraph` artifact (`LINT_callgraph.json`) and the P005 check
+//! that every root still names a function.
 //!
 //! Suppression is explicit and auditable: inline
 //! `// lint:allow(rule): reason` pragmas ([`pragma`]) and a checked-in
@@ -62,7 +51,6 @@
 
 pub mod callgraph;
 pub mod config;
-pub mod crules;
 pub mod engine;
 pub mod items;
 pub mod lexer;

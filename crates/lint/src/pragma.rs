@@ -119,8 +119,12 @@ mod tests {
 
     #[test]
     fn unknown_rule_is_an_error() {
-        let p = parse_pragmas(&lex("// lint:allow(D999): nope\nx();\n"));
-        assert!(p[0].error.as_deref().unwrap().contains("D999"));
+        // C-prefixed ids are not rules: a waiver for one is an error.
+        for rule in ["D999", "C002"] {
+            let p = parse_pragmas(&lex(&format!("// lint:allow({rule}): nope\nx();\n")));
+            let err = p[0].error.as_deref().unwrap();
+            assert!(err.contains(&format!("unknown rule `{rule}`")), "{err}");
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Reachability over the call graph.
 //!
-//! A deterministic breadth-first closure from the declared parallel
-//! roots, with parent pointers so every finding can carry its full call
-//! chain (root → … → offending fn). Kept as a pure function over plain
+//! A deterministic breadth-first closure from the declared roots, with
+//! parent pointers so every reachable fn can carry its full call chain
+//! (root → … → fn) in `LINT_callgraph.json`. Kept as a pure function over plain
 //! adjacency lists — no graph types — so properties (monotonicity under
 //! edge addition, chain validity) are directly testable.
 

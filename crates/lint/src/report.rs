@@ -11,8 +11,9 @@ use crate::rules::rule_summary;
 /// Schema version stamped into every JSON rendering. Bump when the
 /// report shape changes so downstream consumers fail loudly instead of
 /// mis-reading fields. Version history: 1 = flat D/P findings; 2 = adds
-/// `schema_version` itself, call-graph C rules and per-finding `chain`.
-pub const SCHEMA_VERSION: u32 = 2;
+/// `schema_version` itself, call-graph C rules and per-finding `chain`;
+/// 3 = drops the C rules and `chain` again.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// How a finding was suppressed, if it was.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,7 +38,8 @@ pub enum Suppression {
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Rule id (`D001`…`D007`, or `P001` malformed pragma, `P002` unused
-    /// pragma, `P003` unused lint.toml allow, `P004` lint.toml error).
+    /// pragma, `P003` unused lint.toml allow, `P004` lint.toml error,
+    /// `P005` unmatched `[roots]` fn).
     pub rule: String,
     /// Workspace-relative file path (empty for config-level findings).
     pub path: String,
@@ -47,10 +49,6 @@ pub struct Finding {
     pub message: String,
     /// `Some` when suppressed, with the audit trail.
     pub suppressed: Option<Suppression>,
-    /// For worker-reachability (C-rule) findings: the call chain from a
-    /// declared parallel root to the fn containing the finding, as
-    /// qualified fn names. Empty for flat rules.
-    pub chain: Vec<String>,
 }
 
 /// The aggregate result of one workspace scan.
@@ -104,9 +102,6 @@ impl Report {
                     "{}:{}: {} {}\n",
                     f.path, f.line, f.rule, f.message
                 ));
-            }
-            if !f.chain.is_empty() {
-                out.push_str(&format!("    via {}\n", f.chain.join(" -> ")));
             }
         }
         out.push_str(&format!(
@@ -163,10 +158,6 @@ impl Report {
             out.push_str(&format!("\"path\": {}, ", json_str(&f.path)));
             out.push_str(&format!("\"line\": {}, ", f.line));
             out.push_str(&format!("\"message\": {}, ", json_str(&f.message)));
-            if !f.chain.is_empty() {
-                let links: Vec<String> = f.chain.iter().map(|c| json_str(c)).collect();
-                out.push_str(&format!("\"chain\": [{}], ", links.join(", ")));
-            }
             match &f.suppressed {
                 None => out.push_str("\"suppressed\": null}"),
                 Some(Suppression::Pragma { reason }) => out.push_str(&format!(
@@ -226,7 +217,6 @@ mod tests {
                     suppressed: Some(Suppression::Pragma {
                         reason: "telemetry".into(),
                     }),
-                    chain: vec![],
                 },
                 Finding {
                     rule: "D001".into(),
@@ -234,15 +224,13 @@ mod tests {
                     line: 3,
                     message: "hash \"iteration\"".into(),
                     suppressed: None,
-                    chain: vec![],
                 },
                 Finding {
-                    rule: "C002".into(),
-                    path: "crates/stats/src/parallel.rs".into(),
-                    line: 120,
-                    message: "panic-capable `.unwrap()`".into(),
+                    rule: "P002".into(),
+                    path: "crates/x/src/a.rs".into(),
+                    line: 7,
+                    message: "unused pragma `lint:allow(D002)`".into(),
                     suppressed: None,
-                    chain: vec!["parallel_map".into(), "relock".into()],
                 },
             ],
         }
@@ -255,7 +243,7 @@ mod tests {
         assert!(!r.is_clean());
         assert_eq!(r.per_rule()["D002"], (1, 1));
         assert_eq!(r.per_rule()["D001"], (1, 0));
-        assert_eq!(r.per_rule()["C002"], (1, 0));
+        assert_eq!(r.per_rule()["P002"], (1, 0));
     }
 
     #[test]
@@ -265,17 +253,11 @@ mod tests {
         assert!(j.contains("\"gating\": 2"));
         assert!(j.contains("hash \\\"iteration\\\""));
         assert!(j.contains("\"by\": \"pragma\""));
-        assert!(j.contains("\"chain\": [\"parallel_map\", \"relock\"]"));
+        assert!(!j.contains("\"chain\""));
         assert!(j.contains("\"clean\": false"));
         // Balanced braces/brackets as a cheap well-formedness check.
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
-    }
-
-    #[test]
-    fn human_rendering_shows_chains() {
-        let h = sample().render_human();
-        assert!(h.contains("via parallel_map -> relock"));
     }
 
     #[test]

@@ -9,12 +9,9 @@
 
 use crate::lexer::{Lexed, Token, TokenKind};
 
-/// All rule identifiers, in catalog order. `D` rules are flat token
-/// checks; `C` rules ([`crate::crules`]) run over the worker-reachable
-/// set of the workspace call graph.
-pub const RULES: [&str; 12] = [
-    "D001", "D002", "D003", "D004", "D005", "D006", "D007", "C001", "C002", "C003", "C004", "C005",
-];
+/// All rule identifiers, in catalog order: flat token checks, one file
+/// at a time.
+pub const RULES: [&str; 7] = ["D001", "D002", "D003", "D004", "D005", "D006", "D007"];
 
 /// One-line summary of a rule, for reports.
 pub fn rule_summary(rule: &str) -> &'static str {
@@ -26,11 +23,6 @@ pub fn rule_summary(rule: &str) -> &'static str {
         "D005" => "narrowing `as u32`/`as usize` cast in spatial region arithmetic",
         "D006" => "`unsafe` without a `// SAFETY:` comment",
         "D007" => "{:?}-formatting a hash collection into output",
-        "C001" => "determinism violation (D001/D002/D003/D007) in worker-reachable code",
-        "C002" => "panic-capable operation in worker-reachable code",
-        "C003" => "non-Sync interior mutability or mutable static in worker-reachable code",
-        "C004" => "atomic operation without an explicit Ordering in worker-reachable code",
-        "C005" => "thread spawn outside the sanctioned worker-pool module",
         _ => "meta finding",
     }
 }
@@ -38,13 +30,6 @@ pub fn rule_summary(rule: &str) -> &'static str {
 /// Whether `rule` is a known determinism rule id.
 pub fn is_known_rule(rule: &str) -> bool {
     RULES.contains(&rule)
-}
-
-/// Whether `rule` is a call-graph (worker-reachability) rule. These may
-/// only be suppressed by an inline pragma at the site — a `lint.toml`
-/// path prefix is too blunt for code that runs inside workers.
-pub fn is_reach_rule(rule: &str) -> bool {
-    rule.starts_with('C')
 }
 
 /// A rule hit before suppression is applied.

@@ -147,7 +147,7 @@ mod tests {
         assert_eq!(all.len(), 6);
         let mut names: Vec<&str> = all.iter().map(|s| s.name.as_str()).collect();
         for s in &all {
-            s.validate();
+            s.validate().unwrap();
         }
         names.sort_unstable();
         names.dedup();

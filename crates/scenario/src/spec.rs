@@ -43,15 +43,14 @@ pub struct DriverPhase {
 }
 
 /// Optional simulator-parameter overrides; `None` keeps the
-/// [`mrvd_sim::SimConfig`] default (Δ = 3 s, τ = 180 s, one day).
+/// [`mrvd_sim::SimConfig`] default (Δ = 3 s, τ = 180 s). The horizon is
+/// always the default one day: trips are generated across the whole day.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimOverrides {
     /// Batch interval Δ override, ms.
     pub batch_interval_ms: Option<u64>,
     /// Deadline-tightness override: base pickup wait τ, ms.
     pub base_wait_ms: Option<u64>,
-    /// Horizon override, ms.
-    pub horizon_ms: Option<u64>,
 }
 
 /// A complete declarative workload scenario: an NYC-like base day plus
@@ -117,86 +116,78 @@ impl ScenarioSpec {
 
     /// Checks internal consistency.
     ///
-    /// # Panics
-    /// Panics on non-positive volume or speed factor, inverted windows,
-    /// non-positive surge factors, negative injection mass, or an invalid
-    /// driver schedule (empty, not starting at 0, or unsorted).
-    pub fn validate(&self) {
-        assert!(
+    /// # Errors
+    /// Names the first problem, prefixed with the scenario name:
+    /// non-positive volume or speed factor, an empty or oversized grid,
+    /// inverted or out-of-day windows, non-positive surge factors,
+    /// negative injection mass, an invalid driver schedule (empty, not
+    /// starting at 0, or unsorted), or a zero batch interval override.
+    pub fn validate(&self) -> Result<(), String> {
+        let check = |ok: bool, what: &str| {
+            if ok {
+                Ok(())
+            } else {
+                Err(format!("{}: {what}", self.name))
+            }
+        };
+        check(
             self.orders_per_day > 0.0 && self.orders_per_day.is_finite(),
-            "{}: orders_per_day must be positive",
-            self.name
-        );
-        assert!(
+            "orders_per_day must be positive",
+        )?;
+        check(
             self.speed_factor > 0.0 && self.speed_factor.is_finite(),
-            "{}: speed_factor must be positive",
-            self.name
-        );
-        assert!(
+            "speed_factor must be positive",
+        )?;
+        check(
             self.grid_cols > 0 && self.grid_rows > 0,
-            "{}: grid dimensions must be positive",
-            self.name
-        );
-        assert!(
+            "grid dimensions must be positive",
+        )?;
+        check(
             (self.grid_cols as u64)
                 .checked_mul(self.grid_rows as u64)
                 .is_some_and(|n| n <= u32::MAX as u64),
-            "{}: grid_cols x grid_rows overflows the u32 region-id space",
-            self.name
-        );
+            "grid_cols x grid_rows overflows the u32 region-id space",
+        )?;
         for s in &self.surges {
-            assert!(
-                s.start_ms < s.end_ms,
-                "{}: inverted surge window",
-                self.name
-            );
-            assert!(
+            check(s.start_ms < s.end_ms, "inverted surge window")?;
+            check(
                 s.end_ms <= mrvd_demand::DAY_MS,
-                "{}: surge window extends past the 24h day",
-                self.name
-            );
-            assert!(
+                "surge window extends past the 24h day",
+            )?;
+            check(
                 s.factor > 0.0 && s.factor.is_finite(),
-                "{}: surge factor must be positive",
-                self.name
-            );
+                "surge factor must be positive",
+            )?;
         }
         for h in &self.hotspots {
-            assert!(
-                h.start_ms < h.end_ms,
-                "{}: inverted hotspot window",
-                self.name
-            );
-            assert!(
+            check(h.start_ms < h.end_ms, "inverted hotspot window")?;
+            check(
                 h.end_ms <= mrvd_demand::DAY_MS,
-                "{}: hotspot window extends past the 24h day (its mass would be dropped)",
-                self.name
-            );
-            assert!(
+                "hotspot window extends past the 24h day (its mass would be dropped)",
+            )?;
+            check(
                 h.extra_orders >= 0.0 && h.extra_orders.is_finite(),
-                "{}: hotspot mass must be non-negative",
-                self.name
-            );
+                "hotspot mass must be non-negative",
+            )?;
         }
         // DriverSchedule::new re-checks ordering; this surfaces the
-        // scenario name in the panic message.
-        assert!(
-            !self.driver_phases.is_empty(),
-            "{}: no driver phases",
-            self.name
-        );
-        assert_eq!(
-            self.driver_phases[0].from_ms, 0,
-            "{}: the first driver phase must start at 0",
-            self.name
-        );
-        assert!(
+        // scenario name in the error.
+        check(!self.driver_phases.is_empty(), "no driver phases")?;
+        check(
+            self.driver_phases[0].from_ms == 0,
+            "the first driver phase must start at 0",
+        )?;
+        check(
             self.driver_phases
                 .windows(2)
                 .all(|w| w[0].from_ms < w[1].from_ms),
-            "{}: driver phases must be strictly increasing in time",
-            self.name
-        );
+            "driver phases must be strictly increasing in time",
+        )?;
+        // Simulator::new asserts Δ > 0; catch it here, by name.
+        check(
+            self.sim.batch_interval_ms != Some(0),
+            "sim.batch_interval_ms must be positive",
+        )
     }
 
     /// The driver schedule declared by [`ScenarioSpec::driver_phases`].
@@ -267,7 +258,6 @@ impl ScenarioSpec {
             "sim": json!({
                 "batch_interval_ms": self.sim.batch_interval_ms,
                 "base_wait_ms": self.sim.base_wait_ms,
-                "horizon_ms": self.sim.horizon_ms,
             }),
         })
     }
@@ -275,7 +265,8 @@ impl ScenarioSpec {
     /// Deserializes a spec from a parsed JSON value. Unknown and repeated
     /// fields are rejected so typos surface instead of silently
     /// disappearing (the shim's `Value::get` is first-occurrence-wins,
-    /// so a duplicated key would otherwise shadow the later value).
+    /// so a duplicated key would otherwise shadow the later value), and
+    /// a spec that fails [`ScenarioSpec::validate`] is an error too.
     pub fn from_json(v: &Value) -> Result<Self, String> {
         let obj_keys = |v: &Value, allowed: &[&str], what: &str| -> Result<(), String> {
             let Value::Object(fields) = v else {
@@ -383,11 +374,7 @@ impl ScenarioSpec {
         let sim = match v.get("sim") {
             None => SimOverrides::default(),
             Some(s) => {
-                obj_keys(
-                    s,
-                    &["batch_interval_ms", "base_wait_ms", "horizon_ms"],
-                    "sim overrides",
-                )?;
+                obj_keys(s, &["batch_interval_ms", "base_wait_ms"], "sim overrides")?;
                 let opt = |key: &str| -> Result<Option<u64>, String> {
                     match s.get(key) {
                         None | Some(Value::Null) => Ok(None),
@@ -400,7 +387,6 @@ impl ScenarioSpec {
                 SimOverrides {
                     batch_interval_ms: opt("batch_interval_ms")?,
                     base_wait_ms: opt("base_wait_ms")?,
-                    horizon_ms: opt("horizon_ms")?,
                 }
             }
         };
@@ -427,6 +413,7 @@ impl ScenarioSpec {
             },
             sim,
         };
+        spec.validate()?;
         Ok(spec)
     }
 
@@ -519,7 +506,7 @@ mod tests {
         assert_eq!(spec.speed_factor, 1.0);
         assert!(spec.surges.is_empty());
         assert_eq!(spec.sim, SimOverrides::default());
-        spec.validate();
+        spec.validate().unwrap();
     }
 
     #[test]
@@ -534,6 +521,14 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("unknown field `factr`"), "{err}");
+        // The horizon is not a spec field: trips always span the day.
+        let err = ScenarioSpec::from_json_str(
+            r#"{"name": "x", "orders_per_day": 1000,
+                "driver_phases": [{"from_ms": 0, "drivers": 10}],
+                "sim": {"horizon_ms": 3600000}}"#,
+        )
+        .unwrap_err();
+        assert!(err.contains("unknown field `horizon_ms`"), "{err}");
     }
 
     #[test]
@@ -547,6 +542,21 @@ mod tests {
         let err =
             ScenarioSpec::from_json_str(r#"{"name": "x", "orders_per_day": 1000}"#).unwrap_err();
         assert!(err.contains("driver_phases"), "{err}");
+        // Well-formed JSON with a bad value fails here, by field name,
+        // not later in materialize() or Simulator::new.
+        let err = ScenarioSpec::from_json_str(
+            r#"{"name": "neg", "orders_per_day": -5,
+                "driver_phases": [{"from_ms": 0, "drivers": 1}]}"#,
+        )
+        .unwrap_err();
+        assert!(err.contains("orders_per_day"), "{err}");
+        let err = ScenarioSpec::from_json_str(
+            r#"{"name": "x", "orders_per_day": 1000,
+                "driver_phases": [{"from_ms": 0, "drivers": 1}],
+                "sim": {"batch_interval_ms": 0}}"#,
+        )
+        .unwrap_err();
+        assert!(err.contains("batch_interval_ms"), "{err}");
     }
 
     #[test]
@@ -577,7 +587,7 @@ mod tests {
     fn out_of_day_hotspot_window_fails_validation() {
         let mut s = sample();
         s.hotspots[0].end_ms = 25 * 3_600_000;
-        s.validate();
+        s.validate().unwrap();
     }
 
     #[test]
@@ -596,7 +606,7 @@ mod tests {
     fn zero_grid_dimension_fails_validation() {
         let mut s = sample();
         s.grid_rows = 0;
-        s.validate();
+        s.validate().unwrap();
     }
 
     #[test]
@@ -605,7 +615,7 @@ mod tests {
         let mut s = sample();
         s.grid_cols = 1 << 17;
         s.grid_rows = 1 << 17;
-        s.validate();
+        s.validate().unwrap();
     }
 
     #[test]
@@ -632,8 +642,10 @@ mod tests {
                 .unwrap_err();
             assert!(err.contains(key) && err.contains("u32"), "{err}");
         }
-        let max =
-            ScenarioSpec::from_json_str(&format!("{base}, \"grid_cols\": 4294967295}}")).unwrap();
+        let max = ScenarioSpec::from_json_str(&format!(
+            "{base}, \"grid_cols\": 4294967295, \"grid_rows\": 1}}"
+        ))
+        .unwrap();
         assert_eq!(max.grid_cols, u32::MAX);
     }
 
@@ -642,7 +654,7 @@ mod tests {
     fn inverted_surge_window_fails_validation() {
         let mut s = sample();
         s.surges[0].end_ms = 0;
-        s.validate();
+        s.validate().unwrap();
     }
 
     #[test]
@@ -650,6 +662,6 @@ mod tests {
     fn driver_phases_must_start_at_zero() {
         let mut s = sample();
         s.driver_phases[0].from_ms = 5;
-        s.validate();
+        s.validate().unwrap();
     }
 }

@@ -104,9 +104,12 @@ impl ScenarioSpec {
     /// simulator's deadline noise).
     ///
     /// # Panics
-    /// Panics if the spec fails [`ScenarioSpec::validate`].
+    /// Panics with the message if the spec fails
+    /// [`ScenarioSpec::validate`].
     pub fn materialize(&self) -> ScenarioWorkload {
-        self.validate();
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
         // with_grid on the 16×16 default is identical to new(), so
         // pre-scale-axis workloads stay byte-for-byte unchanged.
         let generator = NycLikeGenerator::with_grid(
@@ -131,7 +134,6 @@ impl ScenarioSpec {
                 .batch_interval_ms
                 .unwrap_or(defaults.batch_interval_ms),
             base_wait_ms: self.sim.base_wait_ms.unwrap_or(defaults.base_wait_ms),
-            horizon_ms: self.sim.horizon_ms.unwrap_or(defaults.horizon_ms),
             seed: self.seed ^ defaults.seed,
             ..defaults
         };

@@ -5,11 +5,11 @@
 //! results back in input order so sweeps stay deterministic regardless
 //! of the worker count.
 //!
-//! [`parallel_map`] is the workspace's one parallel root (`lint.toml
-//! [roots]`), so its own code is held to the `mrvd-lint` C rules: no
-//! panic-capable operation, no lock `expect`, no slice indexing. Job
-//! panics still propagate — through the scope join, not through the
-//! pool.
+//! [`parallel_map`] itself has no panic-capable operation — no lock
+//! `expect`, no slice indexing — so only a job can panic a worker, and
+//! that panic propagates through the scope join, not through the pool.
+//! It is the one root `mrvd-lint --callgraph` traces (`lint.toml
+//! [roots]`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};

@@ -1,11 +1,10 @@
 //! Tier-1 gate: the workspace must be determinism-lint-clean.
 //!
-//! Runs the full `mrvd-lint` scan — flat D rules *and* the call-graph C
-//! rules over the worker-reachable closure of the `lint.toml [roots]` —
-//! and fails on any unsuppressed finding: the same check CI runs and
-//! the `mrvd-lint` binary reports. A finding here means either fix the
-//! site or add a reasoned `// lint:allow(RULE): …` pragma / `lint.toml`
-//! entry (C rules accept pragmas only).
+//! Runs the full `mrvd-lint` scan — the flat D rules plus the audits of
+//! pragmas, `lint.toml` entries and `[roots]` — and fails on any
+//! unsuppressed finding: the same check CI runs and the `mrvd-lint`
+//! binary reports. A finding here means either fix the site or add a
+//! reasoned `// lint:allow(RULE): …` pragma / `lint.toml` entry.
 
 use std::path::Path;
 
@@ -35,11 +34,10 @@ fn workspace_is_lint_clean() {
     );
 }
 
-/// The worker pool stays lint-clean with a *pinned* waiver set — now
-/// empty: `parallel_map` (the one parallel root) is written without a
-/// panic-capable operation, so nothing in its module needs a C waiver.
-/// Growing this list is a reviewable event, and nothing in the module
-/// may hide behind a `lint.toml` path prefix.
+/// The worker pool stays lint-clean with a *pinned* waiver set — empty:
+/// nothing in `crates/stats/src/parallel.rs` needs a waiver. Growing
+/// this list is a reviewable event, and nothing in the module may hide
+/// behind a `lint.toml` path prefix.
 #[test]
 fn parallel_module_waiver_set_is_pinned() {
     let report = scan().report;
