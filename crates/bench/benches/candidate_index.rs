@@ -1,10 +1,16 @@
-//! Candidate-generation cost: a query against an availability index that
-//! is already built (the engine's live index, maintained by incremental
-//! insert/remove at event times) against a from-scratch `BatchState`
-//! rebuild plus the same query (what the legacy reference loop pays
-//! every batch). Both produce identical candidate sets; the difference
-//! is the per-batch rebuild the incremental index removes from the
-//! dispatch hot path.
+//! Candidate-generation cost over an availability index that is already
+//! built (the engine's live index, maintained by incremental
+//! insert/remove at event times), in two states of the caller's scratch,
+//! against a from-scratch `BatchState` rebuild plus the same queries
+//! (what the legacy reference loop pays every batch):
+//!
+//! - `cold`: a fresh scratch per iteration, so every rider's box scan
+//!   runs;
+//! - `warm`: one scratch across iterations on an unchanged context, so a
+//!   rider whose scan found no driver is answered from the scratch's
+//!   memory of it, as in a batch where nothing moved near that rider.
+//!
+//! All arms produce identical candidate sets.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrvd_bench::BatchFixture;
@@ -33,7 +39,14 @@ fn bench_candidates(c: &mut Criterion) {
                 valid_candidates_with(&state.context(f.now_ms, &travel), 32, &mut scratch)
             })
         });
-        g.bench_with_input(BenchmarkId::new("live-index", &size), &f, |b, f| {
+        g.bench_with_input(BenchmarkId::new("cold", &size), &f, |b, f| {
+            let state = f.batch_state();
+            b.iter(|| {
+                let mut scratch = CandidateScratch::new();
+                valid_candidates_with(&state.context(f.now_ms, &travel), 32, &mut scratch)
+            })
+        });
+        g.bench_with_input(BenchmarkId::new("warm", &size), &f, |b, f| {
             let state = f.batch_state();
             let mut scratch = CandidateScratch::new();
             b.iter(|| valid_candidates_with(&state.context(f.now_ms, &travel), 32, &mut scratch))

@@ -4,7 +4,7 @@ use mrvd_sim::{Assignment, BatchContext, DispatchPolicy};
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::candidates::{valid_candidates_with, CandidateScratch};
+use crate::candidates::{valid_candidates_with, CandidateScratch, CandidateStats};
 
 /// Long-trip greedy: assigns the highest-revenue waiting orders first,
 /// each to its nearest valid driver.
@@ -30,23 +30,29 @@ impl DispatchPolicy for Ltg {
 
     fn assign(&mut self, ctx: &BatchContext<'_>) -> Vec<Assignment> {
         let cands = valid_candidates_with(ctx, self.max_candidates, &mut self.scratch);
-        // Riders by descending revenue (travel cost), ties broken by
-        // rider id — a view-order-invariant total order.
-        let mut order: Vec<usize> = (0..ctx.riders.len()).collect();
-        let revenue: Vec<f64> = ctx
-            .riders
+        // Riders with a candidate by descending revenue (travel cost),
+        // ties broken by rider id — a view-order-invariant total order. A
+        // rider without one can take no driver, so leaving it out of the
+        // ranking changes no assignment.
+        let mut order: Vec<(f64, usize)> = cands
+            .pairs
             .iter()
-            .map(|r| ctx.travel.travel_time_s(r.pickup, r.dropoff))
+            .enumerate()
+            .filter(|(_, c)| !c.is_empty())
+            .map(|(r, _)| {
+                let rider = &ctx.riders[r];
+                (ctx.travel.travel_time_s(rider.pickup, rider.dropoff), r)
+            })
             .collect();
-        order.sort_by(|&a, &b| {
-            revenue[b]
-                .partial_cmp(&revenue[a])
+        order.sort_by(|&(revenue_a, a), &(revenue_b, b)| {
+            revenue_b
+                .partial_cmp(&revenue_a)
                 .expect("revenue is finite")
                 .then(ctx.riders[a].id.cmp(&ctx.riders[b].id))
         });
         let mut taken = vec![false; ctx.drivers.len()];
         let mut out = Vec::new();
-        for r in order {
+        for (_, r) in order {
             // Candidates are sorted nearest-first.
             if let Some(&(d, _)) = cands.pairs[r].iter().find(|&&(d, _)| !taken[d]) {
                 taken[d] = true;
@@ -76,6 +82,13 @@ impl Default for Near {
             max_candidates: 32,
             scratch: CandidateScratch::new(),
         }
+    }
+}
+
+impl Near {
+    /// Radius queries run and skipped by this policy's candidate search.
+    pub fn candidate_stats(&self) -> CandidateStats {
+        self.scratch.stats()
     }
 }
 

@@ -14,6 +14,22 @@
 //! generation builds no index of its own; hits map back to batch slots
 //! through the views' id→slot map ([`BatchContext::views`]).
 //!
+//! Most radius queries find no driver at all (riders waiting where the
+//! fleet is not), and they would find none again next batch. So the
+//! caller's [`CandidateScratch`] remembers, per view slot, each query
+//! that found nothing: the pickup, the radius, the index's instance id and
+//! op count, and the cells it scanned. A later call skips the query for
+//! the rider in that slot, and gives it no candidates, only when the
+//! answer provably cannot change: the same index instance, a
+//! bit-identical pickup, a radius no larger, and no insert into any of the
+//! scanned cells since
+//! ([`RegionIndex::inserted_since`](mrvd_spatial::RegionIndex::inserted_since)).
+//! Every driver now in those cells was there before, farther than the old
+//! radius; every driver in another cell lies outside the old radius's
+//! box. The answer depends on nothing else — not on which rider asks, nor
+//! on the deadline beyond its radius — and a query with any hit is not
+//! remembered, so the travel-time filter never enters the argument.
+//!
 //! Candidates are sorted by `(pickup travel time, driver id)` — a total
 //! order on the drivers themselves, not their batch slots — so neither
 //! bucket insertion order (which differs between the live index and a
@@ -23,7 +39,7 @@
 //! pin this end to end.
 
 use mrvd_sim::{BatchContext, DriverId};
-use mrvd_spatial::Point;
+use mrvd_spatial::{CellRange, Point};
 
 /// Valid pairs per rider: `pairs[i]` lists `(driver_index, pickup_travel_ms)`
 /// for rider `ctx.riders[i]`, sorted by pickup travel time and truncated
@@ -54,11 +70,51 @@ impl CandidateSet {
     }
 }
 
+/// Lifetime counters of one [`CandidateScratch`]: radius queries run
+/// against the index, and queries skipped because a remembered empty
+/// answer still held (see module docs). Scans without a speed bound
+/// count as neither.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CandidateStats {
+    /// Radius queries run.
+    pub queries: u64,
+    /// Radius queries skipped.
+    pub skipped: u64,
+}
+
+/// A radius query that found no driver (see module docs).
+#[derive(Debug, Clone, Copy)]
+struct EmptyQuery {
+    /// Query point `(lon, lat)` bits.
+    at: (u64, u64),
+    radius_m: f64,
+    /// The index's op count right after the query.
+    ops: u64,
+    cells: CellRange,
+}
+
+impl EmptyQuery {
+    /// Whether a query at `at` with `radius_m` would find no driver either.
+    fn still_empty(&self, ctx: &BatchContext<'_>, at: (u64, u64), radius_m: f64) -> bool {
+        self.at == at
+            && radius_m <= self.radius_m
+            && !ctx.avail_index.inserted_since(self.cells, self.ops)
+    }
+}
+
 /// Reusable state for [`valid_candidates_with`], owned by the policy and
-/// carried across batches: the radius queries' hit buffer.
+/// carried across batches: the radius queries' hit buffer, and the
+/// queries that found nothing (see module docs).
 #[derive(Debug, Default)]
 pub struct CandidateScratch {
     hits: Vec<(DriverId, Point)>,
+    /// [`RegionIndex::instance_id`](mrvd_spatial::RegionIndex::instance_id)
+    /// of the index `empty` was recorded against.
+    index_id: Option<u64>,
+    /// `empty[i]`: the last query for view slot `i`, if it found nothing.
+    /// One entry per slot, so the memory is that of the largest batch.
+    empty: Vec<Option<EmptyQuery>>,
+    stats: CandidateStats,
 }
 
 impl CandidateScratch {
@@ -66,13 +122,18 @@ impl CandidateScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Queries run and skipped over this scratch's lifetime.
+    pub fn stats(&self) -> CandidateStats {
+        self.stats
+    }
 }
 
 /// Generates the valid candidate set for one batch.
 ///
-/// Convenience wrapper over [`valid_candidates_with`] paying a fresh hit
-/// buffer on every call; policies that run once per batch should hold a
-/// [`CandidateScratch`] instead.
+/// Convenience wrapper over [`valid_candidates_with`] paying a fresh
+/// scratch on every call, so it runs every query; policies that run once
+/// per batch should hold a [`CandidateScratch`] instead.
 pub fn valid_candidates(ctx: &BatchContext<'_>, max_candidates: usize) -> CandidateSet {
     valid_candidates_with(ctx, max_candidates, &mut CandidateScratch::new())
 }
@@ -81,51 +142,89 @@ pub fn valid_candidates(ctx: &BatchContext<'_>, max_candidates: usize) -> Candid
 /// caller-held scratch across batches.
 ///
 /// With a travel-speed bound, one radius query per rider against
-/// [`BatchContext::avail_index`]; without one, a scan of all drivers.
-/// Both return identical candidate sets.
+/// [`BatchContext::avail_index`], skipped while a remembered empty answer
+/// provably holds; without one, a scan of all drivers. Every path returns
+/// the candidate set a fresh scratch would.
 pub fn valid_candidates_with(
     ctx: &BatchContext<'_>,
     max_candidates: usize,
     scratch: &mut CandidateScratch,
 ) -> CandidateSet {
-    let speed_bound = ctx.travel.speed_bound_mps();
-    let hits = &mut scratch.hits;
-    let mut pairs = Vec::with_capacity(ctx.riders.len());
-    for rider in ctx.riders {
-        let mut cands: Vec<(usize, u64)> = match speed_bound {
-            Some(v) => {
-                let budget_ms = rider.deadline_ms.saturating_sub(ctx.now_ms);
-                let radius_m = v * budget_ms as f64 / 1000.0;
-                ctx.avail_index
-                    .within_radius_into(rider.pickup, radius_m, hits);
-                hits.iter()
-                    .filter_map(|&(id, pos)| {
-                        let t = ctx.travel.travel_time_ms(pos, rider.pickup);
-                        (ctx.now_ms + t <= rider.deadline_ms).then(|| {
-                            let slot = ctx
-                                .views
-                                .avail_slot(id)
-                                .expect("availability index hit missing from the views");
-                            (slot, t)
-                        })
+    let pairs = match ctx.travel.speed_bound_mps() {
+        Some(v) => indexed_pairs(ctx, v, scratch),
+        None => ctx
+            .riders
+            .iter()
+            .map(|rider| {
+                ctx.drivers
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, d)| {
+                        let t = ctx.travel.travel_time_ms(d.pos, rider.pickup);
+                        (ctx.now_ms + t <= rider.deadline_ms).then_some((i, t))
                     })
                     .collect()
-            }
-            None => ctx
-                .drivers
-                .iter()
-                .enumerate()
-                .filter_map(|(i, d)| {
-                    let t = ctx.travel.travel_time_ms(d.pos, rider.pickup);
-                    (ctx.now_ms + t <= rider.deadline_ms).then_some((i, t))
-                })
-                .collect(),
-        };
+            })
+            .collect(),
+    };
+    let mut set = CandidateSet { pairs };
+    for cands in &mut set.pairs {
         cands.sort_by_key(|&(i, t)| (t, ctx.drivers[i].id));
         cands.truncate(max_candidates);
-        pairs.push(cands);
     }
-    CandidateSet { pairs }
+    set
+}
+
+/// Unsorted valid pairs per rider from radius queries at speed bound `v`.
+fn indexed_pairs(
+    ctx: &BatchContext<'_>,
+    v: f64,
+    scratch: &mut CandidateScratch,
+) -> Vec<Vec<(usize, u64)>> {
+    let index_id = ctx.avail_index.instance_id();
+    if scratch.index_id != Some(index_id) {
+        scratch.index_id = Some(index_id);
+        scratch.empty.clear();
+    }
+    if scratch.empty.len() < ctx.riders.len() {
+        scratch.empty.resize(ctx.riders.len(), None);
+    }
+    let hits = &mut scratch.hits;
+    ctx.riders
+        .iter()
+        .zip(&mut scratch.empty)
+        .map(|(rider, empty)| {
+            let budget_ms = rider.deadline_ms.saturating_sub(ctx.now_ms);
+            let radius_m = v * budget_ms as f64 / 1000.0;
+            let at = (rider.pickup.lon.to_bits(), rider.pickup.lat.to_bits());
+            if empty.is_some_and(|q| q.still_empty(ctx, at, radius_m)) {
+                scratch.stats.skipped += 1;
+                return Vec::new();
+            }
+            scratch.stats.queries += 1;
+            let cells = ctx
+                .avail_index
+                .within_radius_into(rider.pickup, radius_m, hits);
+            *empty = cells.filter(|_| hits.is_empty()).map(|cells| EmptyQuery {
+                at,
+                radius_m,
+                ops: ctx.avail_index.ops_applied(),
+                cells,
+            });
+            hits.iter()
+                .filter_map(|&(id, pos)| {
+                    let t = ctx.travel.travel_time_ms(pos, rider.pickup);
+                    (ctx.now_ms + t <= rider.deadline_ms).then(|| {
+                        let slot = ctx
+                            .views
+                            .avail_slot(id)
+                            .expect("availability index hit missing from the views");
+                        (slot, t)
+                    })
+                })
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -150,6 +249,14 @@ mod tests {
             dropoff: Point::new(p.lon + 0.01, p.lat),
             request_ms: 0,
             deadline_ms,
+        }
+    }
+
+    fn driver(id: u32, pos: Point) -> AvailableDriver {
+        AvailableDriver {
+            id: DriverId(id),
+            pos,
+            available_since_ms: 0,
         }
     }
 
@@ -238,6 +345,193 @@ mod tests {
             let fresh = valid_candidates(&ctx, 8);
             assert_eq!(reused.pairs, fresh.pairs, "diverged at now={now_ms}");
         }
+    }
+
+    /// A pickup, a driver ~140 m from it, and drivers ~14 km away.
+    const PICKUP: Point = Point::new(-73.98, 40.75);
+    const NEAR: Point = Point::new(-73.981, 40.751);
+
+    fn far_drivers(n: u32) -> Vec<AvailableDriver> {
+        (0..n)
+            .map(|i| driver(100 + i, Point::new(-73.85 + 0.001 * f64::from(i), 40.85)))
+            .collect()
+    }
+
+    /// One batch through `scratch` and through a fresh scratch: the two
+    /// must agree. Returns the number of pairs found.
+    #[track_caller]
+    fn check(ctx: &BatchContext<'_>, scratch: &mut CandidateScratch) -> usize {
+        let reused = valid_candidates_with(ctx, 32, scratch);
+        assert_eq!(reused.pairs, valid_candidates(ctx, 32).pairs);
+        reused.num_pairs()
+    }
+
+    #[test]
+    fn an_empty_query_is_skipped_and_a_hit_is_asked_again() {
+        let grid = Grid::nyc_16x16();
+        let travel = ConstantSpeedModel::new(8.0);
+        let riders = [rider(0, PICKUP, 120_000)];
+        let state = BatchState::new(&grid, &riders, &far_drivers(3), &[]);
+        let mut scratch = CandidateScratch::new();
+        for now_ms in [0, 1_000, 2_000] {
+            assert_eq!(check(&state.context(now_ms, &travel), &mut scratch), 0);
+        }
+        let stats = scratch.stats();
+        assert_eq!((stats.queries, stats.skipped), (1, 2));
+        // A rider with a hit is asked again every batch.
+        let state = BatchState::new(&grid, &riders, &[driver(0, NEAR)], &[]);
+        let mut scratch = CandidateScratch::new();
+        for now_ms in [0, 1_000] {
+            assert_eq!(check(&state.context(now_ms, &travel), &mut scratch), 1);
+        }
+        assert_eq!(scratch.stats().skipped, 0);
+    }
+
+    #[test]
+    fn reused_scratch_follows_a_switch_to_another_index_and_driver_set() {
+        let grid = Grid::nyc_16x16();
+        let travel = ConstantSpeedModel::new(8.0);
+        let riders = [rider(0, PICKUP, 120_000)];
+        let a = BatchState::new(&grid, &riders, &far_drivers(40), &[]);
+        // Another index with a driver in the remembered cells, stamped
+        // below `a`'s op count: only the instance id tells them apart.
+        let mut b = BatchState::new(&grid, &riders, &[driver(0, NEAR)], &[]);
+        let mut scratch = CandidateScratch::new();
+        assert_eq!(check(&a.context(0, &travel), &mut scratch), 0);
+        assert_eq!(check(&b.context(0, &travel), &mut scratch), 1);
+        // Then other driver sets on `b`'s index.
+        b.rebuild(riders, far_drivers(40), []);
+        assert_eq!(check(&b.context(0, &travel), &mut scratch), 0);
+        b.rebuild(riders, [driver(0, NEAR)], []);
+        assert_eq!(check(&b.context(0, &travel), &mut scratch), 1);
+    }
+
+    #[test]
+    fn reused_scratch_tells_a_changed_clone_from_its_original() {
+        let grid = Grid::nyc_16x16();
+        let travel = ConstantSpeedModel::new(8.0);
+        let riders = [rider(0, PICKUP, 120_000)];
+        let mut drivers = far_drivers(5);
+        drivers.push(driver(0, NEAR));
+        let original = BatchState::new(&grid, &riders, &drivers, &[]);
+        // The clone drops the near driver; its rebuild takes its op count
+        // past the near driver's stamp in the original.
+        let mut clone = original.clone();
+        clone.rebuild(riders, far_drivers(5), []);
+        let mut scratch = CandidateScratch::new();
+        assert_eq!(check(&clone.context(0, &travel), &mut scratch), 0);
+        assert_eq!(check(&original.context(0, &travel), &mut scratch), 1);
+    }
+
+    #[test]
+    fn reused_scratch_requeries_a_slot_whose_rider_moved() {
+        let grid = Grid::nyc_16x16();
+        let travel = ConstantSpeedModel::new(8.0);
+        let there = Point::new(-73.90, 40.80);
+        let drivers = [driver(0, Point::new(-73.901, 40.801))];
+        let mut state = BatchState::new(&grid, &[rider(0, PICKUP, 120_000)], &drivers, &[]);
+        let mut scratch = CandidateScratch::new();
+        assert_eq!(check(&state.context(0, &travel), &mut scratch), 0);
+        // Same slot, rider id and radius; the driver near the new pickup
+        // sits outside the remembered cells, so only the pickup check
+        // catches the move.
+        state.rebuild([rider(0, there, 120_000)], drivers, []);
+        assert_eq!(check(&state.context(0, &travel), &mut scratch), 1);
+    }
+
+    #[test]
+    fn reused_scratch_requeries_when_the_radius_grows() {
+        let grid = Grid::nyc_16x16();
+        let travel = ConstantSpeedModel::new(8.0);
+        let faster = ConstantSpeedModel::new(16.0);
+        // One driver ~1.35 km east of the pickup.
+        let drivers = [driver(0, Point::new(-73.964, 40.75))];
+        let state = BatchState::new(&grid, &[rider(0, PICKUP, 300_000)], &drivers, &[]);
+        let mut scratch = CandidateScratch::new();
+        // 100 s at 8 m/s: 800 m, nobody.
+        assert_eq!(check(&state.context(200_000, &travel), &mut scratch), 0);
+        // An earlier batch time: 200 s, 1.6 km.
+        assert_eq!(check(&state.context(100_000, &travel), &mut scratch), 1);
+        assert_eq!(check(&state.context(200_000, &travel), &mut scratch), 0);
+        // A faster model: 100 s at 16 m/s, 1.6 km.
+        assert_eq!(check(&state.context(200_000, &faster), &mut scratch), 1);
+    }
+
+    #[test]
+    fn reused_scratch_requeries_after_an_insert_move_or_rebuild_in_a_remembered_cell() {
+        let grid = Grid::nyc_16x16();
+        let travel = ConstantSpeedModel::new(8.0);
+        let riders = [rider(0, PICKUP, 120_000)];
+        let far = far_drivers(2);
+        let mut drivers = far.clone();
+        drivers.push(driver(0, NEAR));
+        // The views hold every driver the hand-kept index ever does.
+        let state = BatchState::new(&grid, &riders, &drivers, &[]);
+        let mut live: RegionIndex<DriverId> = RegionIndex::new(grid.clone());
+        for d in &far {
+            live.insert(d.id, d.pos);
+        }
+        let mut scratch = CandidateScratch::new();
+        let mut run = |live: &RegionIndex<DriverId>| {
+            let ctx = BatchContext {
+                avail_index: live,
+                ..state.context(0, &travel)
+            };
+            check(&ctx, &mut scratch)
+        };
+        assert_eq!(run(&live), 0);
+        live.insert(DriverId(0), NEAR);
+        assert_eq!(run(&live), 1);
+        live.remove_at(DriverId(0), NEAR);
+        assert_eq!(run(&live), 0);
+        assert!(live.move_item(far[0].id, far[0].pos, NEAR));
+        assert_eq!(run(&live), 1);
+        live.rebuild_reference(far.iter().map(|d| (d.id, d.pos)));
+        assert_eq!(run(&live), 0);
+        live.rebuild_reference(drivers.iter().map(|d| (d.id, d.pos)));
+        assert_eq!(run(&live), 1);
+    }
+
+    #[test]
+    fn an_insert_the_smaller_box_misses_still_voids_the_remembered_range() {
+        let grid = Grid::nyc_16x16();
+        let travel = ConstantSpeedModel::new(8.0);
+        // Mid-cell, so a 100 m box stays inside the pickup's cell.
+        let pickup = Point::new(-73.973, 40.76);
+        let riders = [rider(0, pickup, 375_000)];
+        // ~1.9 km east, one column over: inside the 3 km range, outside
+        // both the 100 m radius and its box.
+        let east = driver(0, Point::new(-73.95, 40.76));
+        let state = BatchState::new(&grid, &riders, &[east], &[]);
+        let mut live: RegionIndex<DriverId> = RegionIndex::new(grid.clone());
+        let mut scratch = CandidateScratch::new();
+        let mut run = |live: &RegionIndex<DriverId>, now_ms| {
+            let ctx = BatchContext {
+                avail_index: live,
+                ..state.context(now_ms, &travel)
+            };
+            check(&ctx, &mut scratch);
+            scratch.stats()
+        };
+        // 375 s at 8 m/s: a 3 km radius over an empty index.
+        assert_eq!(run(&live, 0).queries, 1);
+        live.insert(east.id, east.pos);
+        // 12.5 s left: 100 m. The remembered range, not the new box,
+        // decides, so the query runs again (and still finds nothing).
+        assert_eq!(
+            run(&live, 362_500),
+            CandidateStats {
+                queries: 2,
+                skipped: 0
+            }
+        );
+        assert_eq!(
+            run(&live, 362_500),
+            CandidateStats {
+                queries: 2,
+                skipped: 1
+            }
+        );
     }
 
     #[test]

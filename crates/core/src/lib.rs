@@ -18,7 +18,9 @@
 //!   or a fitted [`mrvd_prediction::Predictor`] consulted online with
 //!   recursive multi-slot forecasting (`-P` variants).
 //! * [`candidates`] — deadline-valid rider–driver pair generation
-//!   (Definition 3) via a radius-bounded box scan of the spatial index.
+//!   (Definition 3) via a radius-bounded box scan of the spatial index,
+//!   skipped for riders whose last query found nothing and provably
+//!   still would.
 //! * [`baselines`] — **LTG** (long-trip greedy), **NEAR** (nearest-trip
 //!   greedy) and **RAND** (random valid assignment) from §6.3.
 //! * [`polar`] — the state-of-the-art comparator **POLAR** (Tong et al.,
@@ -43,7 +45,9 @@ pub mod rates;
 pub mod upper;
 
 pub use baselines::{Ltg, Near, Rand};
-pub use candidates::{valid_candidates, valid_candidates_with, CandidateScratch, CandidateSet};
+pub use candidates::{
+    valid_candidates, valid_candidates_with, CandidateScratch, CandidateSet, CandidateStats,
+};
 pub use config::DispatchConfig;
 pub use oracle::{DemandOracle, SparseUpcoming};
 pub use polar::{Polar, PolarConfig};

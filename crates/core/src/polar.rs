@@ -161,6 +161,9 @@ impl DispatchPolicy for Polar {
         }
         let mut edges: Vec<Scored> = Vec::with_capacity(cands.num_pairs());
         for (r, list) in cands.pairs.iter().enumerate() {
+            if list.is_empty() {
+                continue;
+            }
             let rider = &ctx.riders[r];
             let revenue = ctx.travel.travel_time_s(rider.pickup, rider.dropoff);
             let rider_region = ctx.grid.region_of(rider.pickup).0;

@@ -26,7 +26,7 @@ use std::collections::BinaryHeap;
 
 use mrvd_sim::{Assignment, BatchContext, DispatchPolicy};
 
-use crate::candidates::{valid_candidates_with, CandidateScratch};
+use crate::candidates::{valid_candidates_with, CandidateScratch, CandidateStats};
 use crate::config::DispatchConfig;
 use crate::oracle::DemandOracle;
 use crate::rate_tracker::{RateTracker, RateTrackerStats};
@@ -134,6 +134,12 @@ impl QueueingPolicy {
     pub fn rate_stats(&self) -> RateTrackerStats {
         self.tracker.stats()
     }
+
+    /// The candidate search's lifetime counters: radius queries run, and
+    /// queries skipped because their remembered empty answer still held.
+    pub fn candidate_stats(&self) -> CandidateStats {
+        self.scratch.stats()
+    }
 }
 
 /// Total order for finite keys in the heap.
@@ -196,16 +202,12 @@ impl DispatchPolicy for QueueingPolicy {
 
         // Valid pairs (Algorithm 2, lines 3–5).
         let cands = valid_candidates_with(ctx, self.cfg.max_candidates, &mut self.scratch);
-        let rider_cost: Vec<f64> = ctx
-            .riders
-            .iter()
-            .map(|r| ctx.travel.travel_time_s(r.pickup, r.dropoff))
-            .collect();
-        let rider_dest: Vec<usize> = ctx
-            .riders
-            .iter()
-            .map(|r| ctx.grid.region_of(r.dropoff).idx())
-            .collect();
+        // Trip cost and destination region, filled below for riders with
+        // a candidate only: nothing after the heap reads another rider's.
+        // The placeholders fail loudly if that ever changes (a NaN key
+        // panics in `OrdF64`, `usize::MAX` indexes out of bounds).
+        let mut rider_cost = vec![f64::NAN; n_riders];
+        let mut rider_dest = vec![usize::MAX; n_riders];
 
         // Greedy selection with a lazy re-keyed heap (lines 7–12).
         // Entry: (key, pickup travel ms, rider id, driver id, rider slot,
@@ -227,11 +229,14 @@ impl DispatchPolicy for QueueingPolicy {
         let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
         for (r, cand) in cands.pairs.iter().enumerate() {
             if cand.is_empty() {
-                // No pair to key — and no reason to estimate this
-                // destination's rates.
+                // No pair to key — and no reason to cost this trip or to
+                // estimate its destination's rates.
                 continue;
             }
-            let dest = rider_dest[r];
+            let rider = &ctx.riders[r];
+            let dest = ctx.grid.region_of(rider.dropoff).idx();
+            rider_cost[r] = ctx.travel.travel_time_s(rider.pickup, rider.dropoff);
+            rider_dest[r] = dest;
             // The only regions this batch reads: every later idle-time
             // read or μ-bump lands on the destination of a rider with a
             // candidate, all filled here before the first bump. (A

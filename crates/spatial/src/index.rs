@@ -20,9 +20,42 @@
 //! [`RegionIndex::clear_dirty`], and [`RegionIndex::ops_applied`] counts
 //! every applied mutation, so callers can observe how sparse the
 //! batch-to-batch state change really is.
+//!
+//! The same sparsity lets a caller remember a radius query that found
+//! nothing. Every insert stamps its bucket with the op counter, a removal
+//! stamps nothing, and [`RegionIndex::within_radius_into`] reports the
+//! cells it scanned. So if [`RegionIndex::inserted_since`] is false for
+//! those cells and the op count read after the query, every item now in
+//! them was already there, and already outside the radius: the same query,
+//! or one with a smaller radius, still finds nothing. Each index has an
+//! [`RegionIndex::instance_id`] of its own (a clone gets a fresh one), so
+//! a remembered answer is never checked against another index's stamps.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::geo::{radius_box, Point};
 use crate::grid::{Grid, RegionId};
+
+/// The next [`RegionIndex::instance_id`]: every index built or cloned in
+/// this process takes one, so no two indexes share an id.
+static NEXT_INSTANCE_ID: AtomicU64 = AtomicU64::new(0);
+
+fn next_instance_id() -> u64 {
+    // The id publishes no other data; the atomic add alone makes it
+    // unique, so no ordering is needed.
+    NEXT_INSTANCE_ID.fetch_add(1, Ordering::Relaxed)
+}
+
+/// The grid cells one radius query scanned (see
+/// [`RegionIndex::within_radius_into`]), to hand back to
+/// [`RegionIndex::inserted_since`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellRange {
+    /// First and last column.
+    cols: (u32, u32),
+    /// First and last row.
+    rows: (u32, u32),
+}
 
 /// An index of items bucketed by their grid region.
 ///
@@ -54,7 +87,7 @@ use crate::grid::{Grid, RegionId};
 /// assert_eq!(ix.within_radius(midtown, 2_000.0).len(), 0);
 /// assert_eq!(ix.within_radius(harlem, 2_000.0).len(), 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RegionIndex<T> {
     grid: Grid,
     buckets: Vec<Vec<(T, Point)>>,
@@ -64,6 +97,27 @@ pub struct RegionIndex<T> {
     dirty: Vec<RegionId>,
     dirty_flag: Vec<bool>,
     ops: u64,
+    /// Per bucket, the op count right after its latest insert (0 if none).
+    insert_stamp: Vec<u64>,
+    instance_id: u64,
+}
+
+/// A clone is a new index: it takes a fresh [`RegionIndex::instance_id`],
+/// because the two op counters can reach the same value by different
+/// mutations once either changes.
+impl<T: Clone> Clone for RegionIndex<T> {
+    fn clone(&self) -> Self {
+        Self {
+            grid: self.grid.clone(),
+            buckets: self.buckets.clone(),
+            len: self.len,
+            dirty: self.dirty.clone(),
+            dirty_flag: self.dirty_flag.clone(),
+            ops: self.ops,
+            insert_stamp: self.insert_stamp.clone(),
+            instance_id: next_instance_id(),
+        }
+    }
 }
 
 impl<T: Copy> RegionIndex<T> {
@@ -71,6 +125,7 @@ impl<T: Copy> RegionIndex<T> {
     pub fn new(grid: Grid) -> Self {
         let buckets = vec![Vec::new(); grid.num_regions()];
         let dirty_flag = vec![false; grid.num_regions()];
+        let insert_stamp = vec![0; grid.num_regions()];
         Self {
             grid,
             buckets,
@@ -78,6 +133,8 @@ impl<T: Copy> RegionIndex<T> {
             dirty: Vec::new(),
             dirty_flag,
             ops: 0,
+            insert_stamp,
+            instance_id: next_instance_id(),
         }
     }
 
@@ -88,12 +145,14 @@ impl<T: Copy> RegionIndex<T> {
         }
     }
 
-    /// Inserts `item` at position `p`.
+    /// Inserts `item` at position `p`, stamping its bucket with the new
+    /// op count.
     pub fn insert(&mut self, item: T, p: Point) {
         let r = self.grid.region_of(p);
         self.buckets[r.idx()].push((item, p));
         self.len += 1;
         self.ops += 1;
+        self.insert_stamp[r.idx()] = self.ops;
         self.mark_dirty(r);
     }
 
@@ -153,7 +212,8 @@ impl<T: Copy> RegionIndex<T> {
     }
 
     /// Clears all buckets, keeping capacity. Non-empty regions are marked
-    /// dirty (their contents changed to nothing).
+    /// dirty (their contents changed to nothing); like any removal, a
+    /// clear stamps nothing.
     pub fn clear(&mut self) {
         for i in 0..self.buckets.len() {
             if !self.buckets[i].is_empty() {
@@ -172,7 +232,8 @@ impl<T: Copy> RegionIndex<T> {
     /// [`RegionIndex::move_item`] calls, the incrementally maintained
     /// index must hold exactly the items a `rebuild_reference` over the
     /// ground-truth set would produce (bucket *order* may differ; bucket
-    /// *contents* may not).
+    /// *contents* may not). Each refill is an [`RegionIndex::insert`], so
+    /// a rebuild restamps every bucket it leaves non-empty.
     pub fn rebuild_reference<I>(&mut self, items: I)
     where
         I: IntoIterator<Item = (T, Point)>,
@@ -204,6 +265,25 @@ impl<T: Copy> RegionIndex<T> {
         self.ops
     }
 
+    /// This index's id, unique in the process: [`RegionIndex::new`] and
+    /// `clone` each take a fresh one, and mutations keep it.
+    pub fn instance_id(&self) -> u64 {
+        self.instance_id
+    }
+
+    /// Whether any bucket in `cells` has had an insert since
+    /// [`RegionIndex::ops_applied`] read `ops` — the insert half of a
+    /// move and every insert of a rebuild included; removals do not
+    /// count.
+    pub fn inserted_since(&self, cells: CellRange, ops: u64) -> bool {
+        let cols = self.grid.cols();
+        (cells.rows.0..=cells.rows.1).any(|row| {
+            let first = RegionId(row * cols + cells.cols.0).idx();
+            let last = RegionId(row * cols + cells.cols.1).idx();
+            self.insert_stamp[first..=last].iter().any(|&s| s > ops)
+        })
+    }
+
     /// Items in one region.
     pub fn in_region(&self, r: RegionId) -> &[(T, Point)] {
         &self.buckets[r.idx()]
@@ -225,7 +305,8 @@ impl<T: Copy> RegionIndex<T> {
 
     /// Like [`RegionIndex::within_radius`], appending into a caller-held
     /// buffer so per-query allocations amortize away. `out` is cleared
-    /// first.
+    /// first. Returns the cells scanned, or `None` for a NaN or negative
+    /// radius, which scans nothing.
     ///
     /// One pass over the buckets of a lon/lat box that holds the whole
     /// radius, allocating nothing. The box corners map to a cell range
@@ -235,12 +316,18 @@ impl<T: Copy> RegionIndex<T> {
     /// compares against the box drop most non-hits before the haversine,
     /// which stays the only membership test: the hits are exactly those
     /// of a linear scan, for latitudes in [−90°, 90°] and longitudes that
-    /// do not wrap across the antimeridian.
-    pub fn within_radius_into(&self, p: Point, radius_m: f64, out: &mut Vec<(T, Point)>) {
+    /// do not wrap across the antimeridian. An item in a cell outside the
+    /// returned range is therefore farther than `radius_m` from `p`.
+    pub fn within_radius_into(
+        &self,
+        p: Point,
+        radius_m: f64,
+        out: &mut Vec<(T, Point)>,
+    ) -> Option<CellRange> {
         out.clear();
         if radius_m.is_nan() || radius_m < 0.0 {
             // No distance qualifies (and the box would be inside out).
-            return;
+            return None;
         }
         let (lo, hi) = radius_box(p, radius_m);
         let (c0, r0) = self.grid.coords_of(lo);
@@ -262,6 +349,10 @@ impl<T: Copy> RegionIndex<T> {
                 }
             }
         }
+        Some(CellRange {
+            cols: (c0, c1),
+            rows: (r0, r1),
+        })
     }
 }
 
@@ -386,6 +477,76 @@ mod tests {
         assert_eq!(ix.ops_applied(), 5);
     }
 
+    /// The one cell holding `p`, as a scanned range.
+    fn cell_of(ix: &RegionIndex<u32>, p: Point) -> CellRange {
+        let (col, row) = ix.grid().coords(ix.grid().region_of(p));
+        CellRange {
+            cols: (col, col),
+            rows: (row, row),
+        }
+    }
+
+    #[test]
+    fn inserts_stamp_their_bucket_and_removals_do_not() {
+        let mut ix = RegionIndex::new(grid());
+        let p = Point::new(-73.9, 40.75);
+        let q = Point::new(-73.8, 40.85);
+        let (cp, cq) = (cell_of(&ix, p), cell_of(&ix, q));
+        assert!(!ix.inserted_since(cp, 0));
+        ix.insert(1u32, p); // op 1
+        assert!(ix.inserted_since(cp, 0));
+        assert!(!ix.inserted_since(cp, 1));
+        assert!(!ix.inserted_since(cq, 0));
+        ix.remove_at(1, p); // op 2, no stamp
+        assert!(!ix.inserted_since(cp, 1));
+        ix.insert(2, p); // op 3
+        ix.move_item(2, p, q); // ops 4 (remove) and 5 (insert at q)
+        assert!(ix.inserted_since(cq, 3));
+        assert!(!ix.inserted_since(cp, 3));
+        // A rebuild restamps every bucket it fills, not the ones it
+        // empties.
+        ix.rebuild_reference([(3u32, p)]); // op 6
+        assert!(ix.inserted_since(cp, 5));
+        assert!(!ix.inserted_since(cq, 5));
+        // A range reports an insert in any of its cells.
+        let both = CellRange {
+            cols: (cp.cols.0.min(cq.cols.0), cp.cols.0.max(cq.cols.0)),
+            rows: (cp.rows.0.min(cq.rows.0), cp.rows.0.max(cq.rows.0)),
+        };
+        assert!(ix.inserted_since(both, 5));
+        assert!(ix.inserted_since(both, 4));
+        assert!(!ix.inserted_since(both, 6));
+    }
+
+    #[test]
+    fn every_new_and_clone_gets_a_fresh_instance_id() {
+        let p = Point::new(-73.9, 40.75);
+        let mut a: RegionIndex<u32> = RegionIndex::new(grid());
+        a.insert(1, p);
+        let b: RegionIndex<u32> = RegionIndex::new(grid());
+        let c = a.clone();
+        let d = c.clone();
+        let mut ids = vec![
+            a.instance_id(),
+            b.instance_id(),
+            c.instance_id(),
+            d.instance_id(),
+        ];
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 4, "{ids:?}");
+        // A clone copies contents, op count and stamps; only the id is new.
+        assert_eq!(canonical(&c), canonical(&a));
+        assert_eq!(c.ops_applied(), a.ops_applied());
+        assert!(c.inserted_since(cell_of(&c, p), 0));
+        // Mutations keep the id.
+        let id = a.instance_id();
+        a.insert(2, p);
+        a.remove_at(1, p);
+        a.rebuild_reference([(3, p)]);
+        assert_eq!(a.instance_id(), id);
+    }
+
     #[test]
     fn rebuild_reference_replaces_contents() {
         let mut ix = RegionIndex::new(grid());
@@ -433,9 +594,19 @@ mod tests {
             ix.insert(i, p);
         }
         let mut buf = vec![(99u32, p)]; // stale content must be cleared
-        ix.within_radius_into(p, 100.0, &mut buf);
+        let cells = ix.within_radius_into(p, 100.0, &mut buf);
         assert_eq!(buf.len(), 20);
         assert_eq!(ix.within_radius(p, 100.0), buf);
+        // The query's own cell is in its scanned range; a radius no
+        // distance can meet scans nothing.
+        let own = cell_of(&ix, p);
+        let cells = cells.expect("cells scanned");
+        assert!(cells.cols.0 <= own.cols.0 && own.cols.1 <= cells.cols.1);
+        assert!(cells.rows.0 <= own.rows.0 && own.rows.1 <= cells.rows.1);
+        for radius in [-1.0, f64::NAN] {
+            assert_eq!(ix.within_radius_into(p, radius, &mut buf), None);
+            assert!(buf.is_empty());
+        }
     }
 
     /// Ids of the items a linear scan finds within `radius` of `q`.
@@ -579,6 +750,16 @@ mod tests {
                     _ => q.distance_m(&pts[rng.gen_range(0..pts.len())]),
                 };
                 prop_assert_eq!(indexed(&ix, q, radius), linear_scan(&pts, q, radius));
+                // Every item outside the scanned cells is beyond the
+                // radius: what remembering an empty answer relies on.
+                let cells = ix.within_radius_into(q, radius, &mut Vec::new());
+                let cells = cells.expect("a radius >= 0 scans cells");
+                for p in &pts {
+                    let (col, row) = ix.grid().coords(ix.grid().region_of(*p));
+                    let inside = (cells.cols.0..=cells.cols.1).contains(&col)
+                        && (cells.rows.0..=cells.rows.1).contains(&row);
+                    prop_assert!(inside || q.distance_m(p) > radius);
+                }
             }
         }
 

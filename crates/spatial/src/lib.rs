@@ -17,7 +17,9 @@
 //!   incremental insert/remove/move maintenance, a dirty-region set and
 //!   an op counter so the simulation engine can keep one live index in
 //!   sync across batches instead of rebuilding it (drivers only move at
-//!   dropoffs; consecutive batches share almost all spatial state).
+//!   dropoffs; consecutive batches share almost all spatial state), and
+//!   per-bucket insert stamps so a caller can tell when a radius query
+//!   that found nothing would still find nothing.
 //!
 //! In the paper's notation: [`Point`]s are the rider pickups `s_i` /
 //! dropoffs `e_i` and driver positions, a [`Grid`] cell is one region
@@ -35,6 +37,6 @@ pub mod travel;
 
 pub use geo::{haversine_m, Point};
 pub use grid::{Grid, RegionId, NYC_EXTENT};
-pub use index::RegionIndex;
+pub use index::{CellRange, RegionIndex};
 pub use road::RoadNetwork;
 pub use travel::{ConstantSpeedModel, Millis, RoadNetworkModel, TravelModel};
