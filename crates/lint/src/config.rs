@@ -1,25 +1,21 @@
-//! The checked-in `lint.toml`: path allowlist plus call-graph roots.
+//! The checked-in `lint.toml` path allowlist.
 //!
 //! A tiny, dependency-free parser for exactly the shapes the file uses —
-//! `#` comments, repeated `[[allow]]` tables of string keys, and one
-//! `[roots]` section with repeated `fn` keys:
+//! `#` comments and repeated `[[allow]]` tables of string keys:
 //!
 //! ```toml
 //! [[allow]]
 //! path = "crates/experiments"
 //! rule = "D002"
 //! reason = "subcommand timing tables; never feeds simulation state"
-//!
-//! [roots]
-//! fn = "parallel_map"
 //! ```
 //!
 //! `path` is a workspace-relative prefix (forward slashes); `rule` is one
 //! of the determinism rule ids; `reason` is mandatory and non-empty.
 //! Entries that match no finding are reported as unused — the allowlist
-//! must shrink when the code it excuses is fixed. Each `[roots]` `fn`
-//! names an entry point (`Type::method` or a bare fn name) whose
-//! transitive callees `LINT_callgraph.json` lists as reachable.
+//! must shrink when the code it excuses is fixed. Any other section
+//! header is an error, and it ends the entry before it, so keys under
+//! it cannot change that entry.
 
 use crate::rules::is_known_rule;
 
@@ -43,54 +39,39 @@ impl Allow {
     }
 }
 
-/// One `[roots]` `fn = "…"` entry: a declared call-graph root.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RootSpec {
-    /// `Type::method` or bare fn name to match against the call graph.
-    pub name: String,
-    /// Line of the entry, for P005 messages.
-    pub line: u32,
-}
-
 /// Parsed allowlist.
 #[derive(Debug, Default)]
 pub struct Config {
     /// All `[[allow]]` entries, in file order.
     pub allows: Vec<Allow>,
-    /// Declared call-graph roots, in file order.
-    pub roots: Vec<RootSpec>,
 }
 
 /// Parses `lint.toml` text. Returns the config plus any validation
-/// errors (which the engine reports as findings — a broken allowlist
-/// must not silently allow anything).
-pub fn parse(text: &str) -> (Config, Vec<String>) {
+/// errors as `(line, message)` pairs, 1-based (the engine reports them
+/// as P004 findings — a broken allowlist must not silently allow
+/// anything).
+pub fn parse(text: &str) -> (Config, Vec<(u32, String)>) {
     let mut cfg = Config::default();
     let mut errors = Vec::new();
-    let mut current: Option<(Allow, u32)> = None;
-    let mut in_roots = false;
+    let mut current: Option<Allow> = None;
 
-    let finish = |entry: Option<(Allow, u32)>, errors: &mut Vec<String>| {
-        let (a, line) = entry?;
-        if a.path.is_empty() {
-            errors.push(format!(
-                "lint.toml:{line}: [[allow]] entry is missing `path`"
-            ));
+    let finish = |entry: Option<Allow>, errors: &mut Vec<(u32, String)>| {
+        let a = entry?;
+        let message = if a.path.is_empty() {
+            "[[allow]] entry is missing `path`".to_string()
         } else if a.rule.is_empty() {
-            errors.push(format!(
-                "lint.toml:{line}: [[allow]] entry is missing `rule`"
-            ));
+            "[[allow]] entry is missing `rule`".to_string()
         } else if !is_known_rule(&a.rule) {
-            errors.push(format!("lint.toml:{line}: unknown rule `{}`", a.rule));
+            format!("unknown rule `{}`", a.rule)
         } else if a.reason.trim().is_empty() {
-            errors.push(format!(
-                "lint.toml:{line}: [[allow]] for `{}` has no `reason` — every \
-                 suppression needs one",
+            format!(
+                "[[allow]] for `{}` has no `reason` — every suppression needs one",
                 a.path
-            ));
+            )
         } else {
             return Some(a);
-        }
+        };
+        errors.push((a.line, message));
         None
     };
 
@@ -100,67 +81,44 @@ pub fn parse(text: &str) -> (Config, Vec<String>) {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        if line == "[[allow]]" {
+        if line.starts_with('[') {
             if let Some(a) = finish(current.take(), &mut errors) {
                 cfg.allows.push(a);
             }
-            in_roots = false;
-            current = Some((
-                Allow {
+            if line == "[[allow]]" {
+                current = Some(Allow {
                     path: String::new(),
                     rule: String::new(),
                     reason: String::new(),
                     line: lineno,
-                },
-                lineno,
-            ));
-            continue;
-        }
-        if line == "[roots]" {
-            if let Some(a) = finish(current.take(), &mut errors) {
-                cfg.allows.push(a);
+                });
+            } else {
+                errors.push((lineno, format!("unknown section `{line}`")));
             }
-            in_roots = true;
             continue;
         }
         let Some((key, value)) = line.split_once('=') else {
-            errors.push(format!("lint.toml:{lineno}: unrecognized line `{line}`"));
+            errors.push((lineno, format!("unrecognized line `{line}`")));
             continue;
         };
         let key = key.trim();
         let value = value.trim();
         let Some(value) = value.strip_prefix('"').and_then(|v| v.strip_suffix('"')) else {
-            errors.push(format!(
-                "lint.toml:{lineno}: value for `{key}` must be a double-quoted string"
+            errors.push((
+                lineno,
+                format!("value for `{key}` must be a double-quoted string"),
             ));
             continue;
         };
-        if in_roots {
-            match key {
-                "fn" if value.trim().is_empty() => {
-                    errors.push(format!("lint.toml:{lineno}: empty `fn` root"));
-                }
-                "fn" => cfg.roots.push(RootSpec {
-                    name: value.to_string(),
-                    line: lineno,
-                }),
-                other => errors.push(format!(
-                    "lint.toml:{lineno}: unknown key `{other}` in [roots]"
-                )),
-            }
-            continue;
-        }
-        let Some((entry, _)) = current.as_mut() else {
-            errors.push(format!(
-                "lint.toml:{lineno}: `{key}` outside an [[allow]] table"
-            ));
+        let Some(entry) = current.as_mut() else {
+            errors.push((lineno, format!("`{key}` outside an [[allow]] table")));
             continue;
         };
         match key {
             "path" => entry.path = value.replace('\\', "/"),
             "rule" => entry.rule = value.to_string(),
             "reason" => entry.reason = value.to_string(),
-            other => errors.push(format!("lint.toml:{lineno}: unknown key `{other}`")),
+            other => errors.push((lineno, format!("unknown key `{other}`"))),
         }
     }
     if let Some(a) = finish(current.take(), &mut errors) {
@@ -190,14 +148,17 @@ mod tests {
         let (cfg, errs) = parse("[[allow]]\npath = \"x\"\nrule = \"D001\"\n");
         assert!(cfg.allows.is_empty());
         assert_eq!(errs.len(), 1);
-        assert!(errs[0].contains("reason"));
+        // Reported at the entry's `[[allow]]` header.
+        assert_eq!(errs[0].0, 1);
+        assert!(errs[0].1.contains("reason"));
     }
 
     #[test]
     fn unknown_rule_and_bad_lines_are_errors() {
         let (_, errs) =
             parse("[[allow]]\npath = \"x\"\nrule = \"D999\"\nreason = \"r\"\nwhat is this\n");
-        assert_eq!(errs.len(), 2, "{errs:?}");
+        let lines: Vec<u32> = errs.iter().map(|(line, _)| *line).collect();
+        assert_eq!(lines, [5, 1], "{errs:?}");
     }
 
     #[test]
@@ -207,17 +168,21 @@ mod tests {
     }
 
     #[test]
-    fn roots_section_parses_fns_and_spawn_paths() {
+    fn leftover_roots_section_is_an_error_at_its_line() {
         let (cfg, errs) = parse(
-            "[roots]\nfn = \"parallel_map\"\nfn = \"Slots::drain_worker\"\nspawn_path = \"crates/stats/src/parallel.rs\"\n\n[[allow]]\npath = \"x\"\nrule = \"D002\"\nreason = \"r\"\n",
+            "[[allow]]\npath = \"x\"\nrule = \"D002\"\nreason = \"r\"\n\n[roots]\nfn = \"parallel_map\"\npath = \"\"\n",
         );
-        // `spawn_path` is not a [roots] key: it is an error, and the
-        // rest of the file still parses.
-        assert_eq!(errs.len(), 1, "{errs:?}");
-        assert!(errs[0].contains("unknown key `spawn_path`"), "{errs:?}");
-        let roots: Vec<&str> = cfg.roots.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(roots, ["parallel_map", "Slots::drain_worker"]);
+        assert_eq!(
+            errs,
+            [
+                (6, "unknown section `[roots]`".to_string()),
+                (7, "`fn` outside an [[allow]] table".to_string()),
+                (8, "`path` outside an [[allow]] table".to_string()),
+            ]
+        );
+        // Keys under the unknown section leave the entry above it alone.
         assert_eq!(cfg.allows.len(), 1);
+        assert_eq!(cfg.allows[0].path, "x");
     }
 
     #[test]
@@ -225,13 +190,6 @@ mod tests {
         let (cfg, errs) = parse("[[allow]]\npath = \"x\"\nrule = \"C002\"\nreason = \"r\"\n");
         assert!(cfg.allows.is_empty());
         assert_eq!(errs.len(), 1);
-        assert!(errs[0].contains("unknown rule `C002`"), "{errs:?}");
-    }
-
-    #[test]
-    fn unknown_roots_key_and_empty_fn_are_errors() {
-        let (cfg, errs) = parse("[roots]\nfn = \"\"\nwhatever = \"x\"\n");
-        assert!(cfg.roots.is_empty());
-        assert_eq!(errs.len(), 2, "{errs:?}");
+        assert!(errs[0].1.contains("unknown rule `C002`"), "{errs:?}");
     }
 }

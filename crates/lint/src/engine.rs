@@ -1,16 +1,12 @@
-//! Orchestration: walk the workspace, run the flat rules, build the call
-//! graph and close over the declared roots (for `LINT_callgraph.json`),
+//! Orchestration: walk the workspace, run the flat rules per file,
 //! apply suppressions, audit the suppressions themselves.
 
 use std::fs;
 use std::path::Path;
 
-use crate::callgraph::{CallGraph, FileInput};
 use crate::config::{self, Config};
-use crate::lexer::{lex, Lexed};
-use crate::parser::parse_file;
+use crate::lexer::lex;
 use crate::pragma::{parse_pragmas, Pragma};
-use crate::reach;
 use crate::report::{Finding, Report, Suppression};
 use crate::rules::{check_all, detect_test_spans, FileCtx};
 use crate::walk::{is_test_path, rust_files};
@@ -24,26 +20,21 @@ pub struct FileAnalysis {
     pub pragmas: Vec<Pragma>,
 }
 
-/// The full result of a workspace scan: the findings report plus the
-/// call-graph artifact.
-#[derive(Debug)]
-pub struct Scan {
-    /// Findings, suppressions, counts.
-    pub report: Report,
-    /// `LINT_callgraph.json` content: nodes, edges, the set reachable
-    /// from the `[roots]` with chains, and unresolved-call accounting.
-    pub callgraph_json: String,
-}
-
-/// The flat-rule findings of one lexed file, unsuppressed.
-fn flat_findings(rel_path: &str, lexed: &Lexed, test_spans: &[(u32, u32)]) -> Vec<Finding> {
+/// Lexes and rule-checks one source text. `rel_path` decides
+/// path-scoped rules (D005) and path-level test exemption; pass a
+/// `tests/`-free path to treat fixture text as production code. The
+/// audits that need the whole workspace (unused `lint.toml` entries)
+/// run in [`scan_sources`].
+pub fn analyze_source(rel_path: &str, source: &str) -> FileAnalysis {
+    let lexed = lex(source);
+    let test_spans = detect_test_spans(&lexed);
     let ctx = FileCtx {
         rel_path,
-        lexed,
-        test_spans,
+        lexed: &lexed,
+        test_spans: &test_spans,
         is_test_path: is_test_path(rel_path),
     };
-    check_all(&ctx)
+    let findings = check_all(&ctx)
         .into_iter()
         .map(|raw| Finding {
             rule: raw.rule.to_string(),
@@ -52,19 +43,9 @@ fn flat_findings(rel_path: &str, lexed: &Lexed, test_spans: &[(u32, u32)]) -> Ve
             message: raw.message,
             suppressed: None,
         })
-        .collect()
-}
-
-/// Lexes and rule-checks one source text. `rel_path` decides
-/// path-scoped rules (D005) and path-level test exemption; pass a
-/// `tests/`-free path to treat fixture text as production code. The
-/// audits that need the whole workspace (unused `lint.toml` entries,
-/// unmatched roots) run in [`scan_sources`].
-pub fn analyze_source(rel_path: &str, source: &str) -> FileAnalysis {
-    let lexed = lex(source);
-    let test_spans = detect_test_spans(&lexed);
+        .collect();
     FileAnalysis {
-        findings: flat_findings(rel_path, &lexed, &test_spans),
+        findings,
         pragmas: parse_pragmas(&lexed),
     }
 }
@@ -110,113 +91,41 @@ pub fn resolve_suppressions(
     pragma_used
 }
 
-/// Back-compat wrapper over [`resolve_suppressions`] for a
-/// [`FileAnalysis`].
-pub fn apply_suppressions(
-    analysis: &mut FileAnalysis,
-    config: &Config,
-    config_used: &mut [bool],
-) -> Vec<bool> {
-    resolve_suppressions(
-        &mut analysis.findings,
-        &analysis.pragmas,
-        config,
-        config_used,
-    )
+/// Orders findings by (path, line, rule).
+fn sort_findings(findings: &mut [Finding]) {
+    findings.sort_by(|a, b| (&a.path, a.line, &a.rule).cmp(&(&b.path, b.line, &b.rule)));
 }
 
-/// Per-file state carried from the per-file pass to the workspace pass.
-struct FileScan {
-    rel: String,
-    test_spans: Vec<(u32, u32)>,
-    items: crate::items::FileItems,
-    pragmas: Vec<Pragma>,
-    findings: Vec<Finding>,
-}
-
-/// Runs the full scan over in-memory `(rel_path, source)` pairs: pass
-/// one lexes, parses and runs the flat rules per file; pass two builds
-/// the workspace call graph, matches `config.roots` against it (P005)
-/// and renders the closure of the matched roots as the call-graph
-/// artifact; then suppressions are resolved and audited.
-pub fn scan_sources(root_display: &str, files: &[(String, String)], config: &Config) -> Scan {
-    // Pass one: per-file lexing, parsing, flat rules.
-    let mut scans: Vec<FileScan> = files
-        .iter()
-        .map(|(rel, source)| {
-            let lexed = lex(source);
-            let test_spans = detect_test_spans(&lexed);
-            FileScan {
-                rel: rel.clone(),
-                findings: flat_findings(rel, &lexed, &test_spans),
-                pragmas: parse_pragmas(&lexed),
-                items: parse_file(&lexed),
-                test_spans,
-            }
-        })
-        .collect();
-
-    // Pass two: call graph, roots, closure.
-    let inputs: Vec<FileInput<'_>> = scans
-        .iter()
-        .map(|s| FileInput {
-            rel: &s.rel,
-            items: &s.items,
-            test_spans: &s.test_spans,
-            is_test_path: is_test_path(&s.rel),
-        })
-        .collect();
-    let graph = CallGraph::build(&inputs);
-    let mut root_ids: Vec<usize> = Vec::new();
-    let mut root_findings: Vec<Finding> = Vec::new();
-    for spec in &config.roots {
-        let matched = graph.match_roots(&spec.name);
-        if matched.is_empty() {
-            root_findings.push(Finding {
-                rule: "P005".into(),
-                path: "lint.toml".into(),
-                line: spec.line,
-                message: format!(
-                    "[roots] fn `{}` matches no function in the workspace — fix the name \
-                     or remove the root",
-                    spec.name
-                ),
-                suppressed: None,
-            });
-        }
-        for id in matched {
-            if !root_ids.contains(&id) {
-                root_ids.push(id);
-            }
-        }
-    }
-    let reach = reach::closure(graph.nodes.len(), &graph.adjacency(), &root_ids);
-    let root_display_names: Vec<String> = config.roots.iter().map(|r| r.name.clone()).collect();
-    let callgraph_json = graph.render_json(&reach, &root_ids, &root_display_names.join(", "));
-
-    // Suppression resolution + pragma/allowlist audits.
+/// Runs the full scan over in-memory `(rel_path, source)` pairs: each
+/// file is analyzed ([`analyze_source`]) and its suppressions resolved
+/// and audited (P001 malformed, P002 unused pragma); then every
+/// `lint.toml` entry that suppressed nothing is a P003.
+pub fn scan_sources(root_display: &str, files: &[(String, String)], config: &Config) -> Report {
     let mut report = Report {
         root: root_display.to_string(),
-        files_scanned: scans.len(),
-        findings: root_findings,
+        files_scanned: files.len(),
+        findings: Vec::new(),
     };
     let mut config_used = vec![false; config.allows.len()];
-    for s in &mut scans {
-        let pragma_used =
-            resolve_suppressions(&mut s.findings, &s.pragmas, config, &mut config_used);
-        for (pi, p) in s.pragmas.iter().enumerate() {
+    for (rel, source) in files {
+        let FileAnalysis {
+            mut findings,
+            pragmas,
+        } = analyze_source(rel, source);
+        let pragma_used = resolve_suppressions(&mut findings, &pragmas, config, &mut config_used);
+        for (p, used) in pragmas.iter().zip(pragma_used) {
             if let Some(err) = &p.error {
                 report.findings.push(Finding {
                     rule: "P001".into(),
-                    path: s.rel.clone(),
+                    path: rel.clone(),
                     line: p.line,
                     message: format!("malformed pragma: {err}"),
                     suppressed: None,
                 });
-            } else if !pragma_used[pi] {
+            } else if !used {
                 report.findings.push(Finding {
                     rule: "P002".into(),
-                    path: s.rel.clone(),
+                    path: rel.clone(),
                     line: p.line,
                     message: format!(
                         "unused pragma `lint:allow({})` — the finding it excused is gone; \
@@ -227,11 +136,10 @@ pub fn scan_sources(root_display: &str, files: &[(String, String)], config: &Con
                 });
             }
         }
-        report.findings.append(&mut s.findings);
+        report.findings.append(&mut findings);
     }
-    for (ai, used) in config_used.iter().enumerate() {
+    for (a, used) in config.allows.iter().zip(config_used) {
         if !used {
-            let a = &config.allows[ai];
             report.findings.push(Finding {
                 rule: "P003".into(),
                 path: "lint.toml".into(),
@@ -245,18 +153,13 @@ pub fn scan_sources(root_display: &str, files: &[(String, String)], config: &Con
             });
         }
     }
+    sort_findings(&mut report.findings);
     report
-        .findings
-        .sort_by(|a, b| (&a.path, a.line, &a.rule).cmp(&(&b.path, b.line, &b.rule)));
-    Scan {
-        report,
-        callgraph_json,
-    }
 }
 
 /// Runs the full scan over a workspace root. `lint.toml` at the root is
-/// the (optional) allowlist + roots declaration.
-pub fn scan_workspace(root: &Path) -> std::io::Result<Scan> {
+/// the (optional) allowlist; each of its errors is a P004 at its line.
+pub fn scan_workspace(root: &Path) -> std::io::Result<Report> {
     let (config, config_errors) = match fs::read_to_string(root.join("lint.toml")) {
         Ok(text) => config::parse(&text),
         Err(_) => (Config::default(), Vec::new()),
@@ -266,25 +169,18 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Scan> {
         let source = fs::read_to_string(root.join(&rel))?;
         files.push((rel, source));
     }
-    let mut scan = scan_sources(&root.display().to_string(), &files, &config);
-    for err in config_errors {
-        scan.report.findings.push(Finding {
+    let mut report = scan_sources(&root.display().to_string(), &files, &config);
+    for (line, message) in config_errors {
+        report.findings.push(Finding {
             rule: "P004".into(),
             path: "lint.toml".into(),
-            line: 0,
-            message: err,
+            line,
+            message,
             suppressed: None,
         });
     }
-    scan.report
-        .findings
-        .sort_by(|a, b| (&a.path, a.line, &a.rule).cmp(&(&b.path, b.line, &b.rule)));
-    Ok(scan)
-}
-
-/// [`scan_workspace`], findings report only.
-pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
-    scan_workspace(root).map(|s| s.report)
+    sort_findings(&mut report.findings);
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -300,7 +196,12 @@ mod tests {
         assert!(errs.is_empty(), "{errs:?}");
         let mut analysis = analyze_source(rel, src);
         let mut config_used = vec![false; config.allows.len()];
-        let pragma_used = apply_suppressions(&mut analysis, &config, &mut config_used);
+        let pragma_used = resolve_suppressions(
+            &mut analysis.findings,
+            &analysis.pragmas,
+            &config,
+            &mut config_used,
+        );
         (analysis, pragma_used, config_used)
     }
 
@@ -344,7 +245,7 @@ mod tests {
         assert_eq!(pragma_used, vec![false]);
     }
 
-    fn scan_one(rel: &str, src: &str, toml: &str) -> Scan {
+    fn scan_one(rel: &str, src: &str, toml: &str) -> Report {
         let (config, errs) = config::parse(toml);
         assert!(errs.is_empty(), "{errs:?}");
         scan_sources("/w", &[(rel.to_string(), src.to_string())], &config)
@@ -362,9 +263,8 @@ mod tests {
 }
 ";
         let toml = "[[allow]]\npath = \"crates/x\"\nrule = \"D001\"\nreason = \"no hash iteration left\"\n";
-        let scan = scan_one("crates/x/src/a.rs", src, toml);
-        let found: Vec<(&str, &str, u32, bool)> = scan
-            .report
+        let report = scan_one("crates/x/src/a.rs", src, toml);
+        let found: Vec<(&str, &str, u32, bool)> = report
             .findings
             .iter()
             .map(|f| {
@@ -387,24 +287,7 @@ mod tests {
                 ("P003", "lint.toml", 1, false),
             ],
             "{:#?}",
-            scan.report.findings
+            report.findings
         );
-    }
-
-    #[test]
-    fn unmatched_root_is_p005() {
-        let scan = scan_one(
-            "crates/x/src/a.rs",
-            "fn f() {}\n",
-            "[roots]\nfn = \"NoSuch::fn_name\"\n",
-        );
-        let p005: Vec<&Finding> = scan
-            .report
-            .findings
-            .iter()
-            .filter(|f| f.rule == "P005")
-            .collect();
-        assert_eq!(p005.len(), 1);
-        assert!(p005[0].message.contains("NoSuch::fn_name"));
     }
 }

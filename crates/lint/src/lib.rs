@@ -19,13 +19,9 @@
 //! | D006 | `unsafe` without `// SAFETY:` | undocumented unsafety |
 //! | D007 | `{:?}`-formatting hash collections into output | nondeterministic persisted reports |
 //!
-//! Alongside the flat rules, a structural pass ([`parser`] → [`items`] →
-//! [`callgraph`] → [`reach`]) recovers every fn and call expression in
-//! the workspace, resolves calls into a call graph, and computes the
-//! transitive closure of the roots declared in `lint.toml [roots]` (the
-//! `parallel_map` pool). It gates nothing: it feeds the
-//! `--callgraph` artifact (`LINT_callgraph.json`) and the P005 check
-//! that every root still names a function.
+//! Each D rule reads one file's token stream at a time, so the scan
+//! parses nothing. The structural parser ([`parser`], [`items`]) is no
+//! longer called by the scan and is slated for deletion.
 //!
 //! Suppression is explicit and auditable: inline
 //! `// lint:allow(rule): reason` pragmas ([`pragma`]) and a checked-in
@@ -49,20 +45,17 @@
 //! assert_eq!(analysis.findings[0].rule, "D002");
 //! ```
 
-pub mod callgraph;
 pub mod config;
 pub mod engine;
 pub mod items;
 pub mod lexer;
 pub mod parser;
 pub mod pragma;
-pub mod reach;
 pub mod report;
 pub mod rules;
 pub mod walk;
 
 pub use engine::{
-    analyze_source, apply_suppressions, run_workspace, scan_sources, scan_workspace, FileAnalysis,
-    Scan,
+    analyze_source, resolve_suppressions, scan_sources, scan_workspace, FileAnalysis,
 };
 pub use report::{Finding, Report, Suppression, SCHEMA_VERSION};

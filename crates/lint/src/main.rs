@@ -13,15 +13,12 @@ mrvd-lint — determinism static analysis over the MRVD workspace
 
 USAGE:
     mrvd-lint [--root <dir>] [--format human|json] [--output <file>]
-              [--callgraph <file>]
 
 OPTIONS:
     --root <dir>       Workspace root (default: ascend from cwd to the
                        directory whose Cargo.toml declares [workspace])
     --format <fmt>     `human` (default) or `json`
     --output <file>    Also write the report (in the chosen format) there
-    --callgraph <file> Write the call graph + worker-reachable set
-                       (LINT_callgraph.json schema) there
 
 EXIT CODE: 0 when lint-clean, 1 on unsuppressed findings, 2 on usage/IO
 errors.";
@@ -45,7 +42,6 @@ fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut format = String::from("human");
     let mut output: Option<PathBuf> = None;
-    let mut callgraph: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -62,10 +58,6 @@ fn main() -> ExitCode {
                 Some(v) => output = Some(PathBuf::from(v)),
                 None => return usage_error("--output needs a value"),
             },
-            "--callgraph" => match args.next() {
-                Some(v) => callgraph = Some(PathBuf::from(v)),
-                None => return usage_error("--callgraph needs a value"),
-            },
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -77,14 +69,13 @@ fn main() -> ExitCode {
         eprintln!("mrvd-lint: no workspace root found (pass --root)");
         return ExitCode::from(2);
     };
-    let scan = match scan_workspace(&root) {
-        Ok(s) => s,
+    let report = match scan_workspace(&root) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("mrvd-lint: scan failed: {e}");
             return ExitCode::from(2);
         }
     };
-    let report = scan.report;
     let rendered = match format.as_str() {
         "json" => report.render_json(),
         _ => report.render_human(),
@@ -92,11 +83,6 @@ fn main() -> ExitCode {
     print!("{rendered}");
     if let Some(path) = output {
         if write_file(&path, &rendered).is_err() {
-            return ExitCode::from(2);
-        }
-    }
-    if let Some(path) = callgraph {
-        if write_file(&path, &scan.callgraph_json).is_err() {
             return ExitCode::from(2);
         }
     }

@@ -38,12 +38,12 @@ pub enum Suppression {
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Rule id (`D001`…`D007`, or `P001` malformed pragma, `P002` unused
-    /// pragma, `P003` unused lint.toml allow, `P004` lint.toml error,
-    /// `P005` unmatched `[roots]` fn).
+    /// pragma, `P003` unused lint.toml allow, `P004` lint.toml error).
     pub rule: String,
-    /// Workspace-relative file path (empty for config-level findings).
+    /// Workspace-relative file path (`lint.toml` for config-level
+    /// findings).
     pub path: String,
-    /// 1-based line (0 for config-level findings).
+    /// 1-based line in `path`.
     pub line: u32,
     /// What happened.
     pub message: String,
@@ -95,14 +95,10 @@ impl Report {
     pub fn render_human(&self) -> String {
         let mut out = String::new();
         for f in self.unsuppressed() {
-            if f.path.is_empty() {
-                out.push_str(&format!("{}: {}\n", f.rule, f.message));
-            } else {
-                out.push_str(&format!(
-                    "{}:{}: {} {}\n",
-                    f.path, f.line, f.rule, f.message
-                ));
-            }
+            out.push_str(&format!(
+                "{}:{}: {} {}\n",
+                f.path, f.line, f.rule, f.message
+            ));
         }
         out.push_str(&format!(
             "\n{} files scanned, {} finding(s), {} suppressed, {} gating\n",

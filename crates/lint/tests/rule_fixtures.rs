@@ -3,7 +3,7 @@
 //! (skipped by the workspace walk) and are analyzed here under
 //! production-looking relative paths.
 
-use mrvd_lint::{analyze_source, apply_suppressions, FileAnalysis};
+use mrvd_lint::{analyze_source, resolve_suppressions, FileAnalysis};
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -15,7 +15,7 @@ fn fixture(name: &str) -> String {
 fn analyze_fixture(name: &str, rel_path: &str) -> FileAnalysis {
     let mut analysis = analyze_source(rel_path, &fixture(name));
     let config = mrvd_lint::config::Config::default();
-    apply_suppressions(&mut analysis, &config, &mut []);
+    resolve_suppressions(&mut analysis.findings, &analysis.pragmas, &config, &mut []);
     analysis
 }
 
@@ -122,7 +122,12 @@ reason = "fixture exemption"
     assert!(errors.is_empty());
     let mut analysis = analyze_source("crates/core/src/fixture.rs", &fixture("d002_wall_clock.rs"));
     let mut used = vec![false; config.allows.len()];
-    apply_suppressions(&mut analysis, &config, &mut used);
+    resolve_suppressions(
+        &mut analysis.findings,
+        &analysis.pragmas,
+        &config,
+        &mut used,
+    );
     assert!(used[0], "allow entry must be marked used");
     let still_gating: Vec<_> = analysis
         .findings
@@ -137,7 +142,12 @@ reason = "fixture exemption"
     let mut analysis2 =
         analyze_source("crates/core/src/fixture.rs", &fixture("d002_wall_clock.rs"));
     let mut used2 = vec![false; other.allows.len()];
-    apply_suppressions(&mut analysis2, &other, &mut used2);
+    resolve_suppressions(
+        &mut analysis2.findings,
+        &analysis2.pragmas,
+        &other,
+        &mut used2,
+    );
     assert!(!used2[0]);
     assert!(analysis2.findings.iter().any(|f| f.suppressed.is_none()));
 }
@@ -151,7 +161,12 @@ fn pragma_round_trip_trailing_and_standalone() {
                let v = std::time::Instant::now();\n\
                }\n";
     let mut a = analyze_source("crates/core/src/x.rs", src);
-    apply_suppressions(&mut a, &mrvd_lint::config::Config::default(), &mut []);
+    resolve_suppressions(
+        &mut a.findings,
+        &a.pragmas,
+        &mrvd_lint::config::Config::default(),
+        &mut [],
+    );
     let gating: Vec<u32> = a
         .findings
         .iter()

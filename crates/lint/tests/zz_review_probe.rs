@@ -12,35 +12,3 @@ fn brace_macro_in_fn_body() {
         "after_macro lost: {names:?}"
     );
 }
-#[test]
-fn module_qualified_workspace_call() {
-    use mrvd_lint::callgraph::{CallGraph, FileInput};
-    use mrvd_lint::lexer::lex;
-    use mrvd_lint::parser::parse_file;
-    let a = lex("pub fn go() {}\n");
-    let b = lex("fn root_fn() { helper::go(); }\n");
-    let ia = parse_file(&a);
-    let ib = parse_file(&b);
-    let inputs = vec![
-        FileInput {
-            rel: "crates/a/src/helper.rs",
-            items: &ia,
-            test_spans: &[],
-            is_test_path: false,
-        },
-        FileInput {
-            rel: "crates/b/src/lib.rs",
-            items: &ib,
-            test_spans: &[],
-            is_test_path: false,
-        },
-    ];
-    let g = CallGraph::build(&inputs);
-    eprintln!(
-        "edges={:?} unresolved={:?} external={}",
-        g.edges.len(),
-        g.unresolved.len(),
-        g.external_calls
-    );
-    assert!(g.edges.is_empty() && g.unresolved.is_empty() && g.external_calls == 1);
-}

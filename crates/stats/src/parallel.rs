@@ -8,8 +8,6 @@
 //! [`parallel_map`] itself has no panic-capable operation — no lock
 //! `expect`, no slice indexing — so only a job can panic a worker, and
 //! that panic propagates through the scope join, not through the pool.
-//! It is the one root `mrvd-lint --callgraph` traces (`lint.toml
-//! [roots]`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};

@@ -1,21 +1,21 @@
 //! Tier-1 gate: the workspace must be determinism-lint-clean.
 //!
 //! Runs the full `mrvd-lint` scan — the flat D rules plus the audits of
-//! pragmas, `lint.toml` entries and `[roots]` — and fails on any
-//! unsuppressed finding: the same check CI runs and the `mrvd-lint`
-//! binary reports. A finding here means either fix the site or add a
-//! reasoned `// lint:allow(RULE): …` pragma / `lint.toml` entry.
+//! pragmas and `lint.toml` entries — and fails on any unsuppressed
+//! finding: the same check CI runs and the `mrvd-lint` binary reports.
+//! A finding here means either fix the site or add a reasoned
+//! `// lint:allow(RULE): …` pragma / `lint.toml` entry.
 
 use std::path::Path;
 
-fn scan() -> mrvd_lint::Scan {
+fn scan() -> mrvd_lint::Report {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     mrvd_lint::scan_workspace(root).expect("scan the workspace")
 }
 
 #[test]
 fn workspace_is_lint_clean() {
-    let report = scan().report;
+    let report = scan();
     assert!(
         report.files_scanned > 100,
         "scan looks truncated: only {} files",
@@ -40,7 +40,7 @@ fn workspace_is_lint_clean() {
 /// behind a `lint.toml` path prefix.
 #[test]
 fn parallel_module_waiver_set_is_pinned() {
-    let report = scan().report;
+    let report = scan();
     let parallel: Vec<_> = report
         .findings
         .iter()
@@ -66,7 +66,7 @@ fn parallel_module_waiver_set_is_pinned() {
 /// (batch wall-clock timers) and nothing else.
 #[test]
 fn sim_crate_suppression_set_is_pinned() {
-    let report = scan().report;
+    let report = scan();
     let sim: Vec<_> = report
         .findings
         .iter()
@@ -102,7 +102,7 @@ fn sim_crate_suppression_set_is_pinned() {
 
 #[test]
 fn every_suppression_carries_a_reason() {
-    let report = scan().report;
+    let report = scan();
     for f in &report.findings {
         if let Some(s) = &f.suppressed {
             let reason = match s {
@@ -119,13 +119,11 @@ fn every_suppression_carries_a_reason() {
     }
 }
 
-/// The JSON artifacts are schema-versioned and the reachable set is
-/// sane: the declared root resolves, and the pool's worker loop and its
-/// lock helper are inside the closure.
+/// `LINT_report.json` carries the schema version, so a consumer of an
+/// older shape fails loudly.
 #[test]
-fn report_schema_and_reachable_set_are_sane() {
-    let scan = scan();
-    let json = scan.report.render_json();
+fn report_schema_is_versioned() {
+    let json = scan().render_json();
     assert!(
         json.contains(&format!(
             "\"schema_version\": {}",
@@ -133,26 +131,4 @@ fn report_schema_and_reachable_set_are_sane() {
         )),
         "LINT_report.json must carry the schema version"
     );
-    let cg = &scan.callgraph_json;
-    assert!(cg.contains("\"schema_version\": 1"));
-    // No P005: every [roots] fn matched a workspace function.
-    assert!(
-        !scan.report.findings.iter().any(|f| f.rule == "P005"),
-        "stale [roots] entry: {:?}",
-        scan.report
-            .findings
-            .iter()
-            .filter(|f| f.rule == "P005")
-            .collect::<Vec<_>>()
-    );
-    assert!(
-        cg.contains("\"roots\": [\"parallel_map\"]"),
-        "root `parallel_map` missing from callgraph"
-    );
-    for chain in ["[\"parallel_map\"]", "[\"parallel_map\", \"relock\"]"] {
-        assert!(
-            cg.contains(&format!("\"chain\": {chain}")),
-            "{chain} should be a worker-reachable chain"
-        );
-    }
 }
