@@ -14,11 +14,11 @@
 //! `--scale`) under IRG-R three ways — sharded engine, single-queue
 //! engine, legacy reference loop — and records the byte-identity of each
 //! pair, so `BENCH_scale.json` carries the equivalence evidence next to
-//! the timings it justifies.
+//! the timings it justifies. A divergence panics with
+//! [`SimResult::first_difference`]'s report of where the runs split.
 //!
-//! An FNV-1a digest over the *simulated* outputs of every sharded run
-//! (counts, revenue bits, the full assignment and renege streams — no
-//! wall-clock fields) is written both into the JSON and to
+//! The [`SimResult::digest`] of every sharded run, folded into one
+//! value, is written both into the JSON and to
 //! `<out>/BENCH_scale.digest`, so two builds can be checked for
 //! identical behaviour with a plain `cmp` of their digest files.
 //!
@@ -31,7 +31,7 @@
 use mrvd_scenario::{
     builtins, run_scenario_configured, run_scenario_reference, ScenarioSpec, SweepPolicy,
 };
-use mrvd_sim::{ShardedEventQueue, SimResult};
+use mrvd_sim::{RenegeMatch, ShardedEventQueue, SimResult};
 use mrvd_stats::parallel_map;
 use serde_json::{json, Value};
 
@@ -115,74 +115,6 @@ impl ScalePoint {
     }
 }
 
-/// Byte-level equality of two runs: counts, revenue bits, the full
-/// assignment streams, and the reneged-rider sets (`relaxed_reneges`
-/// compares renege *identities* only — the legacy loop charges reneges
-/// up to Δ later than the event core, never earlier).
-fn results_identical(a: &SimResult, b: &SimResult, relaxed_reneges: bool) -> bool {
-    let heads_match = a.served == b.served
-        && a.reneged == b.reneged
-        && a.still_waiting == b.still_waiting
-        && a.total_riders == b.total_riders
-        && a.total_revenue.to_bits() == b.total_revenue.to_bits()
-        && a.batches == b.batches
-        && a.assignments == b.assignments;
-    if !heads_match {
-        return false;
-    }
-    if relaxed_reneges {
-        let ids = |r: &SimResult| {
-            let mut v: Vec<u32> = r.reneges.iter().map(|x| x.rider.0).collect();
-            v.sort_unstable();
-            v
-        };
-        ids(a) == ids(b)
-    } else {
-        a.reneges.len() == b.reneges.len()
-            && a.reneges.iter().zip(&b.reneges).all(|(x, y)| {
-                (x.rider, x.request_ms, x.renege_ms) == (y.rider, y.request_ms, y.renege_ms)
-            })
-    }
-}
-
-/// FNV-1a (64-bit) fold of one little-endian `u64` into `hash`.
-fn fnv_u64(hash: &mut u64, value: u64) {
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    for byte in value.to_le_bytes() {
-        *hash ^= u64::from(byte);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
-
-/// Folds the *simulated* outputs of one run into the digest: counts,
-/// revenue bits and the full assignment/renege streams — nothing
-/// wall-clock-dependent, so two sweeps of the same behaviour digest
-/// identically.
-fn fold_result(hash: &mut u64, r: &SimResult) {
-    fnv_u64(hash, r.served as u64);
-    fnv_u64(hash, r.reneged as u64);
-    fnv_u64(hash, r.still_waiting as u64);
-    fnv_u64(hash, r.total_riders as u64);
-    fnv_u64(hash, r.total_revenue.to_bits());
-    fnv_u64(hash, r.batches as u64);
-    for a in &r.assignments {
-        fnv_u64(hash, u64::from(a.rider.0));
-        fnv_u64(hash, u64::from(a.driver.0));
-        fnv_u64(hash, a.batch_ms);
-        fnv_u64(hash, a.pickup_ms);
-        fnv_u64(hash, a.dropoff_ms);
-        fnv_u64(hash, a.revenue.to_bits());
-    }
-    for x in &r.reneges {
-        fnv_u64(hash, u64::from(x.rider.0));
-        fnv_u64(hash, x.request_ms);
-        fnv_u64(hash, x.renege_ms);
-    }
-}
-
-/// The FNV-1a offset basis — the digest's initial value.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
 /// Runs the scale sweep, prints the tables and dumps the JSON.
 pub fn scale(opts: &Options) {
     eprintln!(
@@ -192,7 +124,7 @@ pub fn scale(opts: &Options) {
     let t0 = std::time::Instant::now();
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut cell_values: Vec<Value> = Vec::new();
-    let mut digest = FNV_OFFSET;
+    let mut digest = SimResult::EMPTY_DIGEST;
     for point in &POINTS {
         let spec = point.spec(opts.scale);
         let tm = std::time::Instant::now();
@@ -210,14 +142,14 @@ pub fn scale(opts: &Options) {
             let ts = std::time::Instant::now();
             let single = run_scenario_configured(&workload, policy, None, Some(1));
             let single_s = ts.elapsed().as_secs_f64();
-            let identical = results_identical(&sharded, &single, false);
-            assert!(
-                identical,
-                "{}/{}: sharded and single-queue runs diverged",
-                spec.name,
-                policy.label()
-            );
-            fold_result(&mut digest, &sharded);
+            if let Some(diff) = sharded.first_difference(&single, RenegeMatch::Exact) {
+                panic!(
+                    "{}/{}: sharded and single-queue runs diverged at {diff}",
+                    spec.name,
+                    policy.label()
+                );
+            }
+            digest = sharded.fold_digest(digest);
             let events_per_s = sharded.events_processed as f64 / sharded_s.max(1e-9);
             rows.push(vec![
                 spec.name.clone(),
@@ -230,7 +162,7 @@ pub fn scale(opts: &Options) {
                 sharded.views_entries_dirtied.to_string(),
                 format!("{:.2}", sharded_s),
                 format!("{:.2}", single_s),
-                if identical { "yes" } else { "NO" }.to_string(),
+                "yes".to_string(),
             ]);
             cell_values.push(json!({
                 "point": spec.name,
@@ -259,7 +191,7 @@ pub fn scale(opts: &Options) {
                 "index_ops": sharded.index_ops,
                 "wall_s_sharded": sharded_s,
                 "wall_s_single_queue": single_s,
-                "sharded_equals_single_queue": identical,
+                "sharded_equals_single_queue": true,
             }));
         }
     }
@@ -293,18 +225,19 @@ pub fn scale(opts: &Options) {
         let reference = run_scenario_reference(&workload, SweepPolicy::IrgReal);
         (
             spec.name.clone(),
-            results_identical(&sharded, &single, false),
-            results_identical(&sharded, &reference, true),
+            sharded.first_difference(&single, RenegeMatch::Exact),
+            sharded.first_difference(&reference, RenegeMatch::RiderSet),
             sharded,
         )
     });
     let id_rows: Vec<Vec<String>> = identity
         .iter()
         .map(|(name, vs_single, vs_reference, _)| {
+            let same = |diff: &Option<String>| if diff.is_none() { "yes" } else { "NO" };
             vec![
                 name.clone(),
-                if *vs_single { "yes" } else { "NO" }.to_string(),
-                if *vs_reference { "yes" } else { "NO" }.to_string(),
+                same(vs_single).to_string(),
+                same(vs_reference).to_string(),
             ]
         })
         .collect();
@@ -314,9 +247,13 @@ pub fn scale(opts: &Options) {
         &id_rows,
     );
     for (name, vs_single, vs_reference, sharded) in &identity {
-        assert!(vs_single, "{name}: sharded diverged from single queue");
-        assert!(vs_reference, "{name}: sharded diverged from reference loop");
-        fold_result(&mut digest, sharded);
+        if let Some(diff) = vs_single {
+            panic!("{name}: sharded diverged from single queue at {diff}");
+        }
+        if let Some(diff) = vs_reference {
+            panic!("{name}: sharded diverged from reference loop at {diff}");
+        }
+        digest = sharded.fold_digest(digest);
     }
     let total_wall_s = t0.elapsed().as_secs_f64();
 
@@ -326,8 +263,8 @@ pub fn scale(opts: &Options) {
             json!({
                 "scenario": name,
                 "policy": "IRG-R",
-                "sharded_equals_single_queue": vs_single,
-                "sharded_equals_reference": vs_reference,
+                "sharded_equals_single_queue": vs_single.is_none(),
+                "sharded_equals_reference": vs_reference.is_none(),
             })
         })
         .collect();

@@ -60,7 +60,8 @@ pub fn table3(world: &World) {
     });
     println!(
         "(pairs with realized idle > {IDLE_CENSOR_S:.0}s are censored: the §4 analysis is \
-         scoped to one scheduling window — see EXPERIMENTS.md)"
+         scoped to one scheduling window — see `IDLE_CENSOR_S` in \
+         crates/experiments/src/tables.rs)"
     );
     let mut out_rows = Vec::new();
     let mut json_rows = Vec::new();

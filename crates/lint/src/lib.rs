@@ -20,8 +20,7 @@
 //! | D007 | `{:?}`-formatting hash collections into output | nondeterministic persisted reports |
 //!
 //! Each D rule reads one file's token stream at a time, so the scan
-//! parses nothing. The structural parser ([`parser`], [`items`]) is no
-//! longer called by the scan and is slated for deletion.
+//! parses nothing: the lexer ([`lexer`]) is the only front end.
 //!
 //! Suppression is explicit and auditable: inline
 //! `// lint:allow(rule): reason` pragmas ([`pragma`]) and a checked-in
@@ -47,9 +46,7 @@
 
 pub mod config;
 pub mod engine;
-pub mod items;
 pub mod lexer;
-pub mod parser;
 pub mod pragma;
 pub mod report;
 pub mod rules;

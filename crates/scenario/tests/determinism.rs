@@ -4,7 +4,7 @@
 //! This is what lets BENCH_scenarios.json act as a regression baseline.
 
 use mrvd_scenario::{builtins, run_scenario, sweep, ScenarioSpec, SweepPolicy};
-use mrvd_sim::SimResult;
+use mrvd_sim::{RenegeMatch, SimResult};
 
 /// Shrinks a built-in so one debug-mode run stays well under a second:
 /// 20% volume/fleet and a 30 s batch interval.
@@ -14,17 +14,12 @@ fn quick(mut spec: ScenarioSpec) -> ScenarioSpec {
     spec
 }
 
-/// Everything that must match bit-for-bit between two runs.
-fn digest(r: &SimResult) -> (usize, usize, usize, usize, u64, usize, usize) {
-    (
-        r.total_riders,
-        r.served,
-        r.reneged,
-        r.still_waiting,
-        r.total_revenue.to_bits(),
-        r.assignments.len(),
-        r.batches,
-    )
+/// Asserts that two runs of `name` have the same simulated outputs,
+/// renege records included.
+fn assert_same(name: &str, a: &SimResult, b: &SimResult) {
+    if let Some(diff) = a.first_difference(b, RenegeMatch::Exact) {
+        panic!("{name} diverged between runs at {diff}");
+    }
 }
 
 fn assert_deterministic(name: &str) {
@@ -36,7 +31,7 @@ fn assert_deterministic(name: &str) {
     );
     let a = run_scenario(&spec.materialize(), SweepPolicy::Near);
     let b = run_scenario(&spec.materialize(), SweepPolicy::Near);
-    assert_eq!(digest(&a), digest(&b), "{name} diverged between runs");
+    assert_same(name, &a, &b);
     assert!(a.total_riders > 0, "{name} generated no riders");
 }
 
@@ -77,7 +72,7 @@ fn queueing_policy_is_deterministic_on_the_baseline() {
     let spec = quick(mrvd_scenario::baseline_weekday());
     let a = run_scenario(&spec.materialize(), SweepPolicy::IrgReal);
     let b = run_scenario(&spec.materialize(), SweepPolicy::IrgReal);
-    assert_eq!(digest(&a), digest(&b));
+    assert_same("baseline-weekday/IRG-R", &a, &b);
     assert!(a.served > 0);
 }
 

@@ -18,7 +18,7 @@ use mrvd_scenario::{
     builtins, run_scenario, run_scenario_configured, run_scenario_reference, ScenarioSpec,
     SweepPolicy,
 };
-use mrvd_sim::SimResult;
+use mrvd_sim::{RenegeMatch, SimResult};
 
 /// Shrinks a built-in to 20% volume/fleet, keeping the default Δ = 3 s,
 /// so one debug-mode differential run stays in the low seconds.
@@ -26,66 +26,13 @@ fn quick(spec: ScenarioSpec) -> ScenarioSpec {
     spec.scaled(0.2)
 }
 
-fn assert_equivalent(name: &str, fast: &SimResult, slow: &SimResult) {
-    assert_eq!(fast.served, slow.served, "{name}: served diverged");
-    assert_eq!(fast.reneged, slow.reneged, "{name}: reneged diverged");
-    assert_eq!(
-        fast.still_waiting, slow.still_waiting,
-        "{name}: still_waiting diverged"
-    );
-    assert_eq!(
-        fast.total_riders, slow.total_riders,
-        "{name}: total_riders diverged"
-    );
-    assert_eq!(
-        fast.total_revenue.to_bits(),
-        slow.total_revenue.to_bits(),
-        "{name}: revenue diverged ({} vs {})",
-        fast.total_revenue,
-        slow.total_revenue
-    );
-    assert_eq!(fast.batches, slow.batches, "{name}: batches diverged");
-    assert_eq!(
-        fast.assignments.len(),
-        slow.assignments.len(),
-        "{name}: assignment count diverged"
-    );
-    for (i, (a, b)) in fast.assignments.iter().zip(&slow.assignments).enumerate() {
-        assert_eq!(
-            (
-                a.rider,
-                a.driver,
-                a.batch_ms,
-                a.pickup_ms,
-                a.dropoff_ms,
-                a.driver_idle_ms,
-                a.revenue.to_bits()
-            ),
-            (
-                b.rider,
-                b.driver,
-                b.batch_ms,
-                b.pickup_ms,
-                b.dropoff_ms,
-                b.driver_idle_ms,
-                b.revenue.to_bits()
-            ),
-            "{name}: assignment {i} diverged"
-        );
+/// Asserts that two runs of `name` have the same simulated outputs,
+/// their reneges compared as `reneges` says: against the legacy loop,
+/// which charges reneges up to Δ late, only the reneging riders match.
+fn assert_same(name: &str, a: &SimResult, b: &SimResult, reneges: RenegeMatch) {
+    if let Some(diff) = a.first_difference(b, reneges) {
+        panic!("{name}: diverged at {diff}");
     }
-    // Same riders renege; the event core charges them at the exact
-    // deadline, the legacy loop up to Δ later — never earlier.
-    assert_eq!(
-        fast.reneges.len(),
-        slow.reneges.len(),
-        "{name}: renege count diverged"
-    );
-    let ids = |r: &SimResult| {
-        let mut v: Vec<u32> = r.reneges.iter().map(|x| x.rider.0).collect();
-        v.sort_unstable();
-        v
-    };
-    assert_eq!(ids(fast), ids(slow), "{name}: reneged riders diverged");
 }
 
 fn assert_builtin_equivalent(name: &str, policy: SweepPolicy) {
@@ -98,7 +45,7 @@ fn assert_builtin_equivalent(name: &str, policy: SweepPolicy) {
     let workload = spec.materialize();
     let fast = run_scenario(&workload, policy);
     let slow = run_scenario_reference(&workload, policy);
-    assert_equivalent(name, &fast, &slow);
+    assert_same(name, &fast, &slow, RenegeMatch::RiderSet);
     // The event core must actually skip work, not just match: every
     // built-in day has quiet stretches at Δ = 3 s.
     assert!(
@@ -193,13 +140,9 @@ fn large_grid_sharded_matches_single_queue_and_reference() {
         let name = format!("large-grid/{}", policy.label());
         let sharded = run_scenario_configured(&workload, policy, None, None);
         let single = run_scenario_configured(&workload, policy, None, Some(1));
-        assert_equivalent(&name, &sharded, &single);
-        assert_eq!(
-            sharded.reneges, single.reneges,
-            "{name}: engine layouts must renege at identical event times"
-        );
+        assert_same(&name, &sharded, &single, RenegeMatch::Exact);
         let reference = run_scenario_reference(&workload, policy);
-        assert_equivalent(&name, &sharded, &reference);
+        assert_same(&name, &sharded, &reference, RenegeMatch::RiderSet);
     }
 }
 
@@ -214,7 +157,8 @@ fn all_builtins_match_reference_at_full_scale() {
         for policy in SweepPolicy::default_set() {
             let fast = run_scenario(&workload, policy);
             let slow = run_scenario_reference(&workload, policy);
-            assert_equivalent(&format!("{}/{}", spec.name, policy.label()), &fast, &slow);
+            let name = format!("{}/{}", spec.name, policy.label());
+            assert_same(&name, &fast, &slow, RenegeMatch::RiderSet);
         }
     }
 }

@@ -780,6 +780,7 @@ impl<'a> Simulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::RenegeMatch;
     use crate::policy::Assignment;
     use mrvd_spatial::ConstantSpeedModel;
 
@@ -928,9 +929,7 @@ mod tests {
     fn deterministic_given_seed() {
         let a = run(&mut FirstFit, 60, 6);
         let b = run(&mut FirstFit, 60, 6);
-        assert_eq!(a.served, b.served);
-        assert!((a.total_revenue - b.total_revenue).abs() < 1e-12);
-        assert_eq!(a.assignments.len(), b.assignments.len());
+        assert_eq!(a.first_difference(&b, RenegeMatch::Exact), None);
     }
 
     #[test]
@@ -1107,19 +1106,7 @@ mod tests {
             &DriverSchedule::constant(drivers.len()),
             &mut FirstFit,
         );
-        assert_eq!(plain.served, scheduled.served);
-        assert_eq!(plain.reneged, scheduled.reneged);
-        assert_eq!(
-            plain.total_revenue.to_bits(),
-            scheduled.total_revenue.to_bits()
-        );
-        assert_eq!(plain.assignments.len(), scheduled.assignments.len());
-        for (a, b) in plain.assignments.iter().zip(&scheduled.assignments) {
-            assert_eq!(
-                (a.rider, a.driver, a.pickup_ms),
-                (b.rider, b.driver, b.pickup_ms)
-            );
-        }
+        assert_eq!(plain.first_difference(&scheduled, RenegeMatch::Exact), None);
     }
 
     #[test]
@@ -1437,22 +1424,7 @@ mod tests {
             "day not renege-heavy ({})",
             fast.reneged
         );
-        assert_eq!(fast.served, slow.served);
-        assert_eq!(fast.reneged, slow.reneged);
-        assert_eq!(fast.total_revenue.to_bits(), slow.total_revenue.to_bits());
-        assert_eq!(fast.assignments.len(), slow.assignments.len());
-        for (a, b) in fast.assignments.iter().zip(&slow.assignments) {
-            assert_eq!(
-                (a.rider, a.driver, a.batch_ms, a.pickup_ms),
-                (b.rider, b.driver, b.batch_ms, b.pickup_ms)
-            );
-        }
-        let ids = |r: &[RenegeRecord]| {
-            let mut v: Vec<u32> = r.iter().map(|x| x.rider.0).collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(ids(&fast.reneges), ids(&slow.reneges));
+        assert_eq!(fast.first_difference(&slow, RenegeMatch::RiderSet), None);
     }
 
     #[test]
@@ -1533,16 +1505,9 @@ mod tests {
         assert!(single.served > 0 && single.reneged > 0);
         for shards in [0, 2, 7, 1000] {
             let sharded = run_with(shards);
-            assert_eq!(single.served, sharded.served);
-            assert_eq!(single.reneged, sharded.reneged);
-            assert_eq!(
-                single.total_revenue.to_bits(),
-                sharded.total_revenue.to_bits()
-            );
+            assert_eq!(single.first_difference(&sharded, RenegeMatch::Exact), None);
             assert_eq!(single.ticks_executed, sharded.ticks_executed);
             assert_eq!(single.events_processed, sharded.events_processed);
-            assert_eq!(single.assignments, sharded.assignments);
-            assert_eq!(single.reneges, sharded.reneges);
         }
     }
 
@@ -1635,41 +1600,9 @@ mod tests {
         let schedule = DriverSchedule::new(vec![(0, 7), (1_200_000, 3), (2_400_000, 6)]);
         let fast = sim.run_scheduled(&trips, &drivers, &schedule, &mut FirstFit);
         let slow = sim.run_scheduled_reference(&trips, &drivers, &schedule, &mut FirstFit);
-        assert_eq!(fast.served, slow.served);
-        assert_eq!(fast.reneged, slow.reneged);
-        assert_eq!(fast.still_waiting, slow.still_waiting);
-        assert_eq!(fast.total_revenue.to_bits(), slow.total_revenue.to_bits());
-        assert_eq!(fast.batches, slow.batches);
-        assert_eq!(fast.assignments.len(), slow.assignments.len());
-        for (a, b) in fast.assignments.iter().zip(&slow.assignments) {
-            assert_eq!(
-                (
-                    a.rider,
-                    a.driver,
-                    a.batch_ms,
-                    a.pickup_ms,
-                    a.dropoff_ms,
-                    a.driver_idle_ms
-                ),
-                (
-                    b.rider,
-                    b.driver,
-                    b.batch_ms,
-                    b.pickup_ms,
-                    b.dropoff_ms,
-                    b.driver_idle_ms
-                )
-            );
-        }
-        // Same riders renege; only the charged timestamps may differ,
-        // and never by more than Δ (the legacy rounds up to the tick).
-        assert_eq!(fast.reneges.len(), slow.reneges.len());
-        let key = |r: &[RenegeRecord]| {
-            let mut ids: Vec<u32> = r.iter().map(|x| x.rider.0).collect();
-            ids.sort_unstable();
-            ids
-        };
-        assert_eq!(key(&fast.reneges), key(&slow.reneges));
+        // Same riders renege; only the charged timestamps may differ
+        // (the legacy rounds up to the tick).
+        assert_eq!(fast.first_difference(&slow, RenegeMatch::RiderSet), None);
         assert!(fast.ticks_executed < slow.ticks_executed);
     }
 }

@@ -52,7 +52,7 @@ pub mod views;
 
 pub use counts::RegionCounts;
 pub use engine::{SimConfig, Simulator};
-pub use metrics::{AssignmentRecord, RenegeRecord, SimResult};
+pub use metrics::{AssignmentRecord, RenegeMatch, RenegeRecord, SimResult};
 pub use policy::{
     Assignment, AvailableDriver, BatchContext, BusyDriver, DispatchPolicy, WaitingRider,
 };

@@ -1,4 +1,7 @@
-//! Simulation outputs.
+//! Simulation outputs, and the one definition of "same outputs":
+//! [`SimResult::digest`] and [`SimResult::first_difference`].
+
+use std::fmt::Debug;
 
 use mrvd_spatial::RegionId;
 use mrvd_stats::SummaryStats;
@@ -55,6 +58,18 @@ impl RenegeRecord {
     pub fn wait_s(&self) -> f64 {
         (self.renege_ms - self.request_ms) as f64 / 1000.0
     }
+}
+
+/// How [`SimResult::first_difference`] compares two renege logs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RenegeMatch {
+    /// Record by record, in log order: rider, request and renege time.
+    /// Two event-engine runs renege at identical event times.
+    Exact,
+    /// Only the set of riders who reneged. The legacy reference loop
+    /// charges a renege at the first batch past its deadline, up to Δ
+    /// late, so against it only the riders can match.
+    RiderSet,
 }
 
 /// Aggregate result of one simulated day.
@@ -127,6 +142,145 @@ pub struct SimResult {
 }
 
 impl SimResult {
+    /// The digest of no run (the FNV-1a offset basis): where a
+    /// [`SimResult::fold_digest`] chain starts.
+    pub const EMPTY_DIGEST: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// FNV-1a (64-bit) digest of the simulated outputs: the counts,
+    /// the revenue bits, and the assignment and renege logs. It reads no
+    /// wall-clock field, so two runs of the same behaviour digest alike.
+    /// It leaves out the engine counters and three assignment fields
+    /// (`driver_idle_ms`, `dropoff_region`, `estimated_idle_s`);
+    /// [`SimResult::first_difference`] compares those three too.
+    pub fn digest(&self) -> u64 {
+        self.fold_digest(Self::EMPTY_DIGEST)
+    }
+
+    /// Folds this run into the running digest `hash`, so several runs
+    /// digest into one value: `b.fold_digest(a.digest())`.
+    pub fn fold_digest(&self, mut hash: u64) -> u64 {
+        let mut fold = |value: u64| {
+            for byte in value.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for count in [
+            self.served,
+            self.reneged,
+            self.still_waiting,
+            self.total_riders,
+        ] {
+            fold(count as u64);
+        }
+        fold(self.total_revenue.to_bits());
+        fold(self.batches as u64);
+        for a in &self.assignments {
+            for value in [
+                u64::from(a.rider.0),
+                u64::from(a.driver.0),
+                a.batch_ms,
+                a.pickup_ms,
+                a.dropoff_ms,
+                a.revenue.to_bits(),
+            ] {
+                fold(value);
+            }
+        }
+        for x in &self.reneges {
+            for value in [u64::from(x.rider.0), x.request_ms, x.renege_ms] {
+                fold(value);
+            }
+        }
+        hash
+    }
+
+    /// The first difference between the simulated outputs of two runs,
+    /// or `None` if they match. Floats compare by bits, so a NaN matches
+    /// the same NaN.
+    ///
+    /// The assignment logs are compared first, record by record over
+    /// all nine fields, because the first differing record says where
+    /// two runs diverge; the renege logs next, as `reneges` says; then
+    /// the counts and `total_revenue`, which can still differ when both
+    /// logs match. The engine counters and wall-clock fields are not
+    /// outputs and are not compared.
+    pub fn first_difference(&self, other: &SimResult, reneges: RenegeMatch) -> Option<String> {
+        let idle = |r: &AssignmentRecord| r.estimated_idle_s.map(f64::to_bits);
+        for (i, (a, b)) in self.assignments.iter().zip(&other.assignments).enumerate() {
+            let fields = [
+                ("rider", a.rider == b.rider),
+                ("driver", a.driver == b.driver),
+                ("batch_ms", a.batch_ms == b.batch_ms),
+                ("pickup_ms", a.pickup_ms == b.pickup_ms),
+                ("dropoff_ms", a.dropoff_ms == b.dropoff_ms),
+                ("revenue", a.revenue.to_bits() == b.revenue.to_bits()),
+                ("driver_idle_ms", a.driver_idle_ms == b.driver_idle_ms),
+                ("dropoff_region", a.dropoff_region == b.dropoff_region),
+                ("estimated_idle_s", idle(a) == idle(b)),
+            ];
+            if let Some(diff) = field_difference(&fields, a, b) {
+                return Some(format!(
+                    "assignment {i} (rider {}, driver {}, batch_ms {}): {diff}",
+                    a.rider.0, a.driver.0, a.batch_ms
+                ));
+            }
+        }
+        if let Some(diff) = len_difference("assignments", &self.assignments, &other.assignments) {
+            return Some(diff);
+        }
+        match reneges {
+            RenegeMatch::Exact => {
+                for (i, (a, b)) in self.reneges.iter().zip(&other.reneges).enumerate() {
+                    let fields = [
+                        ("rider", a.rider == b.rider),
+                        ("request_ms", a.request_ms == b.request_ms),
+                        ("renege_ms", a.renege_ms == b.renege_ms),
+                    ];
+                    if let Some(diff) = field_difference(&fields, a, b) {
+                        return Some(format!("renege {i} (rider {}): {diff}", a.rider.0));
+                    }
+                }
+                if let Some(diff) = len_difference("reneges", &self.reneges, &other.reneges) {
+                    return Some(diff);
+                }
+            }
+            RenegeMatch::RiderSet => {
+                let riders = |r: &SimResult| {
+                    let mut ids: Vec<u32> = r.reneges.iter().map(|x| x.rider.0).collect();
+                    ids.sort_unstable();
+                    ids
+                };
+                let (a, b) = (riders(self), riders(other));
+                if let Some(i) = (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i)) {
+                    return Some(format!(
+                        "reneged riders, in id order, differ at {i}: {:?} vs {:?}",
+                        a.get(i),
+                        b.get(i)
+                    ));
+                }
+            }
+        }
+        let counts = [
+            ("served", self.served, other.served),
+            ("reneged", self.reneged, other.reneged),
+            ("still_waiting", self.still_waiting, other.still_waiting),
+            ("total_riders", self.total_riders, other.total_riders),
+            ("batches", self.batches, other.batches),
+        ];
+        if let Some((name, a, b)) = counts.into_iter().find(|&(_, a, b)| a != b) {
+            return Some(format!("{name}: {a} vs {b}"));
+        }
+        (self.total_revenue.to_bits() != other.total_revenue.to_bits()).then(|| {
+            format!(
+                "total_revenue: {:?} vs {:?} (bits {:#x} vs {:#x})",
+                self.total_revenue,
+                other.total_revenue,
+                self.total_revenue.to_bits(),
+                other.total_revenue.to_bits()
+            )
+        })
+    }
+
     /// Served riders as a fraction of all riders.
     pub fn service_rate(&self) -> f64 {
         if self.total_riders == 0 {
@@ -185,7 +339,10 @@ impl SimResult {
     /// `(i, i+1)` of the same driver, the estimate attached at `i`
     /// (made for the dropoff region of order `i`) is realized as order
     /// `i+1`'s `driver_idle_ms`. Returns `(estimated_s, real_s)` pairs —
-    /// the data behind the paper's Table 3 and Figure 6.
+    /// the data behind the paper's Table 3 and Figure 6. A pair whose
+    /// driver went off shift in between is skipped: its idle interval
+    /// restarted when the driver came back, so the realized idle after
+    /// the dropoff is unknown.
     pub fn idle_estimate_pairs(&self) -> Vec<(f64, f64)> {
         self.idle_estimate_pairs_by_region()
             .into_iter()
@@ -211,15 +368,40 @@ impl SimResult {
         for seq in per_driver.values() {
             for w in seq.windows(2) {
                 let (cur, next) = (&self.assignments[w[0]], &self.assignments[w[1]]);
-                if let Some(est) = cur.estimated_idle_s {
-                    let real_ms = next.batch_ms - next.driver_idle_ms; // = availability start
-                    debug_assert_eq!(real_ms, cur.dropoff_ms);
+                // A driver who went off shift between the two orders
+                // became available again when it came back, not at the
+                // dropoff: the gap censors the realized idle interval.
+                let Some(est) = cur.estimated_idle_s else {
+                    continue;
+                };
+                if next.batch_ms - next.driver_idle_ms == cur.dropoff_ms {
                     pairs.push((cur.dropoff_region, est, next.driver_idle_ms as f64 / 1000.0));
                 }
             }
         }
         pairs
     }
+}
+
+/// `"<field>: <a> vs <b>"` for the first field whose two sides differ
+/// (`fields` pairs each name with whether its sides are equal), showing
+/// both whole records.
+fn field_difference<T: Debug>(fields: &[(&str, bool)], a: &T, b: &T) -> Option<String> {
+    let (name, _) = fields.iter().find(|(_, same)| !same)?;
+    Some(format!("{name}: {a:?} vs {b:?}"))
+}
+
+/// `"<log>: <m> vs <n> records"` when two logs, equal over their common
+/// prefix, differ in length.
+fn len_difference<T>(log: &str, a: &[T], b: &[T]) -> Option<String> {
+    (a.len() != b.len()).then(|| {
+        format!(
+            "{log}: {} vs {} records, equal over the first {}",
+            a.len(),
+            b.len(),
+            a.len().min(b.len())
+        )
+    })
 }
 
 #[cfg(test)]
@@ -247,18 +429,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn idle_pairs_join_consecutive_assignments() {
-        let result = SimResult {
+    /// A run with these logs, its counts and revenue taken from them and
+    /// every engine counter zero.
+    fn run(assignments: Vec<AssignmentRecord>, reneges: Vec<RenegeRecord>) -> SimResult {
+        SimResult {
             policy: "test".into(),
-            total_revenue: 0.0,
-            served: 2,
-            reneged: 0,
-            total_riders: 2,
+            total_revenue: assignments.iter().map(|a| a.revenue).sum(),
+            served: assignments.len(),
+            reneged: reneges.len(),
+            total_riders: assignments.len() + reneges.len(),
             still_waiting: 0,
             batch_time: SummaryStats::new(),
-            batches: 2,
-            ticks_executed: 2,
+            batches: 0,
+            ticks_executed: 0,
             events_processed: 0,
             index_ops: 0,
             index_regions_dirtied: 0,
@@ -266,7 +449,122 @@ mod tests {
             counts_regions_dirtied: 0,
             views_ops: 0,
             views_entries_dirtied: 0,
-            assignments: vec![
+            assignments,
+            reneges,
+        }
+    }
+
+    /// Two assignments, one renege and one rider still waiting.
+    fn sample() -> SimResult {
+        let assignments = vec![
+            AssignmentRecord {
+                rider: RiderId(4),
+                revenue: 305.25,
+                dropoff_region: RegionId(17),
+                ..rec(1, 3_000, 3_000, 400_250, Some(42.5))
+            },
+            AssignmentRecord {
+                rider: RiderId(9),
+                pickup_ms: 61_000,
+                revenue: 189.5,
+                dropoff_region: RegionId(3),
+                ..rec(0, 6_000, 6_000, 250_500, None)
+            },
+        ];
+        let reneges = vec![RenegeRecord {
+            rider: RiderId(7),
+            request_ms: 1_500,
+            renege_ms: 93_200,
+        }];
+        SimResult {
+            still_waiting: 1,
+            total_riders: 4,
+            batches: 1_200,
+            ..run(assignments, reneges)
+        }
+    }
+
+    #[test]
+    fn digest_is_the_pinned_fnv_fold() {
+        // The value the FNV-1a fold gave before it moved here (then
+        // `fold_result` in the `scale` experiment); every pinned digest
+        // depends on it staying bit for bit.
+        let r = sample();
+        assert_eq!(r.digest(), 0xaec8_77f6_194f_78bf);
+        assert_eq!(r.fold_digest(r.digest()), 0x35e6_99d8_f9e8_bde9);
+    }
+
+    #[test]
+    fn equal_results_have_no_first_difference() {
+        let (a, mut b) = (sample(), sample());
+        // Wall-clock fields and engine counters are not outputs.
+        b.batch_time.push(0.5);
+        b.events_processed = 99;
+        assert_eq!(a.first_difference(&b, RenegeMatch::Exact), None);
+        assert_eq!(a.first_difference(&b, RenegeMatch::RiderSet), None);
+    }
+
+    #[test]
+    fn first_difference_names_the_field_of_each_mutation() {
+        let a = sample();
+        let diff = |mutate: &dyn Fn(&mut SimResult), reneges: RenegeMatch| {
+            let mut b = sample();
+            mutate(&mut b);
+            a.first_difference(&b, reneges)
+        };
+        let exact = |mutate: &dyn Fn(&mut SimResult)| {
+            diff(mutate, RenegeMatch::Exact).expect("a difference")
+        };
+        assert_eq!(exact(&|b| b.still_waiting = 2), "still_waiting: 1 vs 2");
+        let revenue = exact(&|b| b.total_revenue = f64::from_bits(b.total_revenue.to_bits() + 1));
+        assert!(
+            revenue.starts_with("total_revenue: 494.75 vs 494.75000000000006"),
+            "{revenue}"
+        );
+        // `driver_idle_ms` is not in the digest, but it is an output.
+        let idle = |b: &mut SimResult| b.assignments[1].driver_idle_ms += 1;
+        let mut b = sample();
+        idle(&mut b);
+        assert_eq!(a.digest(), b.digest());
+        let msg = exact(&idle);
+        assert!(
+            msg.starts_with("assignment 1 (rider 9, driver 0, batch_ms 6000): driver_idle_ms: "),
+            "{msg}"
+        );
+        assert_eq!(
+            exact(&|b| {
+                b.assignments.pop();
+            }),
+            "assignments: 2 vs 1 records, equal over the first 1"
+        );
+        let late = |b: &mut SimResult| b.reneges[0].renege_ms += 1;
+        let msg = exact(&late);
+        assert!(msg.starts_with("renege 0 (rider 7): renege_ms: "), "{msg}");
+        assert_eq!(diff(&late, RenegeMatch::RiderSet), None);
+        let other_rider = |b: &mut SimResult| b.reneges[0].rider = RiderId(8);
+        assert_eq!(
+            diff(&other_rider, RenegeMatch::RiderSet).as_deref(),
+            Some("reneged riders, in id order, differ at 0: Some(7) vs Some(8)")
+        );
+    }
+
+    #[test]
+    fn equal_nan_estimates_compare_equal() {
+        let (mut a, mut b) = (sample(), sample());
+        a.assignments[1].estimated_idle_s = Some(f64::NAN);
+        b.assignments[1].estimated_idle_s = Some(f64::NAN);
+        assert_eq!(a.first_difference(&b, RenegeMatch::Exact), None);
+        b.assignments[1].estimated_idle_s = None;
+        let msg = a
+            .first_difference(&b, RenegeMatch::Exact)
+            .expect("NaN vs None");
+        assert!(msg.contains("estimated_idle_s: "), "{msg}");
+    }
+
+    #[test]
+    fn idle_pairs_join_consecutive_assignments() {
+        let result = run(
+            vec![
                 // Driver 0: drops off at 100_000, estimated idle 30 s,
                 // next assignment at batch 140_000 → realized 40 s.
                 rec(0, 10_000, 10_000, 100_000, Some(30.0)),
@@ -274,37 +572,39 @@ mod tests {
                 // Driver 1: one assignment only → no pair.
                 rec(1, 15_000, 15_000, 90_000, Some(5.0)),
             ],
-            reneges: vec![],
-        };
+            vec![],
+        );
         let pairs = result.idle_estimate_pairs();
         assert_eq!(pairs, vec![(30.0, 40.0)]);
     }
 
     #[test]
+    fn idle_pairs_skip_a_driver_who_went_off_shift_in_between() {
+        // Driver 0 drops off at 95.258 s, goes off shift at 1 200 s and
+        // comes back at 2 400 s; its next order, at 3 000 s, ends an
+        // idle interval of 600 s that began at the wake-up, not at the
+        // dropoff. Driver 1 idles straight through and keeps its pair.
+        let result = run(
+            vec![
+                rec(0, 0, 0, 95_258, Some(4_371.0)),
+                rec(1, 0, 0, 50_000, Some(20.0)),
+                rec(0, 3_000_000, 600_000, 3_100_000, None),
+                rec(1, 80_000, 30_000, 150_000, None),
+            ],
+            vec![],
+        );
+        assert_eq!(result.idle_estimate_pairs(), vec![(20.0, 30.0)]);
+    }
+
+    #[test]
     fn baselines_without_estimates_yield_no_pairs() {
-        let result = SimResult {
-            policy: "RAND".into(),
-            total_revenue: 0.0,
-            served: 2,
-            reneged: 0,
-            total_riders: 2,
-            still_waiting: 0,
-            batch_time: SummaryStats::new(),
-            batches: 2,
-            ticks_executed: 2,
-            events_processed: 0,
-            index_ops: 0,
-            index_regions_dirtied: 0,
-            counts_ops: 0,
-            counts_regions_dirtied: 0,
-            views_ops: 0,
-            views_entries_dirtied: 0,
-            assignments: vec![
+        let result = run(
+            vec![
                 rec(0, 10_000, 10_000, 100_000, None),
                 rec(0, 140_000, 40_000, 200_000, None),
             ],
-            reneges: vec![],
-        };
+            vec![],
+        );
         assert!(result.idle_estimate_pairs().is_empty());
     }
 
@@ -314,24 +614,8 @@ mod tests {
         // pairs must come out grouped by ascending driver id regardless
         // of log interleaving — the ordering a HashMap grouping leaked
         // hash state into before the BTreeMap conversion.
-        let result = SimResult {
-            policy: "test".into(),
-            total_revenue: 0.0,
-            served: 6,
-            reneged: 0,
-            total_riders: 6,
-            still_waiting: 0,
-            batch_time: SummaryStats::new(),
-            batches: 4,
-            ticks_executed: 4,
-            events_processed: 0,
-            index_ops: 0,
-            index_regions_dirtied: 0,
-            counts_ops: 0,
-            counts_regions_dirtied: 0,
-            views_ops: 0,
-            views_entries_dirtied: 0,
-            assignments: vec![
+        let result = run(
+            vec![
                 rec(7, 10_000, 10_000, 100_000, Some(30.0)),
                 rec(2, 12_000, 12_000, 110_000, Some(20.0)),
                 rec(5, 14_000, 14_000, 120_000, Some(10.0)),
@@ -339,8 +623,8 @@ mod tests {
                 rec(7, 160_000, 60_000, 220_000, Some(2.0)),
                 rec(5, 170_000, 50_000, 230_000, Some(3.0)),
             ],
-            reneges: vec![],
-        };
+            vec![],
+        );
         let pairs = result.idle_estimate_pairs();
         // Driver 2's pair first, then 5's, then 7's.
         assert_eq!(pairs, vec![(20.0, 40.0), (10.0, 50.0), (30.0, 60.0)]);
@@ -373,24 +657,10 @@ mod tests {
         bt.push(0.002);
         bt.push(0.004);
         let result = SimResult {
-            policy: "x".into(),
-            total_revenue: 0.0,
-            served: 0,
-            reneged: 0,
-            total_riders: 0,
-            still_waiting: 0,
             batch_time: bt,
             batches: 6,
             ticks_executed: 2,
-            events_processed: 0,
-            index_ops: 0,
-            index_regions_dirtied: 0,
-            counts_ops: 0,
-            counts_regions_dirtied: 0,
-            views_ops: 0,
-            views_entries_dirtied: 0,
-            assignments: vec![],
-            reneges: vec![],
+            ..run(vec![], vec![])
         };
         // 6 ms of policy time spread over 6 slots (4 skipped at zero
         // cost) → 1 ms per slot, 3 ms per executed batch.
@@ -402,24 +672,10 @@ mod tests {
     #[test]
     fn service_rate_is_fraction_served() {
         let result = SimResult {
-            policy: "x".into(),
-            total_revenue: 0.0,
             served: 3,
             reneged: 1,
             total_riders: 4,
-            still_waiting: 0,
-            batch_time: SummaryStats::new(),
-            batches: 0,
-            ticks_executed: 0,
-            events_processed: 0,
-            index_ops: 0,
-            index_regions_dirtied: 0,
-            counts_ops: 0,
-            counts_regions_dirtied: 0,
-            views_ops: 0,
-            views_entries_dirtied: 0,
-            assignments: vec![],
-            reneges: vec![],
+            ..run(vec![], vec![])
         };
         assert_eq!(result.service_rate(), 0.75);
     }

@@ -13,7 +13,6 @@
 //!   paper's Appendix B (Tables 7–8) to verify the Poisson assumption.
 //! * [`metrics`] — MAE / RMSE / relative RMSE and summary statistics used by
 //!   Tables 3 and 6.
-//! * [`histogram`] — fixed-width binning used to render Figures 11–12.
 //! * [`parallel`] — the scoped worker pool the experiment harness and the
 //!   scenario sweep fan their runs out on (order-preserving, so results
 //!   are independent of the worker count).
@@ -24,13 +23,11 @@
 
 pub mod chi_square;
 pub mod gamma;
-pub mod histogram;
 pub mod metrics;
 pub mod parallel;
 pub mod poisson;
 
 pub use chi_square::{chi_square_critical, chi_square_gof_poisson, ChiSquareOutcome};
-pub use histogram::Histogram;
 pub use metrics::{mae, mean, relative_rmse, rmse, std_dev, variance, SummaryStats};
 pub use parallel::parallel_map;
 pub use poisson::{poisson_pmf, sample_poisson, PoissonProcess};

@@ -75,8 +75,8 @@ pub mod prelude {
     pub use mrvd_queueing::{expected_idle_time, QueueParams, Reneging, SteadyState};
     pub use mrvd_scenario::{ScenarioSpec, SlowdownModel, SweepPolicy};
     pub use mrvd_sim::{
-        Assignment, BatchContext, DispatchPolicy, DriverId, DriverSchedule, RenegeRecord, RiderId,
-        SimConfig, SimResult, Simulator,
+        Assignment, BatchContext, DispatchPolicy, DriverId, DriverSchedule, RenegeMatch,
+        RenegeRecord, RiderId, SimConfig, SimResult, Simulator,
     };
     pub use mrvd_spatial::{
         ConstantSpeedModel, Grid, Point, RegionId, RoadNetwork, RoadNetworkModel, TravelModel,

@@ -50,48 +50,16 @@ fn random_world(seed: u64) -> (Vec<TripRecord>, Vec<Point>, DriverSchedule) {
     (trips, pool, DriverSchedule::new(phases))
 }
 
-/// Everything that must match bit-for-bit across shard layouts: the
-/// quality outputs (exact renege records included — every layout
-/// charges reneges at true deadlines) *and* every engine counter, since
-/// all layouts apply the same events in the same order.
-type Digest = (
-    (usize, usize, usize, usize, u64, usize),
-    Vec<(u32, u32, u64, u64, u64, u64, u64, usize, Option<u64>)>,
-    Vec<(u32, u64, u64)>,
-    (usize, usize, usize, usize, usize, usize, usize, usize),
-);
-
-fn digest(r: &SimResult) -> Digest {
-    (
-        (
-            r.served,
-            r.reneged,
-            r.still_waiting,
-            r.total_riders,
-            r.total_revenue.to_bits(),
-            r.batches,
-        ),
-        r.assignments
-            .iter()
-            .map(|a| {
-                (
-                    a.rider.0,
-                    a.driver.0,
-                    a.batch_ms,
-                    a.pickup_ms,
-                    a.dropoff_ms,
-                    a.revenue.to_bits(),
-                    a.driver_idle_ms,
-                    a.dropoff_region.idx(),
-                    a.estimated_idle_s.map(f64::to_bits),
-                )
-            })
-            .collect(),
-        r.reneges
-            .iter()
-            .map(|x| (x.rider.0, x.request_ms, x.renege_ms))
-            .collect(),
-        (
+/// Asserts that two shard layouts ran the same day: every simulated
+/// output (exact renege records included — every layout charges reneges
+/// at true deadlines) *and* every engine counter, since all layouts
+/// apply the same events in the same order.
+fn assert_same_run(single: &SimResult, sharded: &SimResult, what: &str) {
+    if let Some(diff) = single.first_difference(sharded, RenegeMatch::Exact) {
+        panic!("{what} diverged at {diff}");
+    }
+    let counters = |r: &SimResult| {
+        [
             r.ticks_executed,
             r.events_processed,
             r.index_ops,
@@ -100,8 +68,13 @@ fn digest(r: &SimResult) -> Digest {
             r.counts_regions_dirtied,
             r.views_ops,
             r.views_entries_dirtied,
-        ),
-    )
+        ]
+    };
+    assert_eq!(
+        counters(single),
+        counters(sharded),
+        "{what}: engine counters (ticks, events, index ops and dirtied, counts ops and dirtied, views ops and dirtied)"
+    );
 }
 
 /// Runs one world under NEAR with the given shard layout.
@@ -137,13 +110,7 @@ proptest! {
         let world = random_world(seed);
         let single = run_with(&world, seed, 1);
         let sharded = run_with(&world, seed, shards);
-        prop_assert_eq!(
-            digest(&single),
-            digest(&sharded),
-            "seed {} shards {} diverged",
-            seed,
-            shards
-        );
+        assert_same_run(&single, &sharded, &format!("seed {seed} shards {shards}"));
     }
 }
 
@@ -178,10 +145,7 @@ fn interleaved_same_time_keys_across_shards_stay_ordered() {
         "burst world must exercise both deadline and dropoff keys"
     );
     for shards in [2, 4, 7] {
-        assert_eq!(
-            digest(&single),
-            digest(&run_with(&world, 7, shards)),
-            "shards {shards} diverged on the burst world"
-        );
+        let sharded = run_with(&world, 7, shards);
+        assert_same_run(&single, &sharded, &format!("burst world, shards {shards}"));
     }
 }
