@@ -10,7 +10,10 @@
 //!   rider whose scan found no driver is answered from the scratch's
 //!   memory of it, as in a batch where nothing moved near that rider.
 //!
-//! All arms produce identical candidate sets.
+//! All arms produce identical candidate sets. The sizes are the paper's
+//! 16×16 grid, plus one `city-*`-shaped batch (64×64 grid, 2 500
+//! available drivers) where the 32-candidate budget binds: two of its 20
+//! riders have 36 and 50 valid drivers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrvd_bench::BatchFixture;
@@ -24,9 +27,15 @@ fn bench_candidates(c: &mut Criterion) {
     // Few riders over a large fleet is the regime where the per-batch
     // rebuild dominates useful work (e.g. fine-grained Δ: most executed
     // batches carry a handful of state changes).
-    for &(riders, avail) in &[(1usize, 4000usize), (5, 500), (20, 2000), (50, 8000)] {
-        let f = BatchFixture::rush_hour(16, riders, avail, 0, 7);
-        let size = format!("{riders}r/{avail}d");
+    for &(side, riders, avail) in &[
+        (16u32, 1usize, 4000usize),
+        (16, 5, 500),
+        (16, 20, 2000),
+        (16, 50, 8000),
+        (64, 20, 2_500),
+    ] {
+        let f = BatchFixture::rush_hour(side, riders, avail, 0, 7);
+        let size = format!("{side}x{side}/{riders}r/{avail}d");
         g.bench_with_input(BenchmarkId::new("rebuild", &size), &f, |b, f| {
             let mut state = f.batch_state();
             let mut scratch = CandidateScratch::new();

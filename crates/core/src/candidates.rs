@@ -14,6 +14,18 @@
 //! generation builds no index of its own; hits map back to batch slots
 //! through the views' id→slot map ([`BatchContext::views`]).
 //!
+//! A hit costs one haversine. Each carries the distance its membership
+//! test measured from the pickup, and a model that prices distances
+//! ([`TravelModel::travel_time_ms_at`](mrvd_spatial::TravelModel::travel_time_ms_at):
+//! constant speed, and a slowdown over it) turns that into the travel
+//! time. The haversine is symmetric bit for bit, so this is exactly the
+//! driver → pickup `travel_time_ms`. Hits past the deadline are dropped,
+//! the rest become `(travel ms, driver id)` keys, and the
+//! `max_candidates` smallest keys are kept (`select_nth_unstable`, then a
+//! sort of the kept ones). Only the kept drivers are looked up in the
+//! views, so a rider with 80 valid drivers and a budget of 32 pays 32 slot
+//! lookups, not 80, and no compare reads `ctx.drivers`.
+//!
 //! Most radius queries find no driver at all (riders waiting where the
 //! fleet is not), and they would find none again next batch. So the
 //! caller's [`CandidateScratch`] remembers, per view slot, each query
@@ -35,11 +47,14 @@
 //! bucket insertion order (which differs between the live index and a
 //! from-scratch one) nor the driver view's slot order (the engine's live
 //! views are not id-sorted) can leak into the output, and both paths
-//! return identical [`CandidateSet`]s. The engine-equivalence batteries
-//! pin this end to end.
+//! return identical [`CandidateSet`]s. The key is unique per driver, so
+//! which drivers the budget keeps is decided the same way. The
+//! engine-equivalence batteries pin this end to end, and a property test
+//! here checks the indexed path against the full scan under budgets 0, 1,
+//! 3, 32 and unbounded, with co-located drivers whose times tie.
 
 use mrvd_sim::{BatchContext, DriverId};
-use mrvd_spatial::{CellRange, Point};
+use mrvd_spatial::{CellRange, Millis, Point};
 
 /// Valid pairs per rider: `pairs[i]` lists `(driver_index, pickup_travel_ms)`
 /// for rider `ctx.riders[i]`, sorted by pickup travel time and truncated
@@ -107,7 +122,9 @@ impl EmptyQuery {
 /// queries that found nothing (see module docs).
 #[derive(Debug, Default)]
 pub struct CandidateScratch {
-    hits: Vec<(DriverId, Point)>,
+    hits: Vec<(DriverId, Point, f64)>,
+    /// One rider's valid hits as `(pickup travel ms, driver id)` keys.
+    keys: Vec<(Millis, DriverId)>,
     /// [`RegionIndex::instance_id`](mrvd_spatial::RegionIndex::instance_id)
     /// of the index `empty` was recorded against.
     index_id: Option<u64>,
@@ -150,35 +167,42 @@ pub fn valid_candidates_with(
     max_candidates: usize,
     scratch: &mut CandidateScratch,
 ) -> CandidateSet {
-    let pairs = match ctx.travel.speed_bound_mps() {
-        Some(v) => indexed_pairs(ctx, v, scratch),
-        None => ctx
-            .riders
-            .iter()
-            .map(|rider| {
-                ctx.drivers
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, d)| {
-                        let t = ctx.travel.travel_time_ms(d.pos, rider.pickup);
-                        (ctx.now_ms + t <= rider.deadline_ms).then_some((i, t))
-                    })
-                    .collect()
-            })
-            .collect(),
-    };
-    let mut set = CandidateSet { pairs };
-    for cands in &mut set.pairs {
-        cands.sort_by_key(|&(i, t)| (t, ctx.drivers[i].id));
-        cands.truncate(max_candidates);
+    if let Some(v) = ctx.travel.speed_bound_mps() {
+        return CandidateSet {
+            pairs: indexed_pairs(ctx, v, max_candidates, scratch),
+        };
     }
-    set
+    let pairs = ctx
+        .riders
+        .iter()
+        .map(|rider| {
+            let mut cands: Vec<(usize, u64)> = ctx
+                .drivers
+                .iter()
+                .enumerate()
+                .filter_map(|(i, d)| {
+                    let t = ctx.travel.travel_time_ms(d.pos, rider.pickup);
+                    (ctx.now_ms + t <= rider.deadline_ms).then_some((i, t))
+                })
+                .collect();
+            cands.sort_by_key(|&(i, t)| (t, ctx.drivers[i].id));
+            cands.truncate(max_candidates);
+            cands
+        })
+        .collect();
+    CandidateSet { pairs }
 }
 
-/// Unsorted valid pairs per rider from radius queries at speed bound `v`.
+/// Valid pairs per rider from radius queries at speed bound `v`, each
+/// list the `max_candidates` smallest `(travel time, driver id)` keys in
+/// order. A hit's travel time comes from the distance the query already
+/// measured when the model prices distances
+/// ([`TravelModel::travel_time_ms_at`](mrvd_spatial::TravelModel::travel_time_ms_at)),
+/// and only the kept drivers are mapped to view slots.
 fn indexed_pairs(
     ctx: &BatchContext<'_>,
     v: f64,
+    max_candidates: usize,
     scratch: &mut CandidateScratch,
 ) -> Vec<Vec<(usize, u64)>> {
     let index_id = ctx.avail_index.instance_id();
@@ -189,7 +213,7 @@ fn indexed_pairs(
     if scratch.empty.len() < ctx.riders.len() {
         scratch.empty.resize(ctx.riders.len(), None);
     }
-    let hits = &mut scratch.hits;
+    let (hits, keys) = (&mut scratch.hits, &mut scratch.keys);
     ctx.riders
         .iter()
         .zip(&mut scratch.empty)
@@ -211,16 +235,28 @@ fn indexed_pairs(
                 ops: ctx.avail_index.ops_applied(),
                 cells,
             });
-            hits.iter()
-                .filter_map(|&(id, pos)| {
-                    let t = ctx.travel.travel_time_ms(pos, rider.pickup);
-                    (ctx.now_ms + t <= rider.deadline_ms).then(|| {
-                        let slot = ctx
-                            .views
-                            .avail_slot(id)
-                            .expect("availability index hit missing from the views");
-                        (slot, t)
-                    })
+            keys.clear();
+            keys.extend(hits.iter().filter_map(|&(id, pos, d)| {
+                let t = ctx
+                    .travel
+                    .travel_time_ms_at(d)
+                    .unwrap_or_else(|| ctx.travel.travel_time_ms(pos, rider.pickup));
+                (ctx.now_ms + t <= rider.deadline_ms).then_some((t, id))
+            }));
+            // Keys are unique per driver, so the cut and the order are
+            // deterministic whatever the bucket order of the hits.
+            if keys.len() > max_candidates {
+                keys.select_nth_unstable(max_candidates);
+                keys.truncate(max_candidates);
+            }
+            keys.sort_unstable();
+            keys.iter()
+                .map(|&(t, id)| {
+                    let slot = ctx
+                        .views
+                        .avail_slot(id)
+                        .expect("availability index hit missing from the views");
+                    (slot, t)
                 })
                 .collect()
         })
@@ -231,7 +267,11 @@ fn indexed_pairs(
 mod tests {
     use super::*;
     use mrvd_sim::{AvailableDriver, BatchState, RiderId, WaitingRider};
-    use mrvd_spatial::{ConstantSpeedModel, Grid, RegionIndex, TravelModel};
+    use mrvd_spatial::{ConstantSpeedModel, Grid, RegionIndex, TravelModel, NYC_EXTENT};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     struct NoBoundModel(ConstantSpeedModel);
 
@@ -240,6 +280,20 @@ mod tests {
             self.0.travel_time_ms(a, b)
         }
         // speed_bound_mps stays None → forces the scan path.
+    }
+
+    /// A speed bound without distance pricing: the indexed path prices
+    /// each hit through `travel_time_ms`.
+    struct BoundOnlyModel(ConstantSpeedModel);
+
+    impl TravelModel for BoundOnlyModel {
+        fn travel_time_ms(&self, a: Point, b: Point) -> u64 {
+            self.0.travel_time_ms(a, b)
+        }
+
+        fn speed_bound_mps(&self) -> Option<f64> {
+            self.0.speed_bound_mps()
+        }
     }
 
     fn rider(id: u32, p: Point, deadline_ms: u64) -> WaitingRider {
@@ -572,6 +626,67 @@ mod tests {
             assert_eq!(by_id(&ctx, &valid_candidates(&ctx, budget)), expect);
             let ctx = shuffled.context(3_000, &no_bound);
             assert_eq!(by_id(&ctx, &valid_candidates(&ctx, budget)), expect);
+        }
+    }
+
+    proptest! {
+        /// The indexed path equals the scan, also where the budget binds:
+        /// random riders over a few km² holding up to 150 drivers, a
+        /// third of them parked on another driver's spot (and some riders
+        /// on a driver's spot), so travel times tie and the driver id
+        /// decides. Ids are shuffled against the view slots. Budget 0 is
+        /// reachable through the policies' public `max_candidates`. A
+        /// model with a speed bound but no distance pricing takes the
+        /// indexed path too, pricing hits by their endpoints.
+        #[test]
+        fn indexed_candidates_equal_the_scan_under_every_budget(
+            seed in 0u64..1_000_000,
+            n_drivers in 0usize..150,
+            n_riders in 1usize..12,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let side = if seed % 2 == 0 { 16 } else { 64 };
+            let grid = Grid::new(NYC_EXTENT.0, NYC_EXTENT.1, side, side);
+            let spot = |rng: &mut StdRng| {
+                Point::new(rng.gen_range(-74.00..-73.97), rng.gen_range(40.74..40.76))
+            };
+            let mut ids: Vec<u32> = (0..n_drivers as u32).map(|i| 3 * i + 1).collect();
+            ids.shuffle(&mut rng);
+            let mut positions: Vec<Point> = Vec::new();
+            for _ in 0..n_drivers {
+                let p = match positions.choose(&mut rng) {
+                    Some(&q) if rng.gen_range(0u32..3) == 0 => q,
+                    _ => spot(&mut rng),
+                };
+                positions.push(p);
+            }
+            let drivers: Vec<AvailableDriver> = ids
+                .iter()
+                .zip(&positions)
+                .map(|(&id, &pos)| driver(id, pos))
+                .collect();
+            let riders: Vec<WaitingRider> = (0..n_riders as u32)
+                .map(|i| {
+                    let p = match positions.choose(&mut rng) {
+                        Some(&q) if i % 3 == 0 => q,
+                        _ => spot(&mut rng),
+                    };
+                    rider(i, p, rng.gen_range(0..300_000))
+                })
+                .collect();
+            let state = BatchState::new(&grid, &riders, &drivers, &[]);
+            let travel = ConstantSpeedModel::new(8.0);
+            let bound_only = BoundOnlyModel(travel);
+            let scan = NoBoundModel(travel);
+            for budget in [0, 1, 3, 32, usize::MAX] {
+                let indexed = valid_candidates(&state.context(0, &travel), budget);
+                let scanned = valid_candidates(&state.context(0, &scan), budget);
+                prop_assert_eq!(&indexed.pairs, &scanned.pairs, "budget {}", budget);
+                let unpriced = valid_candidates(&state.context(0, &bound_only), budget);
+                prop_assert_eq!(&unpriced.pairs, &scanned.pairs, "budget {}", budget);
+                prop_assert_eq!(indexed.pairs.len(), n_riders);
+                prop_assert!(indexed.pairs.iter().all(|c| c.len() <= budget));
+            }
         }
     }
 

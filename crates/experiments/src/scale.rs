@@ -14,8 +14,10 @@
 //! `--scale`) under IRG-R three ways — sharded engine, single-queue
 //! engine, legacy reference loop — and records the byte-identity of each
 //! pair, so `BENCH_scale.json` carries the equivalence evidence next to
-//! the timings it justifies. A divergence panics with
-//! [`SimResult::first_difference`]'s report of where the runs split.
+//! the timings it justifies. Each comparison records
+//! [`SimResult::first_difference`]'s report of where the runs split; the
+//! tables and the JSON are written first, and the command then exits 1
+//! naming the first divergence.
 //!
 //! The [`SimResult::digest`] of every sharded run, folded into one
 //! value, is written both into the JSON and to
@@ -47,50 +49,42 @@ struct ScalePoint {
     drivers: usize,
     /// Order volume at `--scale 1.0`.
     orders: f64,
-    /// Whether to also run IRG-R (its per-batch rate work still scales
-    /// with the *occupied* region count, so it stays off the largest
-    /// grids — the explicitly-scoped phase-2 wall).
-    irg: bool,
 }
 
 /// The scale axis: the paper's 16×16 baseline through city-scale
 /// resolution. Orders stay at ~20 per driver per day throughout, so
-/// cells differ by scale, not by load regime.
+/// cells differ by scale, not by load regime. Every point runs NEAR and
+/// IRG-R.
 const POINTS: [ScalePoint; 5] = [
     ScalePoint {
         cols: 16,
         rows: 16,
         drivers: 1_000,
         orders: 20_000.0,
-        irg: true,
     },
     ScalePoint {
         cols: 32,
         rows: 32,
         drivers: 2_000,
         orders: 40_000.0,
-        irg: true,
     },
     ScalePoint {
         cols: 64,
         rows: 64,
         drivers: 10_000,
         orders: 200_000.0,
-        irg: false,
     },
     ScalePoint {
         cols: 128,
         rows: 128,
         drivers: 25_000,
         orders: 500_000.0,
-        irg: false,
     },
     ScalePoint {
         cols: 200,
         rows: 200,
         drivers: 50_000,
         orders: 1_000_000.0,
-        irg: false,
     },
 ];
 
@@ -115,7 +109,17 @@ impl ScalePoint {
     }
 }
 
-/// Runs the scale sweep, prints the tables and dumps the JSON.
+/// The console column of a comparison: `yes`, or `NO` if the runs split.
+fn same(diff: &Option<String>) -> &'static str {
+    if diff.is_none() {
+        "yes"
+    } else {
+        "NO"
+    }
+}
+
+/// Runs the scale sweep, prints the tables and dumps the JSON; exits 1
+/// after writing them if any two runs that must match diverged.
 pub fn scale(opts: &Options) {
     eprintln!(
         "[scale] grid × fleet sweep at Δ = {SCALE_DELTA_MS} ms, scale {} — sharded vs single-queue engine…",
@@ -125,29 +129,27 @@ pub fn scale(opts: &Options) {
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut cell_values: Vec<Value> = Vec::new();
     let mut digest = SimResult::EMPTY_DIGEST;
+    let mut divergences: Vec<String> = Vec::new();
     for point in &POINTS {
         let spec = point.spec(opts.scale);
         let tm = std::time::Instant::now();
         let workload = spec.materialize();
         let materialize_s = tm.elapsed().as_secs_f64();
         let shards = ShardedEventQueue::auto_shard_count(workload.grid.num_regions());
-        let mut policies = vec![SweepPolicy::Near];
-        if point.irg {
-            policies.push(SweepPolicy::IrgReal);
-        }
-        for policy in policies {
+        for policy in [SweepPolicy::Near, SweepPolicy::IrgReal] {
             let ts = std::time::Instant::now();
             let sharded = run_scenario_configured(&workload, policy, None, None);
             let sharded_s = ts.elapsed().as_secs_f64();
             let ts = std::time::Instant::now();
             let single = run_scenario_configured(&workload, policy, None, Some(1));
             let single_s = ts.elapsed().as_secs_f64();
-            if let Some(diff) = sharded.first_difference(&single, RenegeMatch::Exact) {
-                panic!(
+            let diff = sharded.first_difference(&single, RenegeMatch::Exact);
+            if let Some(diff) = &diff {
+                divergences.push(format!(
                     "{}/{}: sharded and single-queue runs diverged at {diff}",
                     spec.name,
                     policy.label()
-                );
+                ));
             }
             digest = sharded.fold_digest(digest);
             let events_per_s = sharded.events_processed as f64 / sharded_s.max(1e-9);
@@ -162,7 +164,7 @@ pub fn scale(opts: &Options) {
                 sharded.views_entries_dirtied.to_string(),
                 format!("{:.2}", sharded_s),
                 format!("{:.2}", single_s),
-                "yes".to_string(),
+                same(&diff).to_string(),
             ]);
             cell_values.push(json!({
                 "point": spec.name,
@@ -191,7 +193,8 @@ pub fn scale(opts: &Options) {
                 "index_ops": sharded.index_ops,
                 "wall_s_sharded": sharded_s,
                 "wall_s_single_queue": single_s,
-                "sharded_equals_single_queue": true,
+                "sharded_equals_single_queue": diff.is_none(),
+                "first_difference_single_queue": diff,
             }));
         }
     }
@@ -233,7 +236,6 @@ pub fn scale(opts: &Options) {
     let id_rows: Vec<Vec<String>> = identity
         .iter()
         .map(|(name, vs_single, vs_reference, _)| {
-            let same = |diff: &Option<String>| if diff.is_none() { "yes" } else { "NO" };
             vec![
                 name.clone(),
                 same(vs_single).to_string(),
@@ -248,10 +250,14 @@ pub fn scale(opts: &Options) {
     );
     for (name, vs_single, vs_reference, sharded) in &identity {
         if let Some(diff) = vs_single {
-            panic!("{name}: sharded diverged from single queue at {diff}");
+            divergences.push(format!(
+                "{name}: sharded diverged from single queue at {diff}"
+            ));
         }
         if let Some(diff) = vs_reference {
-            panic!("{name}: sharded diverged from reference loop at {diff}");
+            divergences.push(format!(
+                "{name}: sharded diverged from reference loop at {diff}"
+            ));
         }
         digest = sharded.fold_digest(digest);
     }
@@ -265,6 +271,8 @@ pub fn scale(opts: &Options) {
                 "policy": "IRG-R",
                 "sharded_equals_single_queue": vs_single.is_none(),
                 "sharded_equals_reference": vs_reference.is_none(),
+                "first_difference_single_queue": vs_single,
+                "first_difference_reference": vs_reference,
             })
         })
         .collect();
@@ -288,5 +296,12 @@ pub fn scale(opts: &Options) {
     match std::fs::write(&digest_path, format!("{digest_hex}\n")) {
         Ok(()) => eprintln!("[out] wrote {}", digest_path.display()),
         Err(e) => eprintln!("[warn] cannot write {}: {e}", digest_path.display()),
+    }
+    if let Some(first) = divergences.first() {
+        eprintln!(
+            "[scale] {} comparison(s) diverged; the first: {first}",
+            divergences.len()
+        );
+        std::process::exit(1);
     }
 }

@@ -37,11 +37,22 @@ impl<M: TravelModel> SlowdownModel<M> {
     pub fn speed_factor(&self) -> f64 {
         self.speed_factor
     }
+
+    /// The inner model's time `t`, rescaled by the speed factor.
+    fn slowed(&self, t: Millis) -> Millis {
+        (t as f64 / self.speed_factor).round() as Millis
+    }
 }
 
 impl<M: TravelModel> TravelModel for SlowdownModel<M> {
     fn travel_time_ms(&self, from: Point, to: Point) -> Millis {
-        (self.inner.travel_time_ms(from, to) as f64 / self.speed_factor).round() as Millis
+        self.slowed(self.inner.travel_time_ms(from, to))
+    }
+
+    fn travel_time_ms_at(&self, distance_m: f64) -> Option<Millis> {
+        self.inner
+            .travel_time_ms_at(distance_m)
+            .map(|t| self.slowed(t))
     }
 
     fn speed_bound_mps(&self) -> Option<f64> {
@@ -52,7 +63,9 @@ impl<M: TravelModel> TravelModel for SlowdownModel<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrvd_spatial::ConstantSpeedModel;
+    use mrvd_spatial::{ConstantSpeedModel, NYC_EXTENT};
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
     fn halved_speed_doubles_travel_time() {
@@ -78,6 +91,35 @@ mod tests {
     fn speed_bound_scales_with_the_factor() {
         let m = SlowdownModel::new(ConstantSpeedModel::new(10.0), 0.5);
         assert_eq!(m.speed_bound_mps(), Some(5.0));
+    }
+
+    proptest! {
+        /// A slowed constant speed prices a distance exactly as it prices
+        /// the two points, measured either way round — so `rain-slowdown`
+        /// candidate search may price hits by the distance its radius
+        /// query measured. Points inside the NYC extent and up to one
+        /// extent width or height outside it.
+        #[test]
+        fn slowed_distance_priced_time_matches_point_to_point(
+            seed in 0u64..1_000_000,
+            factor in 0.05f64..3.0,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let model = SlowdownModel::new(ConstantSpeedModel::default(), factor);
+            let (min, max) = NYC_EXTENT;
+            let (w, h) = (max.lon - min.lon, max.lat - min.lat);
+            for _ in 0..50 {
+                let [a, b] = [(); 2].map(|()| {
+                    Point::new(
+                        rng.gen_range(min.lon - w..max.lon + w),
+                        rng.gen_range(min.lat - h..max.lat + h),
+                    )
+                });
+                let t = model.travel_time_ms(a, b);
+                prop_assert_eq!(model.travel_time_ms_at(a.distance_m(&b)), Some(t));
+                prop_assert_eq!(model.travel_time_ms_at(b.distance_m(&a)), Some(t));
+            }
+        }
     }
 
     #[test]

@@ -33,15 +33,31 @@ pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
 ///
 /// The formula is `h = hav(Δφ) + cos φa · cos φb · hav(Δλ)`, then the arc
 /// `2R · asin(min(√h, 1))`; `hav` and the arc are crate-private helpers
-/// that [`crate::Grid::center_distances_from`] shares. Between grid
+/// that [`crate::Grid::center_distances_from`] and
+/// [`crate::RegionIndex::within_radius_into`] share. Between grid
 /// centres, `hav(Δφ)` and `cos φa · cos φb` depend only on the two rows
 /// and `hav(Δλ)` only on the two columns, so that method computes them
 /// once per row or column and still reproduces this function bit for
 /// bit: it runs the same IEEE operations on the same operands in the
-/// same order, and Rust never fuses `a + p·b` into an FMA.
+/// same order, and Rust never fuses `a + p·b` into an FMA. A radius
+/// query computes `cos φa` of its query point `a` once and runs the rest
+/// per item, through the same crate-private formula as this function.
+///
+/// The distance is symmetric bit for bit: swapping `a` and `b` negates
+/// `Δφ` and `Δλ` exactly, `sin` is odd so `hav` is even, and the cosine
+/// product commutes. So the distance a radius query measures from its
+/// query point to a hit is also the distance from the hit back to it.
 pub fn haversine_m(a: Point, b: Point) -> f64 {
+    haversine_from(a, a.lat.to_radians().cos(), b)
+}
+
+/// [`haversine_m`]`(a, b)` given `cos_lat_a`, the cosine of `a`'s
+/// latitude, so a caller measuring many points from one `a` computes it
+/// once.
+#[inline]
+pub(crate) fn haversine_from(a: Point, cos_lat_a: f64, b: Point) -> f64 {
     let h = half_angle_term(b.lat - a.lat)
-        + a.lat.to_radians().cos() * b.lat.to_radians().cos() * half_angle_term(b.lon - a.lon);
+        + cos_lat_a * b.lat.to_radians().cos() * half_angle_term(b.lon - a.lon);
     arc_m(h)
 }
 

@@ -6,7 +6,11 @@
 //! per batch. Bucketing items by region lets a radius query
 //! ([`RegionIndex::within_radius_into`]) scan only the buckets under a
 //! lon/lat box that provably holds the radius, rejecting most items by
-//! four compares against the box before the exact distance test.
+//! four compares against the box before the exact distance test. Each
+//! hit comes back with the distance that test measured, bit for bit
+//! [`Point::distance_m`] from the query point, so a caller that prices a
+//! hit by its distance (candidate search under a constant speed) runs no
+//! second haversine.
 //!
 //! Between consecutive batch timestamps almost nothing moves: drivers only
 //! change position at dropoffs, and only change availability at
@@ -33,7 +37,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::geo::{radius_box, Point};
+use crate::geo::{haversine_from, radius_box, Point};
 use crate::grid::{Grid, RegionId};
 
 /// The next [`RegionIndex::instance_id`]: every index built or cloned in
@@ -59,8 +63,9 @@ pub struct CellRange {
 
 /// An index of items bucketed by their grid region.
 ///
-/// `T` is typically a driver id. Items carry their exact position so that
-/// callers can apply precise travel-time filters after the radius query.
+/// `T` is typically a driver id. Items carry their exact position, and
+/// radius-query hits their distance from the query point, so that
+/// callers can apply precise travel-time filters after the query.
 ///
 /// # Example
 ///
@@ -77,7 +82,7 @@ pub struct CellRange {
 /// let near: Vec<u32> = ix
 ///     .within_radius(midtown, 2_000.0)
 ///     .into_iter()
-///     .map(|(id, _)| id)
+///     .map(|(id, _, _)| id)
 ///     .collect();
 /// assert_eq!(near, vec![1]);
 ///
@@ -295,9 +300,10 @@ impl<T: Copy> RegionIndex<T> {
     }
 
     /// Collects every item whose straight-line distance to `p` is at most
-    /// `radius_m`. The result is not sorted; callers order by their own
-    /// criterion (travel time, cost…).
-    pub fn within_radius(&self, p: Point, radius_m: f64) -> Vec<(T, Point)> {
+    /// `radius_m`, as `(item, position, distance)` with the distance
+    /// `p.distance_m(&position)` in meters. The result is not sorted;
+    /// callers order by their own criterion (travel time, cost…).
+    pub fn within_radius(&self, p: Point, radius_m: f64) -> Vec<(T, Point, f64)> {
         let mut out = Vec::new();
         self.within_radius_into(p, radius_m, &mut out);
         out
@@ -318,11 +324,17 @@ impl<T: Copy> RegionIndex<T> {
     /// of a linear scan, for latitudes in [−90°, 90°] and longitudes that
     /// do not wrap across the antimeridian. An item in a cell outside the
     /// returned range is therefore farther than `radius_m` from `p`.
+    ///
+    /// Each hit carries the distance its membership test computed, so a
+    /// caller pricing the hit by distance needs no second haversine. The
+    /// query point's `cos φ` is computed once per query; the rest of
+    /// [`haversine_m`](crate::haversine_m) runs per item, so the distance
+    /// equals `p.distance_m(&q)` bit for bit.
     pub fn within_radius_into(
         &self,
         p: Point,
         radius_m: f64,
-        out: &mut Vec<(T, Point)>,
+        out: &mut Vec<(T, Point, f64)>,
     ) -> Option<CellRange> {
         out.clear();
         if radius_m.is_nan() || radius_m < 0.0 {
@@ -333,6 +345,7 @@ impl<T: Copy> RegionIndex<T> {
         let (c0, r0) = self.grid.coords_of(lo);
         let (c1, r1) = self.grid.coords_of(hi);
         let cols = self.grid.cols();
+        let cos_p = p.lat.to_radians().cos();
         for row in r0..=r1 {
             let first = RegionId(row * cols + c0).idx();
             let last = RegionId(row * cols + c1).idx();
@@ -343,8 +356,9 @@ impl<T: Copy> RegionIndex<T> {
                     if q.lon < lo.lon || q.lon > hi.lon || q.lat < lo.lat || q.lat > hi.lat {
                         continue;
                     }
-                    if p.distance_m(&q) <= radius_m {
-                        out.push((item, q));
+                    let d = haversine_from(p, cos_p, q);
+                    if d <= radius_m {
+                        out.push((item, q, d));
                     }
                 }
             }
@@ -575,7 +589,7 @@ mod tests {
         let got: std::collections::HashSet<u32> = ix
             .within_radius(q, radius)
             .into_iter()
-            .map(|(i, _)| i)
+            .map(|(i, _, _)| i)
             .collect();
         let expect: std::collections::HashSet<u32> = pts
             .iter()
@@ -593,7 +607,7 @@ mod tests {
         for i in 0..20u32 {
             ix.insert(i, p);
         }
-        let mut buf = vec![(99u32, p)]; // stale content must be cleared
+        let mut buf = vec![(99u32, p, 0.0)]; // stale content must be cleared
         let cells = ix.within_radius_into(p, 100.0, &mut buf);
         assert_eq!(buf.len(), 20);
         assert_eq!(ix.within_radius(p, 100.0), buf);
@@ -618,12 +632,17 @@ mod tests {
             .collect()
     }
 
-    /// Ids of the items the index finds within `radius` of `q`, sorted.
+    /// Ids of the items the index finds within `radius` of `q`, sorted,
+    /// after checking that each hit carries `q.distance_m` of its
+    /// position, bit for bit.
     fn indexed(ix: &RegionIndex<u32>, q: Point, radius: f64) -> Vec<u32> {
         let mut ids: Vec<u32> = ix
             .within_radius(q, radius)
             .into_iter()
-            .map(|(i, _)| i)
+            .map(|(i, p, d)| {
+                assert_eq!(d.to_bits(), q.distance_m(&p).to_bits(), "{i} at {p:?}");
+                i
+            })
             .collect();
         ids.sort_unstable();
         ids

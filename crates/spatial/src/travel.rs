@@ -14,9 +14,26 @@ use crate::road::RoadNetwork;
 pub type Millis = u64;
 
 /// A travel-cost oracle: time to drive between two points.
+///
+/// A model whose time depends on the straight-line distance alone
+/// (constant speed, and decorators that rescale it) also prices a
+/// distance directly through [`TravelModel::travel_time_ms_at`]. Candidate
+/// search uses that to turn the distance each radius-query hit already
+/// carries into its travel time, without a second haversine per hit.
 pub trait TravelModel: Send + Sync {
     /// Travel time from `from` to `to` in milliseconds.
     fn travel_time_ms(&self, from: Point, to: Point) -> Millis;
+
+    /// Travel time in milliseconds over a straight-line distance of
+    /// `distance_m` meters, for a model whose time depends on the
+    /// distance alone. Then `travel_time_ms(a, b)` equals
+    /// `travel_time_ms_at(haversine_m(a, b))` bit for bit, for all points
+    /// `a` and `b` (see [`haversine_m`](crate::haversine_m)). `None` (the
+    /// default) means the model needs the endpoints (a road network), and
+    /// callers use [`TravelModel::travel_time_ms`].
+    fn travel_time_ms_at(&self, _distance_m: f64) -> Option<Millis> {
+        None
+    }
 
     /// Travel time in fractional seconds (the paper's revenue unit at α=1).
     fn travel_time_s(&self, from: Point, to: Point) -> f64 {
@@ -72,8 +89,13 @@ impl Default for ConstantSpeedModel {
 
 impl TravelModel for ConstantSpeedModel {
     fn travel_time_ms(&self, from: Point, to: Point) -> Millis {
-        let secs = from.distance_m(&to) / self.speed_mps;
-        (secs * 1000.0).round() as Millis
+        self.travel_time_ms_at(from.distance_m(&to))
+            .expect("a constant speed prices every distance")
+    }
+
+    fn travel_time_ms_at(&self, distance_m: f64) -> Option<Millis> {
+        let secs = distance_m / self.speed_mps;
+        Some((secs * 1000.0).round() as Millis)
     }
 
     fn speed_bound_mps(&self) -> Option<f64> {
@@ -146,7 +168,10 @@ impl TravelModel for RoadNetworkModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
+    use crate::geo::haversine_m;
+    use crate::grid::NYC_EXTENT;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
     fn constant_speed_scales_with_distance() {
@@ -188,6 +213,8 @@ mod tests {
         // Manhattan routing cannot beat the straight line at equal speed
         // (allow 1% slack for snapping/rounding).
         assert!(m.travel_time_ms(a, b) as f64 >= straight.travel_time_ms(a, b) as f64 * 0.99);
+        // A route depends on the endpoints, not on their distance alone.
+        assert_eq!(m.travel_time_ms_at(1_000.0), None);
     }
 
     #[test]
@@ -201,5 +228,49 @@ mod tests {
         let b = Point::new(-73.8, 40.9);
         let expect = (a.distance_m(&b) / 8.0 * 1000.0).round() as u64;
         assert_eq!(m.travel_time_ms(a, b), expect);
+    }
+
+    /// A point inside the NYC extent, up to one extent width or height
+    /// outside it, or anywhere on the globe.
+    fn any_point(rng: &mut StdRng) -> Point {
+        let (min, max) = NYC_EXTENT;
+        let (w, h) = (max.lon - min.lon, max.lat - min.lat);
+        match rng.gen_range(0u32..3) {
+            0 => Point::new(
+                rng.gen_range(min.lon..max.lon),
+                rng.gen_range(min.lat..max.lat),
+            ),
+            1 => Point::new(
+                rng.gen_range(min.lon - w..max.lon + w),
+                rng.gen_range(min.lat - h..max.lat + h),
+            ),
+            _ => Point::new(rng.gen_range(-180.0..180.0), rng.gen_range(-90.0..90.0)),
+        }
+    }
+
+    proptest! {
+        /// What pricing a radius-query hit by its distance rests on. The
+        /// query measures the pickup → driver distance and
+        /// `travel_time_ms` the driver → pickup one: the two are equal
+        /// bit for bit (IEEE negation is exact, `sin` is odd and the
+        /// cosine product commutes), and a constant speed prices either
+        /// the same as the two points.
+        #[test]
+        fn distance_priced_travel_time_matches_point_to_point(
+            seed in 0u64..1_000_000,
+            speed in 0.5f64..40.0,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let model = ConstantSpeedModel::new(speed);
+            for k in 0..50 {
+                let a = any_point(&mut rng);
+                // Every tenth pair is one point twice: distance 0.
+                let b = if k % 10 == 0 { a } else { any_point(&mut rng) };
+                prop_assert_eq!(haversine_m(a, b).to_bits(), haversine_m(b, a).to_bits());
+                let t = model.travel_time_ms(a, b);
+                prop_assert_eq!(model.travel_time_ms_at(a.distance_m(&b)), Some(t));
+                prop_assert_eq!(model.travel_time_ms_at(b.distance_m(&a)), Some(t));
+            }
+        }
     }
 }
