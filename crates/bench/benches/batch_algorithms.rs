@@ -1,7 +1,9 @@
 //! Per-batch running time of every dispatching algorithm — the quantity
 //! the paper plots in Figures 7(b)–10(b). The batch state is a fixed
 //! rush-hour snapshot; the rider-pool size is swept like the paper's
-//! driver sweep (more drivers ⇒ more riders served per batch).
+//! driver sweep (more drivers ⇒ more riders served per batch). The last
+//! size is driver-rich: 40 riders and 1,000 available drivers, the shape
+//! of a `paper-irg` benchmark batch (about 40 riders and 940 drivers).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrvd_bench::BatchFixture;
@@ -17,6 +19,7 @@ fn bench_policies(c: &mut Criterion) {
         (200usize, 20usize, 500usize),
         (600, 60, 1500),
         (1200, 120, 3000),
+        (40, 1_000, 0),
     ] {
         let f = BatchFixture::rush_hour(16, riders, avail, busy, 7);
         let state = f.batch_state();

@@ -71,18 +71,6 @@ impl CandidateSet {
     pub fn num_pairs(&self) -> usize {
         self.pairs.iter().map(Vec::len).sum()
     }
-
-    /// Inverts the mapping: for each driver, the riders it is a candidate
-    /// for (with pickup travel time).
-    pub fn by_driver(&self, num_drivers: usize) -> Vec<Vec<(usize, u64)>> {
-        let mut out = vec![Vec::new(); num_drivers];
-        for (rider_idx, cands) in self.pairs.iter().enumerate() {
-            for &(driver_idx, t) in cands {
-                out[driver_idx].push((rider_idx, t));
-            }
-        }
-        out
-    }
 }
 
 /// Lifetime counters of one [`CandidateScratch`]: radius queries run
@@ -686,24 +674,6 @@ mod tests {
                 prop_assert_eq!(&unpriced.pairs, &scanned.pairs, "budget {}", budget);
                 prop_assert_eq!(indexed.pairs.len(), n_riders);
                 prop_assert!(indexed.pairs.iter().all(|c| c.len() <= budget));
-            }
-        }
-    }
-
-    #[test]
-    fn by_driver_inverts_the_mapping() {
-        let grid = Grid::nyc_16x16();
-        let travel = ConstantSpeedModel::new(8.0);
-        let riders = [
-            rider(0, Point::new(-73.98, 40.75), 240_000),
-            rider(1, Point::new(-73.979, 40.751), 240_000),
-        ];
-        let state = BatchState::new(&grid, &riders, &drivers_line(3), &[]);
-        let c = valid_candidates(&state.context(0, &travel), usize::MAX);
-        let inv = c.by_driver(3);
-        for (rider_idx, cands) in c.pairs.iter().enumerate() {
-            for &(driver_idx, t) in cands {
-                assert!(inv[driver_idx].contains(&(rider_idx, t)));
             }
         }
     }

@@ -53,6 +53,44 @@ pub enum PriorityRule {
     TotalTime,
 }
 
+impl PriorityRule {
+    /// A pair's priority from its trip cost and its destination's idle
+    /// time; smaller is better.
+    fn key(self, cost_s: f64, et_s: f64) -> f64 {
+        match self {
+            PriorityRule::IdleRatio => idle_ratio(cost_s, et_s),
+            PriorityRule::TotalTime => cost_s + et_s,
+        }
+    }
+}
+
+/// A greedy heap entry: (key, pickup travel ms, rider id, driver id,
+/// rider slot, driver slot, destination version).
+type Entry = Reverse<(OrdF64, u64, u32, u32, usize, usize, u32)>;
+
+/// One waiting rider's state within a batch, indexed by its view slot.
+#[derive(Debug, Clone, Copy)]
+struct BatchRider {
+    /// Trip cost in seconds.
+    cost_s: f64,
+    /// Destination region.
+    dest: usize,
+    /// Slot of the driver assigned to it, or `usize::MAX`.
+    driver: usize,
+}
+
+impl BatchRider {
+    /// Before the batch looks at the rider. Cost and destination are
+    /// filled for riders with a candidate only: nothing reads another
+    /// rider's, and the placeholders fail loudly if that ever changes (a
+    /// NaN key panics in `OrdF64`, `usize::MAX` indexes out of bounds).
+    const UNSEEN: Self = Self {
+        cost_s: f64::NAN,
+        dest: usize::MAX,
+        driver: usize::MAX,
+    };
+}
+
 /// The queueing-theoretic dispatch policy (IRG / LS / SHORT).
 pub struct QueueingPolicy {
     cfg: DispatchConfig,
@@ -74,6 +112,15 @@ pub struct QueueingPolicy {
     version: Vec<u32>,
     /// Destination regions whose version stamp the current batch bumped.
     version_touched: Vec<u32>,
+    /// The greedy's lazy heap; every batch drains it.
+    heap: BinaryHeap<Entry>,
+    /// Per-rider batch state, rebuilt at the top of each batch.
+    riders: Vec<BatchRider>,
+    /// The rider slot each driver slot holds, or `usize::MAX`.
+    /// Invariant between batches: all `usize::MAX` — the batch resets
+    /// the entries of the drivers it assigned, so no per-batch
+    /// O(fleet) clear is needed.
+    rider_of_driver: Vec<usize>,
 }
 
 impl QueueingPolicy {
@@ -98,6 +145,9 @@ impl QueueingPolicy {
             upcoming: Vec::new(),
             version: Vec::new(),
             version_touched: Vec::new(),
+            heap: BinaryHeap::new(),
+            riders: Vec::new(),
+            rider_of_driver: Vec::new(),
         }
     }
 
@@ -119,13 +169,6 @@ impl QueueingPolicy {
     /// SHORT (Appendix C): greedy on `cost + ET`.
     pub fn short(cfg: DispatchConfig, oracle: DemandOracle) -> Self {
         Self::new(cfg, oracle, SearchMode::Greedy, PriorityRule::TotalTime)
-    }
-
-    fn key(&self, cost_s: f64, et_s: f64) -> f64 {
-        match self.rule {
-            PriorityRule::IdleRatio => idle_ratio(cost_s, et_s),
-            PriorityRule::TotalTime => cost_s + et_s,
-        }
     }
 
     /// The rate tracker's lifetime counters — how many batches it
@@ -202,21 +245,24 @@ impl DispatchPolicy for QueueingPolicy {
 
         // Valid pairs (Algorithm 2, lines 3–5).
         let cands = valid_candidates_with(ctx, self.cfg.max_candidates, &mut self.scratch);
-        // Trip cost and destination region, filled below for riders with
-        // a candidate only: nothing after the heap reads another rider's.
-        // The placeholders fail loudly if that ever changes (a NaN key
-        // panics in `OrdF64`, `usize::MAX` indexes out of bounds).
-        let mut rider_cost = vec![f64::NAN; n_riders];
-        let mut rider_dest = vec![usize::MAX; n_riders];
+        let rule = self.rule;
+        self.riders.clear();
+        self.riders.resize(n_riders, BatchRider::UNSEEN);
+        if self.rider_of_driver.len() < n_drivers {
+            self.rider_of_driver.resize(n_drivers, usize::MAX);
+        }
+        debug_assert!(
+            self.rider_of_driver.iter().all(|&r| r == usize::MAX),
+            "driver slots must hold no rider between batches"
+        );
 
-        // Greedy selection with a lazy re-keyed heap (lines 7–12).
-        // Entry: (key, pickup travel ms, rider id, driver id, rider slot,
-        // driver slot, dest version). Ties break on the stable *ids*, not
-        // the view slots, so the selection order — and with it every
-        // downstream μ-bump — is invariant to the live views' slot order.
-        // (At most one live entry exists per (rider, driver) pair: each is
-        // pushed once up front, and a stale entry is popped before its
-        // re-keyed copy is pushed, so the id tie-break is a total order.)
+        // Greedy selection with a lazy re-keyed heap (lines 7–12). Ties
+        // break on the stable *ids*, not the view slots, so the selection
+        // order — and with it every downstream μ-bump — is invariant to
+        // the live views' slot order. (At most one live entry exists per
+        // (rider, driver) pair: each is pushed once up front, and a stale
+        // entry is popped before its re-keyed copy is pushed, so the id
+        // tie-break is a total order.)
         if self.version.len() != ctx.grid.num_regions() {
             self.version.clear();
             self.version.resize(ctx.grid.num_regions(), 0);
@@ -225,8 +271,6 @@ impl DispatchPolicy for QueueingPolicy {
             self.version.iter().all(|&v| v == 0),
             "version stamps must be zero between batches"
         );
-        type Entry = Reverse<(OrdF64, u64, u32, u32, usize, usize, u32)>;
-        let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
         for (r, cand) in cands.pairs.iter().enumerate() {
             if cand.is_empty() {
                 // No pair to key — and no reason to cost this trip or to
@@ -235,8 +279,9 @@ impl DispatchPolicy for QueueingPolicy {
             }
             let rider = &ctx.riders[r];
             let dest = ctx.grid.region_of(rider.dropoff).idx();
-            rider_cost[r] = ctx.travel.travel_time_s(rider.pickup, rider.dropoff);
-            rider_dest[r] = dest;
+            let cost_s = ctx.travel.travel_time_s(rider.pickup, rider.dropoff);
+            self.riders[r].cost_s = cost_s;
+            self.riders[r].dest = dest;
             // The only regions this batch reads: every later idle-time
             // read or μ-bump lands on the destination of a rider with a
             // candidate, all filled here before the first bump. (A
@@ -246,48 +291,29 @@ impl DispatchPolicy for QueueingPolicy {
                 self.oracle
                     .upcoming_region(ctx.now_ms, self.cfg.tc_ms, dest)
             });
-            let et = self.tracker.et(dest, &self.cfg);
-            let k = self.key(rider_cost[r], et);
+            let key = OrdF64(rule.key(cost_s, self.tracker.et(dest, &self.cfg)));
             for &(d, pickup_ms) in cand {
-                heap.push(Reverse((
-                    OrdF64(k),
-                    pickup_ms,
-                    ctx.riders[r].id.0,
-                    ctx.drivers[d].id.0,
-                    r,
-                    d,
-                    self.version[dest],
-                )));
+                let did = ctx.drivers[d].id.0;
+                let ver = self.version[dest];
+                self.heap
+                    .push(Reverse((key, pickup_ms, rider.id.0, did, r, d, ver)));
             }
         }
-        let mut rider_taken = vec![false; n_riders];
-        let mut driver_of_rider = vec![usize::MAX; n_riders];
-        let mut driver_taken = vec![false; n_drivers];
-        let mut rider_of_driver = vec![usize::MAX; n_drivers];
-        while let Some(Reverse((_, pickup_ms, rid, did, r, d, ver))) = heap.pop() {
-            if rider_taken[r] || driver_taken[d] {
+        while let Some(Reverse((_, pickup_ms, rid, did, r, d, ver))) = self.heap.pop() {
+            if self.riders[r].driver != usize::MAX || self.rider_of_driver[d] != usize::MAX {
                 continue;
             }
-            let dest = rider_dest[r];
+            let BatchRider { cost_s, dest, .. } = self.riders[r];
             if ver != self.version[dest] {
                 // Stale: re-key against the current expected idle time.
-                let et = self.tracker.et(dest, &self.cfg);
-                let k = self.key(rider_cost[r], et);
-                heap.push(Reverse((
-                    OrdF64(k),
-                    pickup_ms,
-                    rid,
-                    did,
-                    r,
-                    d,
-                    self.version[dest],
-                )));
+                let key = OrdF64(rule.key(cost_s, self.tracker.et(dest, &self.cfg)));
+                let ver = self.version[dest];
+                self.heap
+                    .push(Reverse((key, pickup_ms, rid, did, r, d, ver)));
                 continue;
             }
-            rider_taken[r] = true;
-            driver_taken[d] = true;
-            driver_of_rider[r] = d;
-            rider_of_driver[d] = r;
+            self.riders[r].driver = d;
+            self.rider_of_driver[d] = r;
             // Line 11: the driver will rejoin at the destination — bump μ.
             self.tracker.bump_mu(dest, &self.cfg);
             self.version[dest] = self.version[dest].wrapping_add(1);
@@ -299,31 +325,47 @@ impl DispatchPolicy for QueueingPolicy {
             self.version[k as usize] = 0;
         }
 
-        // Local search refinement (Algorithm 3). The sweep visits drivers
-        // in id order and picks each replacement by an explicit
-        // (key, rider id) minimum, so the refinement path — like the
-        // greedy phase — does not depend on the views' slot order.
+        // Local search refinement (Algorithm 3). Only a driver the greedy
+        // assigned can swap, and a swap changes which rider it holds,
+        // never whether it holds one: the sweep visits those drivers in
+        // id order, each with the riders it is a candidate for (listed
+        // under the rider the greedy gave it, in slot order). Each
+        // replacement is an explicit (key, rider id) minimum, so the
+        // refinement — like the greedy phase — does not depend on the
+        // views' slot order.
         if let SearchMode::LocalSearch { max_sweeps } = self.mode {
-            let by_driver = cands.by_driver(n_drivers);
-            let mut dorder: Vec<usize> = (0..n_drivers).collect();
-            dorder.sort_by_key(|&d| ctx.drivers[d].id);
+            let mut sweep: Vec<(usize, usize)> = (0..n_riders)
+                .filter(|&r| self.riders[r].driver != usize::MAX)
+                .map(|r| (self.riders[r].driver, r))
+                .collect();
+            sweep.sort_by_key(|&(d, _)| ctx.drivers[d].id);
+            let mut riders_of: Vec<Vec<usize>> = vec![Vec::new(); n_riders];
+            for (r, cand) in cands.pairs.iter().enumerate() {
+                for &(d, _) in cand {
+                    let greedy_rider = self.rider_of_driver[d];
+                    if greedy_rider != usize::MAX {
+                        riders_of[greedy_rider].push(r);
+                    }
+                }
+            }
             for _sweep in 0..max_sweeps {
                 let mut changed = false;
-                for &d in &dorder {
-                    let cur = rider_of_driver[d];
-                    if cur == usize::MAX {
-                        continue;
-                    }
-                    let cur_et = self.tracker.et(rider_dest[cur], &self.cfg);
-                    let cur_key = self.key(rider_cost[cur], cur_et);
+                for &(d, greedy_rider) in &sweep {
+                    let cur = self.rider_of_driver[d];
+                    let cur_et = self.tracker.et(self.riders[cur].dest, &self.cfg);
+                    let cur_key = rule.key(self.riders[cur].cost_s, cur_et);
                     // Best strict improvement among unassigned valid riders.
                     let mut best: Option<(usize, f64)> = None;
-                    for &(r2, _) in &by_driver[d] {
-                        if rider_taken[r2] {
+                    for &r2 in &riders_of[greedy_rider] {
+                        let BatchRider {
+                            cost_s,
+                            dest,
+                            driver,
+                        } = self.riders[r2];
+                        if driver != usize::MAX {
                             continue;
                         }
-                        let et2 = self.tracker.et(rider_dest[r2], &self.cfg);
-                        let k2 = self.key(rider_cost[r2], et2);
+                        let k2 = rule.key(cost_s, self.tracker.et(dest, &self.cfg));
                         let better = match best {
                             None => k2 < cur_key - 1e-12,
                             Some((br, bk)) => {
@@ -338,12 +380,10 @@ impl DispatchPolicy for QueueingPolicy {
                     if let Some((r2, _)) = best {
                         // Swap: free `cur`, take `r2`; move one future
                         // rejoin from dest(cur) to dest(r2).
-                        rider_taken[cur] = false;
-                        driver_of_rider[cur] = usize::MAX;
-                        rider_taken[r2] = true;
-                        driver_of_rider[r2] = d;
-                        rider_of_driver[d] = r2;
-                        let (from, to) = (rider_dest[cur], rider_dest[r2]);
+                        self.riders[cur].driver = usize::MAX;
+                        self.riders[r2].driver = d;
+                        self.rider_of_driver[d] = r2;
+                        let (from, to) = (self.riders[cur].dest, self.riders[r2].dest);
                         self.tracker.unbump_mu(from, &self.cfg);
                         self.tracker.bump_mu(to, &self.cfg);
                         changed = true;
@@ -356,15 +396,20 @@ impl DispatchPolicy for QueueingPolicy {
         }
 
         // Emit assignments with the final idle-time estimates (Table 3),
-        // in rider-id order — canonical whatever order the views hold.
-        let mut out: Vec<Assignment> = (0..n_riders)
-            .filter(|&r| driver_of_rider[r] != usize::MAX)
-            .map(|r| Assignment {
+        // in rider-id order — canonical whatever order the views hold —
+        // and free the driver slots this batch took.
+        let mut out = Vec::new();
+        for (r, rider) in self.riders.iter().enumerate() {
+            if rider.driver == usize::MAX {
+                continue;
+            }
+            self.rider_of_driver[rider.driver] = usize::MAX;
+            out.push(Assignment {
                 rider: ctx.riders[r].id,
-                driver: ctx.drivers[driver_of_rider[r]].id,
-                estimated_idle_s: Some(self.tracker.et(rider_dest[r], &self.cfg)),
-            })
-            .collect();
+                driver: ctx.drivers[rider.driver].id,
+                estimated_idle_s: Some(self.tracker.et(rider.dest, &self.cfg)),
+            });
+        }
         out.sort_by_key(|a| a.rider);
         out
     }

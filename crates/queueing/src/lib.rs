@@ -19,6 +19,14 @@
 //! ([`expected_idle_time`], Eqs. 9–16). The idle time drives the paper's
 //! dispatching objective: the *idle ratio* `IR = ET / (cost + ET)` (Eq. 17,
 //! implemented in `mrvd-core`).
+//!
+//! The closed forms read only the positive series' sum, `p0` and, when
+//! `λ < μ`, the capped driver-side probabilities. So
+//! [`expected_idle_time`] evaluates them in place and does not build the
+//! distribution; it shares one positive-series loop and the per-branch
+//! normalization with [`SteadyState::compute`], so both give the same
+//! bits. [`expected_idle_time_numeric`] sums the distribution state by
+//! state as the independent check.
 
 #![forbid(unsafe_code)]
 

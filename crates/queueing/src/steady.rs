@@ -34,7 +34,7 @@ pub enum Branch {
 
 /// Relative tolerance under which λ and μ are treated as equal; avoids the
 /// catastrophic cancellation in `(λ−μ)²` on the paper's λ>μ branch.
-const BALANCE_TOL: f64 = 1e-9;
+pub(crate) const BALANCE_TOL: f64 = 1e-9;
 
 /// Picks the closed-form branch for a rate pair.
 pub fn branch_of(lambda: f64, mu: f64) -> Branch {
@@ -47,16 +47,21 @@ pub fn branch_of(lambda: f64, mu: f64) -> Branch {
     }
 }
 
-/// Sums the positive-side series `S = Σ_{n≥1} Π_{i=1..n} λ/(μ+π(i))`
-/// together with the per-state products (returned for distribution
-/// queries). Terms are accumulated until they fall below `1e-16 · (1+S)`.
+/// Sums the positive-side series `S = Σ_{n≥1} Π_{i=1..n} λ/(μ+π(i))`,
+/// handing each per-state product to `sink` in state order (the
+/// distribution stores them; the idle-time solve needs only `S` and
+/// passes a no-op). Terms are accumulated until they fall below
+/// `1e-16 · (1+S)`.
 ///
 /// Returns `Err(DivergentQueue)` if the series fails to converge within
 /// a large iteration budget (possible only without reneging).
-fn positive_series(params: &QueueParams) -> Result<(f64, Vec<f64>), DivergentQueue> {
+pub(crate) fn positive_series(
+    params: &QueueParams,
+    mut sink: impl FnMut(f64),
+) -> Result<f64, DivergentQueue> {
     let QueueParams { lambda, mu, .. } = *params;
     if lambda == 0.0 {
-        return Ok((0.0, Vec::new()));
+        return Ok(0.0);
     }
     // Without reneging the series is geometric: decide convergence exactly.
     if params.reneging == Reneging::None && lambda >= mu {
@@ -64,18 +69,67 @@ fn positive_series(params: &QueueParams) -> Result<(f64, Vec<f64>), DivergentQue
     }
     let mut sum = 0.0f64;
     let mut prod = 1.0f64;
-    let mut terms = Vec::new();
     for n in 1..=1_000_000u64 {
         prod *= lambda / params.death_rate(n);
         sum += prod;
-        terms.push(prod);
+        sink(prod);
         if prod < 1e-16 * (1.0 + sum) {
-            return Ok((sum, terms));
+            return Ok(sum);
         }
     }
     // Exponential reneging forces convergence long before the budget;
     // reaching here means a pathological parameterization.
     Err(DivergentQueue)
+}
+
+/// `p0` on the `λ > μ` branch (Eq. 9): `[λ/(λ−μ) + S]⁻¹`.
+pub(crate) fn riders_exceed_p0(lambda: f64, mu: f64, s_pos: f64) -> f64 {
+    1.0 / (lambda / (lambda - mu) + s_pos)
+}
+
+/// `p0` on the `λ ≈ μ` branch (Eq. 15): `[K + 1 + S]⁻¹`; every capped
+/// driver-side state shares it.
+pub(crate) fn balanced_p0(capacity_k: u64, s_pos: f64) -> f64 {
+    1.0 / (capacity_k as f64 + 1.0 + s_pos)
+}
+
+/// The `λ < μ` branch's normalization (Eq. 12), rewritten for numerical
+/// stability: normalize by `θ^K` (`θ = μ/λ > 1`, so `θ^{K+1}` overflows
+/// for large `K`). `p_{−i} = θ^{i−K} / D` and `p0 = θ^{−K} / D` with
+/// `D = Σ_{j=0..K} θ^{−j} + S·θ^{−K}`.
+pub(crate) struct Capped {
+    theta: f64,
+    capacity_k: u64,
+    denom: f64,
+    /// `p0 = θ^{−K} / D`.
+    pub(crate) p0: f64,
+}
+
+impl Capped {
+    pub(crate) fn new(lambda: f64, mu: f64, capacity_k: u64, s_pos: f64) -> Self {
+        let theta = mu / lambda;
+        let inv = 1.0 / theta;
+        let mut denom = 0.0f64;
+        let mut inv_pow = 1.0f64; // θ^{-j}
+        for _ in 0..=capacity_k {
+            denom += inv_pow;
+            inv_pow *= inv;
+        }
+        let theta_neg_k = theta.powi(-(capacity_k.min(100_000) as i32));
+        let denom = denom + s_pos * theta_neg_k;
+        Self {
+            theta,
+            capacity_k,
+            denom,
+            p0: theta_neg_k / denom,
+        }
+    }
+
+    /// `p_{−i} = θ^{i−K} / D`, for `i` in `1..=K`.
+    pub(crate) fn neg(&self, i: u64) -> f64 {
+        let e = i as i64 - self.capacity_k as i64; // ≤ 0 until i = K
+        self.theta.powi(e as i32) / self.denom
+    }
 }
 
 /// Steady-state distribution of a region queue.
@@ -85,6 +139,13 @@ fn positive_series(params: &QueueParams) -> Result<(f64, Vec<f64>), DivergentQue
 /// `i+1`). On the `λ > μ` branch the negative side is truncated once
 /// negligible and the remaining geometric mass is tracked analytically so
 /// that [`SteadyState::total_mass`] stays ≈ 1.
+///
+/// [`crate::expected_idle_time`] does not build this distribution: it
+/// evaluates its closed forms in place through the same series and
+/// normalization helpers, so the two agree bit for bit by construction.
+/// The distribution serves the numeric cross-check
+/// ([`crate::expected_idle_time_numeric`]) and callers that read
+/// individual state probabilities.
 #[derive(Debug, Clone)]
 pub struct SteadyState {
     branch: Branch,
@@ -121,12 +182,14 @@ impl SteadyState {
                 neg_tail_mass: 0.0,
             });
         }
-        let (s_pos, pos_products) = positive_series(params)?;
-        match branch_of(lambda, mu) {
+        let mut pos = Vec::new();
+        let s_pos = positive_series(params, |prod| pos.push(prod))?;
+        let branch = branch_of(lambda, mu);
+        let (p0, neg, neg_tail_mass) = match branch {
             Branch::RidersExceed => {
-                // Eq. 9: p0 = [λ/(λ−μ) + S]⁻¹; negative side geometric with
+                // Eq. 9 gives p0; the negative side is geometric with
                 // ratio μ/λ < 1 (Eq. 6).
-                let p0 = 1.0 / (lambda / (lambda - mu) + s_pos);
+                let p0 = riders_exceed_p0(lambda, mu, s_pos);
                 let ratio = mu / lambda;
                 let mut neg = Vec::new();
                 let mut term = p0;
@@ -144,62 +207,28 @@ impl SteadyState {
                 } else {
                     p0 * mu / (lambda - mu)
                 };
-                let pos = pos_products.iter().map(|r| p0 * r).collect();
-                Ok(Self {
-                    branch: Branch::RidersExceed,
-                    p0,
-                    neg,
-                    pos,
-                    neg_tail_mass: (total_neg - stored).max(0.0),
-                })
+                (p0, neg, (total_neg - stored).max(0.0))
             }
             Branch::DriversExceed => {
-                // Eq. 12 rewritten for numerical stability: normalize by
-                // θ^K (θ = μ/λ > 1 so θ^{K+1} overflows for large K).
-                // p_{−i} = θ^{i−K} / D, p0 = θ^{−K} / D with
-                // D = Σ_{j=0..K} θ^{−j} + S·θ^{−K}.
-                let theta = mu / lambda;
-                let k = capacity_k;
-                let inv = 1.0 / theta;
-                let mut denom = 0.0f64;
-                let mut inv_pow = 1.0f64; // θ^{-j}
-                for _ in 0..=k {
-                    denom += inv_pow;
-                    inv_pow *= inv;
-                }
-                let theta_neg_k = theta.powi(-(k.min(100_000) as i32));
-                let denom = denom + s_pos * theta_neg_k;
-                let p0 = theta_neg_k / denom;
-                let mut neg = Vec::with_capacity(k as usize);
-                // p_{−i} for i = 1..=K equals θ^{i−K}/D.
-                for i in 1..=k {
-                    let e = i as i64 - k as i64; // ≤ 0 until i = K
-                    neg.push(theta.powi(e as i32) / denom);
-                }
-                let pos = pos_products.iter().map(|r| p0 * r).collect();
-                Ok(Self {
-                    branch: Branch::DriversExceed,
-                    p0,
-                    neg,
-                    pos,
-                    neg_tail_mass: 0.0,
-                })
+                let capped = Capped::new(lambda, mu, capacity_k, s_pos);
+                let neg = (1..=capacity_k).map(|i| capped.neg(i)).collect();
+                (capped.p0, neg, 0.0)
             }
             Branch::Balanced => {
-                // Eq. 15: p0 = [K + 1 + S]⁻¹ and all capped states share p0.
-                let k = capacity_k;
-                let p0 = 1.0 / (k as f64 + 1.0 + s_pos);
-                let neg = vec![p0; k as usize];
-                let pos = pos_products.iter().map(|r| p0 * r).collect();
-                Ok(Self {
-                    branch: Branch::Balanced,
-                    p0,
-                    neg,
-                    pos,
-                    neg_tail_mass: 0.0,
-                })
+                let p0 = balanced_p0(capacity_k, s_pos);
+                (p0, vec![p0; capacity_k as usize], 0.0)
             }
+        };
+        for prod in &mut pos {
+            *prod *= p0;
         }
+        Ok(Self {
+            branch,
+            p0,
+            neg,
+            pos,
+            neg_tail_mass,
+        })
     }
 
     /// The branch that was applied.
