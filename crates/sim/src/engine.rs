@@ -18,18 +18,17 @@
 //! plus proptests pin that equivalence.
 
 use mrvd_demand::TripRecord;
-use mrvd_spatial::{Grid, Point, RegionId, RegionIndex, TravelModel};
+use mrvd_spatial::{Grid, Point, RegionId, TravelModel};
 use mrvd_stats::SummaryStats;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::counts::RegionCounts;
 use crate::fleet::{Fleet, Tag};
 use crate::metrics::{AssignmentRecord, RenegeRecord, SimResult};
-use crate::policy::{AvailableDriver, BatchContext, BusyDriver, DispatchPolicy, WaitingRider};
+use crate::policy::{AvailableDriver, BusyDriver, DispatchPolicy, WaitingRider};
 use crate::schedule::DriverSchedule;
 use crate::shard::{EventQueue, ShardedEventQueue};
+use crate::state::BatchState;
 use crate::types::{DriverId, Millis, RiderId};
-use crate::views::BatchViews;
 
 /// Simulation parameters (defaults follow the paper's Table 2 defaults:
 /// Δ = 3 s, τ = 180 s base wait + U[1 s, 10 s] noise, one full day).
@@ -70,30 +69,6 @@ impl Default for SimConfig {
     }
 }
 
-/// Internal driver state.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum DriverState {
-    Available {
-        pos: Point,
-        since_ms: Millis,
-    },
-    Busy {
-        until_ms: Millis,
-        dropoff: Point,
-    },
-    /// Off shift (never shown to policies); remembers where the driver
-    /// parked so a later shift change can bring them back there.
-    Offline {
-        pos: Point,
-    },
-}
-
-/// A rider with the realized pickup deadline.
-pub(crate) struct RiderInfo {
-    pub trip: TripRecord,
-    pub deadline_ms: Millis,
-}
-
 // Within-timestamp event order, matching the legacy loop's within-tick
 // processing: dropoffs free drivers first, then shift changes see the
 // updated fleet, then the batch runs. A deadline at exactly the batch
@@ -108,20 +83,10 @@ const PRI_DEADLINE: u8 = 2;
 /// the legacy per-batch scan did: ramp-ups cancel pending retirements
 /// first, then wake pooled offline drivers in pool order; ramp-downs
 /// park idle drivers from the pool's tail and mark busy ones (also from
-/// the tail) to retire at their next dropoff. Availability transitions
-/// are mirrored into the live candidate index, the live per-region
-/// counts and the live batch views (a cancelled retirement re-enters the
-/// rejoin multiset and the busy view, a fresh one leaves them). Returns
-/// whether any driver actually moved state.
-fn reconcile_fleet(
-    grid: &Grid,
-    fleet: &mut Fleet,
-    avail_index: &mut RegionIndex<DriverId>,
-    counts: &mut RegionCounts,
-    views: &mut BatchViews,
-    target: usize,
-    now: Millis,
-) -> bool {
+/// the tail) to retire at their next dropoff. Each move is one batch-state
+/// transition (a cancelled retirement re-enters upcoming supply, a fresh
+/// one leaves it). Returns whether any driver actually moved state.
+fn reconcile_fleet(fleet: &mut Fleet, state: &mut BatchState, target: usize, now: Millis) -> bool {
     let online = fleet.online();
     let mut moved = false;
     if online < target {
@@ -137,12 +102,10 @@ fn reconcile_fleet(
                     Tag::Busy,
                     "retiring flag on a non-busy driver"
                 );
-                let (dropoff, until_ms) = (fleet.pos(i), fleet.time(i));
-                counts.add_rejoining(grid.region_of(dropoff), until_ms);
-                views.add_busy(BusyDriver {
+                state.enter_upcoming(BusyDriver {
                     id: DriverId(i as u32),
-                    dropoff_ms: until_ms,
-                    dropoff_pos: dropoff,
+                    dropoff_ms: fleet.time(i),
+                    dropoff_pos: fleet.pos(i),
                 });
                 need -= 1;
                 moved = true;
@@ -155,9 +118,7 @@ fn reconcile_fleet(
             if fleet.tag(i) == Tag::Offline {
                 let pos = fleet.pos(i);
                 fleet.set_available(i, pos, now);
-                avail_index.insert(DriverId(i as u32), pos);
-                counts.add_available(grid.region_of(pos));
-                views.add_available(AvailableDriver {
+                state.enter_available(AvailableDriver {
                     id: DriverId(i as u32),
                     pos,
                     available_since_ms: now,
@@ -173,12 +134,8 @@ fn reconcile_fleet(
                 break;
             }
             if fleet.tag(i) == Tag::Available {
-                let pos = fleet.pos(i);
                 fleet.set_offline(i);
-                let removed = avail_index.remove_at(DriverId(i as u32), pos);
-                debug_assert_eq!(removed, 1, "index out of sync at shift-off");
-                counts.remove_available(grid.region_of(pos));
-                views.remove_available(DriverId(i as u32));
+                state.leave_available(DriverId(i as u32));
                 excess -= 1;
                 moved = true;
             }
@@ -188,11 +145,10 @@ fn reconcile_fleet(
                 break;
             }
             if fleet.tag(i) == Tag::Busy && !fleet.is_retiring(i) {
+                // A retiring driver will not rejoin, so it is no longer
+                // upcoming supply.
                 fleet.set_retiring(i, true);
-                // A retiring driver will not rejoin: it leaves the
-                // busy view and the rejoin multiset together.
-                counts.remove_rejoining(grid.region_of(fleet.pos(i)), fleet.time(i));
-                views.remove_busy(DriverId(i as u32));
+                state.leave_upcoming(DriverId(i as u32));
                 excess -= 1;
                 moved = true;
             }
@@ -289,17 +245,6 @@ impl<'a> Simulator<'a> {
             .collect()
     }
 
-    /// Builds the array-of-structs rider table for the reference loop,
-    /// from the same RNG stream as [`Simulator::deadline_table`] so both
-    /// engines see identical deadlines.
-    pub(crate) fn rider_table(&self, trips: &[TripRecord]) -> Vec<RiderInfo> {
-        trips
-            .iter()
-            .zip(self.deadline_table(trips))
-            .map(|(&trip, deadline_ms)| RiderInfo { trip, deadline_ms })
-            .collect()
-    }
-
     /// Runs one day: `trips` must be sorted by `request_ms` and fall
     /// within the horizon; `driver_positions` seed the fleet.
     ///
@@ -362,33 +307,20 @@ impl<'a> Simulator<'a> {
         // struct-of-arrays (see `fleet.rs`).
         let initial = schedule.target_at(0);
         let mut fleet = Fleet::new(driver_pool, initial);
-        // The live candidate index: exactly the available drivers, kept
-        // in sync incrementally at true event times (assignment, dropoff,
-        // shift on/off) instead of being rebuilt by every policy every
-        // batch. Policies reach it through `BatchContext::avail_index`.
-        let mut avail_index: RegionIndex<DriverId> = RegionIndex::new(self.grid.clone());
-        // Live per-region batch-state counts — waiting riders, available
-        // drivers, rejoin-time multisets — maintained at the same event
-        // times as the index and handed to policies through
-        // `BatchContext::region_counts` so rate estimation never re-scans
-        // state that did not change.
-        let mut counts = RegionCounts::new(self.grid.num_regions());
-        // The live batch views — the exact waiting / available / busy
-        // slices every policy sees — maintained at the same event times
-        // as the index and the counts, so an executed batch hands the
-        // policy its context without a single full rider or fleet scan.
-        // Slots are stable under `swap_remove`, so the slices are *not*
-        // id-sorted; every policy's output is id-tie-broken and hence
-        // invariant to the order (the equivalence batteries pin this).
-        let mut views = BatchViews::new();
+        // The live batch state: the waiting / available / busy views every
+        // policy sees, the candidate index of the available drivers and
+        // the per-region counts, all kept at true event times through its
+        // transitions, so an executed batch hands the policy its context
+        // without a single full rider or fleet scan. View slots are stable
+        // under `swap_remove`, so the slices are *not* id-sorted; every
+        // policy's output is id-tie-broken and hence invariant to the
+        // order (the equivalence batteries pin this).
+        let mut state = BatchState::new(self.grid, &[], &[], &[]);
         for i in 0..fleet.len() {
             if fleet.tag(i) == Tag::Available {
-                let pos = fleet.pos(i);
-                avail_index.insert(DriverId(i as u32), pos);
-                counts.add_available(self.grid.region_of(pos));
-                views.add_available(AvailableDriver {
+                state.enter_available(AvailableDriver {
                     id: DriverId(i as u32),
-                    pos,
+                    pos: fleet.pos(i),
                     available_since_ms: 0,
                 });
             }
@@ -422,9 +354,6 @@ impl<'a> Simulator<'a> {
         let mut batch_time = SummaryStats::new();
         let mut ticks_executed = 0usize;
         let mut events_processed = 0usize;
-        let mut index_regions_dirtied = 0usize;
-        let mut counts_regions_dirtied = 0usize;
-        let mut views_entries_dirtied = 0usize;
         // Scratch flags for validation.
         let mut rider_assigned = vec![false; trips.len()];
         let mut driver_taken = vec![false; fleet.len()];
@@ -442,9 +371,7 @@ impl<'a> Simulator<'a> {
             // each one's exact-deadline renege event.
             while next_trip < trips.len() && trips[next_trip].request_ms <= tick {
                 let t = &trips[next_trip];
-                let pickup_region = self.grid.region_of(t.pickup);
-                counts.add_waiting(pickup_region);
-                views.add_waiting(WaitingRider {
+                state.enter_waiting(WaitingRider {
                     id: RiderId(next_trip as u32),
                     pickup: t.pickup,
                     dropoff: t.dropoff,
@@ -453,7 +380,7 @@ impl<'a> Simulator<'a> {
                 });
                 events.push(
                     (deadlines[next_trip], PRI_DEADLINE, next_trip as u32),
-                    shard_of(pickup_region),
+                    shard_of(self.grid.region_of(t.pickup)),
                 );
                 next_trip += 1;
                 events_processed += 1;
@@ -492,17 +419,13 @@ impl<'a> Simulator<'a> {
                         let dropoff = fleet.pos(d);
                         debug_assert_eq!(fleet.time(d), t);
                         if fleet.is_retiring(d) {
-                            // Already out of the rejoin multiset since the
-                            // retirement was marked.
+                            // Left upcoming supply when the retirement
+                            // was marked.
                             fleet.set_retiring(d, false);
                             fleet.set_offline(d);
                         } else {
-                            avail_index.insert(DriverId(id), dropoff);
-                            let r = self.grid.region_of(dropoff);
-                            counts.remove_rejoining(r, t);
-                            counts.add_available(r);
-                            views.remove_busy(DriverId(id));
-                            views.add_available(AvailableDriver {
+                            state.leave_upcoming(DriverId(id));
+                            state.enter_available(AvailableDriver {
                                 id: DriverId(id),
                                 pos: dropoff,
                                 available_since_ms: t,
@@ -515,27 +438,17 @@ impl<'a> Simulator<'a> {
                     PRI_SHIFT => {
                         next_phase += 1;
                         let target = phases[id as usize].1;
-                        changed |= reconcile_fleet(
-                            self.grid,
-                            &mut fleet,
-                            &mut avail_index,
-                            &mut counts,
-                            &mut views,
-                            target,
-                            t,
-                        );
+                        changed |= reconcile_fleet(&mut fleet, &mut state, target, t);
                         events_processed += 1;
                     }
                     _ => {
                         events.pop();
-                        let ri = id as usize;
                         // Deadlines of assigned riders are stale no-ops.
-                        if !rider_assigned[ri] {
-                            views.remove_waiting(RiderId(id));
-                            counts.remove_waiting(self.grid.region_of(trips[ri].pickup));
+                        if !rider_assigned[id as usize] {
+                            let r = state.leave_waiting(RiderId(id));
                             reneges.push(RenegeRecord {
-                                rider: RiderId(id),
-                                request_ms: trips[ri].request_ms,
+                                rider: r.id,
+                                request_ms: r.request_ms,
                                 renege_ms: t,
                             });
                             events_processed += 1;
@@ -548,43 +461,13 @@ impl<'a> Simulator<'a> {
             // 3. Run the batch — unless nothing changed since the last
             // one and no refill is pending, in which case this slot is
             // skipped without touching the policy.
-            if changed || last_assigned || (every_batch && !views.waiting().is_empty()) {
-                // The live views *are* the batch context — no rider or
-                // fleet scan happens here. Settle the change tracking of
-                // all three live structures for this batch: the dirtied
-                // regions/entries are the state that actually changed
-                // since the previous policy invocation.
-                debug_assert_eq!(
-                    avail_index.len(),
-                    views.available().len(),
-                    "live index out of sync with the availability view"
-                );
-                index_regions_dirtied += avail_index.dirty_regions().len();
-                avail_index.clear_dirty();
-                debug_assert_eq!(
-                    counts.totals(),
-                    (
-                        views.waiting().len(),
-                        views.available().len(),
-                        views.busy().len()
-                    ),
-                    "live counts out of sync with the batch views"
-                );
-                counts_regions_dirtied += counts.dirty_regions().len();
-                counts.clear_dirty();
-                views_entries_dirtied += views.entries_dirtied();
-                views.clear_dirty();
-                let ctx = BatchContext {
-                    now_ms: tick,
-                    riders: views.waiting(),
-                    drivers: views.available(),
-                    busy: views.busy(),
-                    travel: self.travel,
-                    grid: self.grid,
-                    avail_index: &avail_index,
-                    region_counts: &counts,
-                    views: &views,
-                };
+            if changed || last_assigned || (every_batch && !state.views().waiting().is_empty()) {
+                // The live state *is* the batch context — no rider or
+                // fleet scan happens here. Settling it closes the change
+                // tracking of the state that changed since the previous
+                // policy invocation.
+                state.settle_batch();
+                let ctx = state.context(tick, self.travel);
 
                 // lint:allow(D002): feeds only the batch_time telemetry column, never simulated results
                 let t0 = std::time::Instant::now();
@@ -594,11 +477,8 @@ impl<'a> Simulator<'a> {
 
                 // Validate and apply.
                 for a in &batch_assignments {
-                    let ri = a.rider.0;
                     assert!(
-                        (ri as usize) < trips.len()
-                            && views.waiting_slot(a.rider).is_some()
-                            && !rider_assigned[ri as usize],
+                        state.views().waiting_slot(a.rider).is_some(),
                         "policy assigned unknown or unavailable rider {}",
                         a.rider
                     );
@@ -613,19 +493,18 @@ impl<'a> Simulator<'a> {
                         Tag::Busy => panic!("policy assigned busy driver {}", a.driver),
                         Tag::Offline => panic!("policy assigned offline driver {}", a.driver),
                     }
-                    let (pos, since_ms) = (fleet.pos(di), fleet.time(di));
                     assert!(
                         !driver_taken[di],
                         "policy assigned driver {} twice in one batch",
                         a.driver
                     );
                     driver_taken[di] = true;
-                    let trip = &trips[ri as usize];
-                    let deadline_ms = deadlines[ri as usize];
+                    let ri = a.rider.0 as usize;
+                    let (trip, deadline_ms) = (&trips[ri], deadlines[ri]);
                     let pickup_ms = if teleport {
                         tick
                     } else {
-                        tick + self.travel.travel_time_ms(pos, trip.pickup)
+                        tick + self.travel.travel_time_ms(fleet.pos(di), trip.pickup)
                     };
                     assert!(
                         pickup_ms <= deadline_ms,
@@ -635,15 +514,9 @@ impl<'a> Simulator<'a> {
                     let dropoff_ms = pickup_ms + ride_ms;
                     let revenue = ride_ms as f64 / 1000.0; // α = 1, cost in seconds
                     fleet.set_busy(di, trip.dropoff, dropoff_ms);
-                    let removed = avail_index.remove_at(a.driver, pos);
-                    debug_assert_eq!(removed, 1, "index out of sync at assignment");
-                    let dropoff_region = self.grid.region_of(trip.dropoff);
-                    counts.remove_waiting(self.grid.region_of(trip.pickup));
-                    counts.remove_available(self.grid.region_of(pos));
-                    counts.add_rejoining(dropoff_region, dropoff_ms);
-                    views.remove_waiting(a.rider);
-                    views.remove_available(a.driver);
-                    views.add_busy(BusyDriver {
+                    state.leave_waiting(a.rider);
+                    let driver = state.leave_available(a.driver);
+                    state.enter_upcoming(BusyDriver {
                         id: a.driver,
                         dropoff_ms,
                         dropoff_pos: trip.dropoff,
@@ -652,11 +525,12 @@ impl<'a> Simulator<'a> {
                     // ends, so the dropoff event lands in the dropoff
                     // region's shard — always at a batch timestamp,
                     // where dispatch is already a barrier.
+                    let dropoff_region = self.grid.region_of(trip.dropoff);
                     events.push(
                         (dropoff_ms, PRI_DROPOFF, a.driver.0),
                         shard_of(dropoff_region),
                     );
-                    rider_assigned[ri as usize] = true;
+                    rider_assigned[ri] = true;
                     served += 1;
                     total_revenue += revenue;
                     assignments.push(AssignmentRecord {
@@ -666,7 +540,7 @@ impl<'a> Simulator<'a> {
                         pickup_ms,
                         dropoff_ms,
                         revenue,
-                        driver_idle_ms: tick - since_ms,
+                        driver_idle_ms: tick - driver.available_since_ms,
                         dropoff_region,
                         estimated_idle_s: a.estimated_idle_s,
                     });
@@ -682,7 +556,7 @@ impl<'a> Simulator<'a> {
             // 4. Advance: step Δ while the policy must keep running,
             // otherwise jump straight to the first batch slot the next
             // pending event can affect.
-            if last_assigned || (every_batch && !views.waiting().is_empty()) {
+            if last_assigned || (every_batch && !state.views().waiting().is_empty()) {
                 tick += delta;
                 continue;
             }
@@ -755,6 +629,7 @@ impl<'a> Simulator<'a> {
         let still_waiting = trips.len() - served - reneged;
         debug_assert_eq!(served + reneged + still_waiting, trips.len());
 
+        let m = state.maintenance();
         SimResult {
             policy: policy.name(),
             total_revenue,
@@ -766,12 +641,12 @@ impl<'a> Simulator<'a> {
             batches: horizon.div_ceil(delta) as usize,
             ticks_executed,
             events_processed,
-            index_ops: avail_index.ops_applied() as usize,
-            index_regions_dirtied,
-            counts_ops: counts.ops_applied() as usize,
-            counts_regions_dirtied,
-            views_ops: views.ops_applied() as usize,
-            views_entries_dirtied,
+            index_ops: m.index_ops,
+            index_regions_dirtied: m.index_regions_dirtied,
+            counts_ops: m.counts_ops,
+            counts_regions_dirtied: m.counts_regions_dirtied,
+            views_ops: m.views_ops,
+            views_entries_dirtied: m.views_entries_dirtied,
             assignments,
             reneges,
         }
@@ -781,7 +656,7 @@ impl<'a> Simulator<'a> {
 mod tests {
     use super::*;
     use crate::metrics::RenegeMatch;
-    use crate::policy::Assignment;
+    use crate::policy::{Assignment, BatchContext};
     use mrvd_spatial::ConstantSpeedModel;
 
     /// Assigns every rider to the nearest valid free driver, greedily in

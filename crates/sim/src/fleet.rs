@@ -9,8 +9,8 @@
 //! the state into parallel arrays — one tag byte, one position, one
 //! timestamp, one retire flag per driver — extending the slot
 //! discipline `BatchViews` introduced in the views layer to the fleet
-//! itself. The enum survives as `engine::DriverState` for the reference
-//! loop's literal per-Δ scan.
+//! itself. The enum survives as `DriverState` in `reference.rs`, for the
+//! reference loop's literal per-Δ scan.
 //!
 //! Field meaning depends on the tag:
 //!

@@ -12,20 +12,20 @@
 //! applied at their exact timestamps, while the policy still runs at the
 //! paper's batch boundaries — batch slots where nothing changed are
 //! skipped entirely (see `engine`). Alongside the driver states the
-//! engine maintains a live [`mrvd_spatial::RegionIndex`] of the
-//! available fleet, live per-region batch-state counts
-//! ([`RegionCounts`]: waiting riders, available drivers, rejoin-time
-//! multisets), and the live policy-facing batch views themselves
+//! engine keeps one live [`BatchState`]: the policy-facing batch views
 //! ([`BatchViews`]: the waiting / available / busy slices with id→slot
-//! maps), all updated incrementally at those same event times and
-//! exposed to policies via [`BatchContext::avail_index`] /
-//! [`BatchContext::region_counts`] / [`BatchContext::views`], so an
-//! executed batch does zero full fleet or rider scans — candidate
+//! maps), a [`mrvd_spatial::RegionIndex`] of the available fleet and
+//! per-region batch-state counts ([`RegionCounts`]: waiting riders,
+//! available drivers, rejoin-time multisets). Each transition at those
+//! same event times is one [`BatchState`] method that updates all three,
+//! and policies reach them via [`BatchContext::views`] /
+//! [`BatchContext::avail_index`] / [`BatchContext::region_counts`], so
+//! an executed batch does zero full fleet or rider scans — candidate
 //! generation, rate estimation and view construction are all
 //! `O(changes)`. The literal per-Δ loop survives as
 //! [`Simulator::run_scheduled_reference`] for differential testing: it
-//! skips nothing, and its [`BatchState`] (views, index and counts) is
-//! rebuilt from scratch every batch.
+//! skips nothing, and its [`BatchState`] is rebuilt from scratch every
+//! batch.
 //!
 //! The simulator is deterministic given its seed, enforces the paper's
 //! validity constraint (Definition 3: the driver must reach the pickup

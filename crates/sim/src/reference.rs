@@ -20,14 +20,50 @@ use mrvd_demand::TripRecord;
 use mrvd_spatial::Point;
 use mrvd_stats::SummaryStats;
 
-use crate::engine::{DriverState, Simulator};
+use crate::engine::Simulator;
 use crate::metrics::{AssignmentRecord, RenegeRecord, SimResult};
 use crate::policy::{AvailableDriver, BusyDriver, DispatchPolicy, WaitingRider};
 use crate::schedule::DriverSchedule;
 use crate::state::BatchState;
-use crate::types::{DriverId, RiderId};
+use crate::types::{DriverId, Millis, RiderId};
+
+/// A driver's state in the reference loop's array-of-structs fleet (the
+/// event core keeps the same state struct-of-arrays, in `fleet.rs`).
+#[derive(Debug, Clone, Copy)]
+enum DriverState {
+    Available {
+        pos: Point,
+        since_ms: Millis,
+    },
+    Busy {
+        until_ms: Millis,
+        dropoff: Point,
+    },
+    /// Off shift (never shown to policies); remembers where the driver
+    /// parked so a later shift change can bring them back there.
+    Offline {
+        pos: Point,
+    },
+}
+
+/// A rider with the realized pickup deadline.
+struct RiderInfo {
+    trip: TripRecord,
+    deadline_ms: Millis,
+}
 
 impl Simulator<'_> {
+    /// Builds the array-of-structs rider table for the reference loop,
+    /// from the same RNG stream as [`Simulator::deadline_table`] so both
+    /// engines see identical deadlines.
+    fn rider_table(&self, trips: &[TripRecord]) -> Vec<RiderInfo> {
+        trips
+            .iter()
+            .zip(self.deadline_table(trips))
+            .map(|(&trip, deadline_ms)| RiderInfo { trip, deadline_ms })
+            .collect()
+    }
+
     /// Runs one day through the legacy per-Δ batch loop. Semantics match
     /// [`Simulator::run_scheduled`] except for the documented timing
     /// quantizations: renege timestamps round up to the next batch

@@ -1,30 +1,58 @@
-//! Batch state built from scratch, for batches the event engine does not
-//! run.
+//! The batch state: the views, availability index and per-region counts
+//! every policy reads, kept together so they cannot drift apart.
 //!
-//! The engine hands every policy three live structures it maintains at
-//! true event times: the batch views, the availability index and the
-//! per-region counts. A [`BatchState`] owns the same three, filled from
-//! rider / driver / busy lists by full scans ([`BatchViews::rebuild_reference`],
-//! [`RegionIndex::rebuild_reference`] and the [`RegionCounts`] `add_*`
-//! calls). The legacy reference loop rebuilds one every batch, so the
-//! equivalence batteries compare incremental maintenance against
-//! from-scratch construction end to end; tests and benches use it to
-//! build a [`BatchContext`] by hand.
+//! A [`BatchState`] owns the three structures a [`BatchContext`] lends to
+//! a policy: the [`BatchViews`], the [`RegionIndex`] of available drivers
+//! and the [`RegionCounts`]. It is the event core's live state: the core
+//! keeps one for the whole day and applies every transition at its true
+//! event time through one method per transition
+//! ([`BatchState::enter_waiting`] and its five siblings), each updating
+//! all three structures. Once per executed batch,
+//! [`BatchState::settle_batch`] checks that they agree and drains their
+//! change tracking into the [`Maintenance`] counters.
+//!
+//! The legacy reference loop instead rebuilds its state from scratch every
+//! batch ([`BatchState::rebuild`], through the structures' full-scan
+//! `rebuild_reference` paths), so the equivalence batteries compare
+//! incremental maintenance against from-scratch construction end to end;
+//! tests and benches use [`BatchState::new`] to build a context by hand.
 
 use mrvd_spatial::{Grid, RegionIndex, TravelModel};
 
 use crate::counts::RegionCounts;
 use crate::policy::{AvailableDriver, BatchContext, BusyDriver, WaitingRider};
-use crate::types::{DriverId, Millis};
+use crate::types::{DriverId, Millis, RiderId};
 use crate::views::BatchViews;
 
-/// The views, availability index and region counts of one batch, built
-/// from scratch (see module docs).
+/// The maintenance counters of a live [`BatchState`], over its lifetime:
+/// the mutations each structure applied, and the regions or view entries
+/// each had dirtied when a batch was settled. They describe incremental
+/// maintenance only; a [`BatchState::rebuild`] leaves them meaningless.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Maintenance {
+    /// Index mutations ([`RegionIndex::ops_applied`]).
+    pub index_ops: usize,
+    /// Index regions dirtied, summed over settled batches.
+    pub index_regions_dirtied: usize,
+    /// Count mutations ([`RegionCounts::ops_applied`]).
+    pub counts_ops: usize,
+    /// Count regions dirtied, summed over settled batches.
+    pub counts_regions_dirtied: usize,
+    /// View mutations ([`BatchViews::ops_applied`]).
+    pub views_ops: usize,
+    /// View entries dirtied, summed over settled batches.
+    pub views_entries_dirtied: usize,
+}
+
+/// The views, availability index and region counts of a batch (see
+/// module docs).
 #[derive(Debug, Clone)]
 pub struct BatchState {
     views: BatchViews,
     index: RegionIndex<DriverId>,
     counts: RegionCounts,
+    /// The dirtied totals; the op counts are read from the structures.
+    dirtied: Maintenance,
 }
 
 impl BatchState {
@@ -44,6 +72,7 @@ impl BatchState {
             views: BatchViews::new(),
             index: RegionIndex::new(grid.clone()),
             counts: RegionCounts::new(grid.num_regions()),
+            dirtied: Maintenance::default(),
         };
         state.rebuild(
             riders.iter().copied(),
@@ -79,6 +108,120 @@ impl BatchState {
             self.counts
                 .add_rejoining(grid.region_of(b.dropoff_pos), b.dropoff_ms);
         }
+    }
+
+    /// A rider starts waiting (admission).
+    ///
+    /// # Panics
+    /// Panics if the rider is already waiting.
+    pub fn enter_waiting(&mut self, r: WaitingRider) {
+        self.counts
+            .add_waiting(self.index.grid().region_of(r.pickup));
+        self.views.add_waiting(r);
+    }
+
+    /// A rider stops waiting (assigned or reneged), returning its entry.
+    ///
+    /// # Panics
+    /// Panics if the rider is not waiting.
+    pub fn leave_waiting(&mut self, id: RiderId) -> WaitingRider {
+        let r = self.views.remove_waiting(id);
+        self.counts
+            .remove_waiting(self.index.grid().region_of(r.pickup));
+        r
+    }
+
+    /// A driver becomes available (seeded, woken on shift, or dropped off).
+    ///
+    /// # Panics
+    /// Panics if the driver is already available.
+    pub fn enter_available(&mut self, d: AvailableDriver) {
+        self.index.insert(d.id, d.pos);
+        self.counts
+            .add_available(self.index.grid().region_of(d.pos));
+        self.views.add_available(d);
+    }
+
+    /// A driver stops being available (assigned or parked off shift),
+    /// returning its entry.
+    ///
+    /// # Panics
+    /// Panics if the driver is not available.
+    pub fn leave_available(&mut self, id: DriverId) -> AvailableDriver {
+        let d = self.views.remove_available(id);
+        let removed = self.index.remove_at(id, d.pos);
+        debug_assert_eq!(
+            removed, 1,
+            "live index out of sync with the availability view"
+        );
+        self.counts
+            .remove_available(self.index.grid().region_of(d.pos));
+        d
+    }
+
+    /// A driver enters upcoming supply: a ride starts, or a pending
+    /// retirement is cancelled while the driver is still in flight.
+    ///
+    /// # Panics
+    /// Panics if the driver is already upcoming.
+    pub fn enter_upcoming(&mut self, b: BusyDriver) {
+        self.counts
+            .add_rejoining(self.index.grid().region_of(b.dropoff_pos), b.dropoff_ms);
+        self.views.add_busy(b);
+    }
+
+    /// A driver leaves upcoming supply: it dropped off, or was marked to
+    /// retire at its dropoff. Returns its entry.
+    ///
+    /// # Panics
+    /// Panics if the driver is not upcoming.
+    pub fn leave_upcoming(&mut self, id: DriverId) -> BusyDriver {
+        let b = self.views.remove_busy(id);
+        self.counts
+            .remove_rejoining(self.index.grid().region_of(b.dropoff_pos), b.dropoff_ms);
+        b
+    }
+
+    /// Closes the change tracking of one executed batch: checks, in debug
+    /// builds, that the index and the counts agree with the views, then
+    /// adds the dirtied regions and entries to the [`Maintenance`]
+    /// counters and clears them.
+    pub fn settle_batch(&mut self) {
+        debug_assert_eq!(
+            self.index.len(),
+            self.views.available().len(),
+            "live index out of sync with the availability view"
+        );
+        debug_assert_eq!(
+            self.counts.totals(),
+            (
+                self.views.waiting().len(),
+                self.views.available().len(),
+                self.views.busy().len()
+            ),
+            "live counts out of sync with the batch views"
+        );
+        self.dirtied.index_regions_dirtied += self.index.dirty_regions().len();
+        self.index.clear_dirty();
+        self.dirtied.counts_regions_dirtied += self.counts.dirty_regions().len();
+        self.counts.clear_dirty();
+        self.dirtied.views_entries_dirtied += self.views.entries_dirtied();
+        self.views.clear_dirty();
+    }
+
+    /// The maintenance counters so far (see [`Maintenance`]).
+    pub fn maintenance(&self) -> Maintenance {
+        Maintenance {
+            index_ops: self.index.ops_applied() as usize,
+            counts_ops: self.counts.ops_applied() as usize,
+            views_ops: self.views.ops_applied() as usize,
+            ..self.dirtied
+        }
+    }
+
+    /// The batch views.
+    pub(crate) fn views(&self) -> &BatchViews {
+        &self.views
     }
 
     /// A policy context over this state at batch time `now_ms`: its

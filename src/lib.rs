@@ -43,14 +43,12 @@
 //! | [`demand`] | `mrvd-demand` | NYC-like workload generation |
 //! | [`scenario`] | `mrvd-scenario` | declarative workload scenarios + sweeps |
 //! | [`spatial`] | `mrvd-spatial` | grids, travel models, road networks |
-//! | [`matching`] | `mrvd-matching` | greedy / Hungarian / Hopcroft–Karp |
 //! | [`stats`] | `mrvd-stats` | Poisson, chi-square, error metrics |
 
 #![forbid(unsafe_code)]
 
 pub use mrvd_core as core;
 pub use mrvd_demand as demand;
-pub use mrvd_matching as matching;
 pub use mrvd_prediction as prediction;
 pub use mrvd_queueing as queueing;
 pub use mrvd_scenario as scenario;

@@ -1,32 +1,49 @@
-//! Property-based equivalence for the engine's live batch views: under
+//! Property-based equivalence for the engine's live batch state: under
 //! random event sequences — admissions, reneges, assignments, dropoffs,
-//! and the shift-change traffic of drivers appearing, parking and
-//! retiring — the incrementally maintained [`BatchViews`] must hold
-//! exactly the memberships a from-scratch scan rebuild produces, with
-//! every id→slot map entry pointing at its own record. Order is *not*
-//! part of the contract (swap-removes permute the slot vectors); the
-//! policies are permutation-invariant by their id tie-breaks, which the
-//! engine batteries pin separately.
+//! and the shift-change traffic of drivers appearing, parking, retiring
+//! and having a retirement cancelled — a [`BatchState`] driven through its
+//! transitions must hold exactly what one built from scratch holds. Its
+//! [`BatchViews`] must have the memberships a scan rebuild produces, with
+//! every id→slot map entry pointing at its own record; its index the same
+//! driver ids in every region's bucket; its counts the same per-region
+//! tallies, rejoin windows and totals. Order is *not* part of the
+//! contract (swap-removes permute the slot vectors, and buckets keep
+//! insertion order); the policies are permutation-invariant by their id
+//! tie-breaks, which the engine batteries pin separately.
 
-use mrvd::sim::{AvailableDriver, BatchViews, BusyDriver, DriverId, RiderId, WaitingRider};
-use mrvd::spatial::Point;
+use mrvd::sim::{
+    AvailableDriver, BatchContext, BatchState, BatchViews, BusyDriver, DriverId, RiderId,
+    WaitingRider,
+};
+use mrvd::spatial::{ConstantSpeedModel, Grid, Point, RegionId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The naive model: plain id-keyed sets of the three memberships.
+/// The naive model: plain id-keyed sets of the three memberships, plus
+/// the busy drivers marked to retire (out of upcoming supply).
 #[derive(Default)]
 struct Model {
     waiting: Vec<WaitingRider>,
     available: Vec<AvailableDriver>,
     busy: Vec<BusyDriver>,
+    retiring: Vec<BusyDriver>,
+}
+
+/// A point in one of six regions of the 16×16 grid (three columns by
+/// two rows), picked by `k`.
+fn spot(k: u64) -> Point {
+    Point::new(
+        -73.99 + (k % 3) as f64 * 0.02,
+        40.72 + (k / 3 % 2) as f64 * 0.03,
+    )
 }
 
 fn rider(id: u32, t: u64) -> WaitingRider {
     WaitingRider {
         id: RiderId(id),
-        pickup: Point::new(-73.98, 40.75),
-        dropoff: Point::new(-73.90, 40.80),
+        pickup: spot(id.into()),
+        dropoff: spot(u64::from(id) + 2),
         request_ms: t,
         deadline_ms: t + 120_000,
     }
@@ -35,16 +52,18 @@ fn rider(id: u32, t: u64) -> WaitingRider {
 fn avail(id: u32, t: u64) -> AvailableDriver {
     AvailableDriver {
         id: DriverId(id),
-        pos: Point::new(-73.95, 40.77),
+        pos: spot(u64::from(id) + t / 1_000),
         available_since_ms: t,
     }
 }
 
+/// Dropoff times repeat over three consecutive steps, so rejoin buckets
+/// hold duplicates.
 fn busy(id: u32, t: u64) -> BusyDriver {
     BusyDriver {
         id: DriverId(id),
-        dropoff_ms: t + 600_000,
-        dropoff_pos: Point::new(-73.88, 40.82),
+        dropoff_ms: 600_000 + t / 3_000 * 3_000,
+        dropoff_pos: spot(u64::from(id) + t / 3_000),
     }
 }
 
@@ -91,58 +110,98 @@ fn assert_matches_rebuild(views: &BatchViews, model: &Model) {
     }
 }
 
+/// Checks a live batch state against [`BatchState::new`] built from the
+/// model: the views as [`assert_matches_rebuild`] does, the index's driver
+/// ids per region and its length, and the counts' per-region tallies,
+/// rejoin windows and totals.
+fn assert_state_matches_new(state: &BatchState, model: &Model, grid: &Grid) {
+    let travel = ConstantSpeedModel::default();
+    let built = BatchState::new(grid, &model.waiting, &model.available, &model.busy);
+    let (live, built) = (state.context(0, &travel), built.context(0, &travel));
+    assert_matches_rebuild(live.views, model);
+    assert_eq!(live.avail_index.len(), built.avail_index.len(), "index len");
+    let (lc, bc) = (live.region_counts, built.region_counts);
+    assert_eq!(lc.waiting(), bc.waiting(), "waiting counts");
+    assert_eq!(lc.available(), bc.available(), "available counts");
+    assert_eq!(lc.totals(), bc.totals(), "count totals");
+    for k in 0..grid.num_regions() {
+        let r = RegionId(k as u32);
+        let ids = |ctx: &BatchContext<'_>| {
+            let mut ids: Vec<u32> = ctx
+                .avail_index
+                .in_region(r)
+                .iter()
+                .map(|(d, _)| d.0)
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        assert_eq!(ids(&live), ids(&built), "index bucket of region {k}");
+        for (after, before) in [(0, u64::MAX), (600_000, 615_000), (609_000, 630_000)] {
+            assert_eq!(
+                lc.rejoining_between(r, after, before),
+                bc.rejoining_between(r, after, before),
+                "rejoining in region {k} within ({after}, {before})"
+            );
+        }
+    }
+}
+
 proptest! {
     /// Random event sequences — each step applies one of the engine's
     /// real transitions (admission, renege, assignment, dropoff, a
-    /// driver waking on shift, parking off shift, or retiring straight
-    /// out of a trip) — and the live views stay equal to a scan rebuild
-    /// at every checkpoint.
+    /// driver waking on shift, parking off shift, retiring straight out
+    /// of a trip, or having that retirement cancelled) — and the live
+    /// state stays equal to one built from scratch at every checkpoint.
     #[test]
     fn live_views_match_scan_rebuild_on_random_event_sequences(seed in 0u64..64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut views = BatchViews::new();
+        let grid = Grid::nyc_16x16();
+        let mut state = BatchState::new(&grid, &[], &[], &[]);
         let mut model = Model::default();
         let mut next_rider = 0u32;
         let mut offline: Vec<u32> = (0..rng.gen_range(1u32..12)).collect();
         let n_steps = rng.gen_range(30usize..160);
-        let mut ops_before = views.ops_applied();
+        let mut ops_before = 0;
+        let mut dirtied = (0, 0, 0);
         for step in 0..n_steps {
             let t = step as u64 * 1_000;
-            match rng.gen_range(0u8..7) {
+            match rng.gen_range(0u8..8) {
                 // Admission: a new rider starts waiting.
                 0 => {
                     let r = rider(next_rider, t);
                     next_rider += 1;
                     model.waiting.push(r);
-                    views.add_waiting(r);
+                    state.enter_waiting(r);
                 }
                 // Renege: a waiting rider leaves unserved.
                 1 if !model.waiting.is_empty() => {
                     let i = rng.gen_range(0..model.waiting.len());
                     let r = model.waiting.swap_remove(i);
-                    views.remove_waiting(r.id);
+                    prop_assert_eq!(state.leave_waiting(r.id).request_ms, r.request_ms);
                 }
                 // Assignment: a waiting rider pairs with an available
                 // driver, who goes busy.
                 2 if !model.waiting.is_empty() && !model.available.is_empty() => {
                     let i = rng.gen_range(0..model.waiting.len());
                     let r = model.waiting.swap_remove(i);
-                    views.remove_waiting(r.id);
+                    state.leave_waiting(r.id);
                     let j = rng.gen_range(0..model.available.len());
                     let d = model.available.swap_remove(j);
-                    views.remove_available(d.id);
+                    let left = state.leave_available(d.id);
+                    prop_assert_eq!(left.available_since_ms, d.available_since_ms);
                     let b = busy(d.id.0, t);
                     model.busy.push(b);
-                    views.add_busy(b);
+                    state.enter_upcoming(b);
                 }
                 // Dropoff: a busy driver rejoins the available pool.
                 3 if !model.busy.is_empty() => {
                     let i = rng.gen_range(0..model.busy.len());
                     let b = model.busy.swap_remove(i);
-                    views.remove_busy(b.id);
+                    prop_assert_eq!(state.leave_upcoming(b.id).dropoff_ms, b.dropoff_ms);
                     let d = avail(b.id.0, t);
                     model.available.push(d);
-                    views.add_available(d);
+                    state.enter_available(d);
                 }
                 // Shift on: an offline driver wakes up available.
                 4 if !offline.is_empty() => {
@@ -150,37 +209,57 @@ proptest! {
                     let id = offline.swap_remove(i);
                     let d = avail(id + 1_000, t);
                     model.available.push(d);
-                    views.add_available(d);
+                    state.enter_available(d);
                 }
                 // Shift off: an idle driver parks immediately.
                 5 if !model.available.is_empty() => {
                     let j = rng.gen_range(0..model.available.len());
                     let d = model.available.swap_remove(j);
-                    views.remove_available(d.id);
+                    state.leave_available(d.id);
                 }
-                // Retire mid-trip: a ramped-down busy driver leaves the
-                // fleet at dropoff instead of rejoining.
+                // Retire mid-trip: a ramped-down busy driver will leave
+                // the fleet at dropoff instead of rejoining.
                 6 if !model.busy.is_empty() => {
                     let i = rng.gen_range(0..model.busy.len());
                     let b = model.busy.swap_remove(i);
-                    views.remove_busy(b.id);
+                    state.leave_upcoming(b.id);
+                    model.retiring.push(b);
+                }
+                // A ramp-up cancels a retirement: the driver, still on
+                // the same ride, is upcoming supply again.
+                7 if !model.retiring.is_empty() => {
+                    let i = rng.gen_range(0..model.retiring.len());
+                    let b = model.retiring.swap_remove(i);
+                    model.busy.push(b);
+                    state.enter_upcoming(b);
                 }
                 _ => {}
             }
-            // Batch boundary every few events: check equality and drain
-            // the dirty counter exactly as the engine does.
+            // Batch boundary every few events: check equality, then settle
+            // the batch exactly as the engine does.
             if step % 5 == 4 {
-                assert_matches_rebuild(&views, &model);
-                let ops_since = views.ops_applied() - ops_before;
+                assert_state_matches_new(&state, &model, &grid);
+                let travel = ConstantSpeedModel::default();
+                let ctx = state.context(0, &travel);
+                let ops_since = ctx.views.ops_applied() - ops_before;
                 prop_assert!(
-                    (views.entries_dirtied() as u64) <= 2 * ops_since,
+                    (ctx.views.entries_dirtied() as u64) <= 2 * ops_since,
                     "each op dirties at most the target and one relocated filler"
                 );
-                views.clear_dirty();
-                ops_before = views.ops_applied();
+                dirtied.0 += ctx.avail_index.dirty_regions().len();
+                dirtied.1 += ctx.region_counts.dirty_regions().len();
+                dirtied.2 += ctx.views.entries_dirtied();
+                ops_before = ctx.views.ops_applied();
+                state.settle_batch();
+                let m = state.maintenance();
+                prop_assert_eq!(
+                    (m.index_regions_dirtied, m.counts_regions_dirtied, m.views_entries_dirtied),
+                    dirtied
+                );
+                prop_assert_eq!(m.views_ops as u64, ops_before);
             }
         }
-        assert_matches_rebuild(&views, &model);
+        assert_state_matches_new(&state, &model, &grid);
     }
 
     /// A scan rebuild mid-sequence resets the structure to a consistent
