@@ -38,8 +38,8 @@ fn bench_views(c: &mut Criterion) {
         });
         // The live engine: per executed batch the views absorb the few
         // event-time mutations (here one assignment round-trip: the
-        // rider leaves, a driver goes busy and rejoins) and the batch
-        // itself just drains the dirty counter.
+        // rider leaves, a driver goes busy and rejoins), and the batch
+        // itself does no view work.
         g.bench_with_input(BenchmarkId::new("incremental", &size), &f, |b, f| {
             let mut views = BatchViews::new();
             views.rebuild_reference(
@@ -61,9 +61,7 @@ fn bench_views(c: &mut Criterion) {
                 views.remove_busy(driver.id);
                 views.add_available(driver);
                 views.add_waiting(rider);
-                let dirtied = views.entries_dirtied();
-                views.clear_dirty();
-                dirtied
+                views.ops_applied()
             })
         });
     }

@@ -5,7 +5,7 @@
 //! batch). Both paths produce bit-identical assignments — the difference
 //! is pure estimation overhead, which is what dominates IRG/LS/SHORT
 //! batches once candidate generation runs off the live index (the
-//! fine-Δ regime of `BENCH_delta.json`). The eager cost grows with the
+//! fine-Δ regime of the `delta` sweep). The eager cost grows with the
 //! region count, so the last arm runs on the 64×64 grid of the `city-*`
 //! benchmark workloads.
 
@@ -29,8 +29,10 @@ fn bench_rate_paths(c: &mut Criterion) {
         (64, 20, 2000, 400),
     ] {
         let mut fixture = BatchFixture::rush_hour(side, riders, avail, busy, 7);
-        // Anchored riders guarantee every batch assigns (the same
-        // regime the `delta` subcommand's microbench reports).
+        // Anchored riders guarantee every batch assigns: the tracker
+        // path then pays its region fill, lazy idle-time solve and
+        // μ-bump resolve, the representative executed-batch cost rather
+        // than the no-candidate floor.
         fixture.anchor_riders_to_drivers();
         let state = fixture.batch_state();
         let ctx = state.context(fixture.now_ms, &travel);

@@ -6,15 +6,15 @@
 //! the forced single-heap layout on identical workloads. The two layouts
 //! must be byte-identical (the shard tournament pops in exactly the
 //! global heap order), so every cell is also a differential check; the
-//! KPI columns are wall time, engine events per second and
-//! `views_entries_dirtied` (the O(changes) work the policies actually
-//! see per batch).
+//! KPI columns are wall time and engine events per second.
 //!
 //! A second section reruns the six built-in scenarios (scaled by
-//! `--scale`) under IRG-R three ways — sharded engine, single-queue
-//! engine, legacy reference loop — and records the byte-identity of each
-//! pair, so `BENCH_scale.json` carries the equivalence evidence next to
-//! the timings it justifies. Each comparison records
+//! `--scale`) under IRG-R on the sharded and the single-queue engine and
+//! records their byte-identity, so `BENCH_scale.json` carries the
+//! equivalence evidence next to the timings it justifies. (The built-ins
+//! against the legacy reference loop are checked by the
+//! `all_builtins_match_reference_at_full_scale` test, at full scale and
+//! under three policies.) Each comparison records
 //! [`SimResult::first_difference`]'s report of where the runs split; the
 //! tables and the JSON are written first, and the command then exits 1
 //! naming the first divergence.
@@ -30,9 +30,7 @@
 //! day on the 200×200 grid. Results go to the console and
 //! `<out>/BENCH_scale.json`.
 
-use mrvd_scenario::{
-    builtins, run_scenario_configured, run_scenario_reference, ScenarioSpec, SweepPolicy,
-};
+use mrvd_scenario::{builtins, run_scenario_configured, ScenarioSpec, SweepPolicy};
 use mrvd_sim::{RenegeMatch, ShardedEventQueue, SimResult};
 use mrvd_stats::parallel_map;
 use serde_json::{json, Value};
@@ -161,7 +159,6 @@ pub fn scale(opts: &Options) {
                 format!("{:.1}%", sharded.service_rate() * 100.0),
                 sharded.events_processed.to_string(),
                 format!("{:.2}M", events_per_s / 1e6),
-                sharded.views_entries_dirtied.to_string(),
                 format!("{:.2}", sharded_s),
                 format!("{:.2}", single_s),
                 same(&diff).to_string(),
@@ -188,7 +185,6 @@ pub fn scale(opts: &Options) {
                 "events_processed": sharded.events_processed,
                 "events_per_s": events_per_s,
                 "views_ops": sharded.views_ops,
-                "views_entries_dirtied": sharded.views_entries_dirtied,
                 "counts_ops": sharded.counts_ops,
                 "index_ops": sharded.index_ops,
                 "wall_s_sharded": sharded_s,
@@ -208,7 +204,6 @@ pub fn scale(opts: &Options) {
             "rate",
             "events",
             "ev/s",
-            "dirtied",
             "wall (s)",
             "1-queue (s)",
             "identical",
@@ -217,7 +212,7 @@ pub fn scale(opts: &Options) {
     );
 
     eprintln!(
-        "[scale] six-builtin identity battery (IRG-R × sharded/single/reference, scale {}) on {} threads…",
+        "[scale] six-builtin identity battery (IRG-R × sharded/single, scale {}) on {} threads…",
         opts.scale, opts.threads
     );
     let specs: Vec<ScenarioSpec> = builtins().iter().map(|s| s.scaled(opts.scale)).collect();
@@ -225,38 +220,25 @@ pub fn scale(opts: &Options) {
         let workload = spec.materialize();
         let sharded = run_scenario_configured(&workload, SweepPolicy::IrgReal, None, None);
         let single = run_scenario_configured(&workload, SweepPolicy::IrgReal, None, Some(1));
-        let reference = run_scenario_reference(&workload, SweepPolicy::IrgReal);
         (
             spec.name.clone(),
             sharded.first_difference(&single, RenegeMatch::Exact),
-            sharded.first_difference(&reference, RenegeMatch::RiderSet),
             sharded,
         )
     });
     let id_rows: Vec<Vec<String>> = identity
         .iter()
-        .map(|(name, vs_single, vs_reference, _)| {
-            vec![
-                name.clone(),
-                same(vs_single).to_string(),
-                same(vs_reference).to_string(),
-            ]
-        })
+        .map(|(name, vs_single, _)| vec![name.clone(), same(vs_single).to_string()])
         .collect();
     print_table(
         "Sharded-engine byte-identity on the built-ins (IRG-R)",
-        &["scenario", "= single queue", "= reference loop"],
+        &["scenario", "= single queue"],
         &id_rows,
     );
-    for (name, vs_single, vs_reference, sharded) in &identity {
+    for (name, vs_single, sharded) in &identity {
         if let Some(diff) = vs_single {
             divergences.push(format!(
                 "{name}: sharded diverged from single queue at {diff}"
-            ));
-        }
-        if let Some(diff) = vs_reference {
-            divergences.push(format!(
-                "{name}: sharded diverged from reference loop at {diff}"
             ));
         }
         digest = sharded.fold_digest(digest);
@@ -265,14 +247,12 @@ pub fn scale(opts: &Options) {
 
     let identity_values: Vec<Value> = identity
         .iter()
-        .map(|(name, vs_single, vs_reference, _)| {
+        .map(|(name, vs_single, _)| {
             json!({
                 "scenario": name,
                 "policy": "IRG-R",
                 "sharded_equals_single_queue": vs_single.is_none(),
-                "sharded_equals_reference": vs_reference.is_none(),
                 "first_difference_single_queue": vs_single,
-                "first_difference_reference": vs_reference,
             })
         })
         .collect();

@@ -43,7 +43,6 @@ pub fn scenarios(opts: &Options) {
                 format!("{:.0}", c.total_revenue),
                 format!("{:.0}%", c.skip_rate * 100.0),
                 c.index_ops.to_string(),
-                c.index_regions_dirtied.to_string(),
                 format!("{:.2}", c.wall_s),
             ]
         })
@@ -52,7 +51,7 @@ pub fn scenarios(opts: &Options) {
         "Scenario sweep — policies × built-in scenarios",
         &[
             "scenario", "policy", "riders", "served", "reneged", "rate", "revenue", "skip",
-            "ix ops", "ix dirty", "wall (s)",
+            "ix ops", "wall (s)",
         ],
         &rows,
     );
@@ -101,11 +100,8 @@ pub fn scenarios(opts: &Options) {
                 "skip_rate": c.skip_rate,
                 "events_processed": c.events_processed,
                 "index_ops": c.index_ops,
-                "index_regions_dirtied": c.index_regions_dirtied,
                 "counts_ops": c.counts_ops,
-                "counts_regions_dirtied": c.counts_regions_dirtied,
                 "views_ops": c.views_ops,
-                "views_entries_dirtied": c.views_entries_dirtied,
                 "wall_s": c.wall_s,
             })
         })
@@ -125,14 +121,8 @@ pub fn scenarios(opts: &Options) {
             },
             "total_events_processed": cells.iter().map(|c| c.events_processed).sum::<usize>(),
             "total_index_ops": cells.iter().map(|c| c.index_ops).sum::<usize>(),
-            "total_index_regions_dirtied":
-                cells.iter().map(|c| c.index_regions_dirtied).sum::<usize>(),
             "total_counts_ops": cells.iter().map(|c| c.counts_ops).sum::<usize>(),
-            "total_counts_regions_dirtied":
-                cells.iter().map(|c| c.counts_regions_dirtied).sum::<usize>(),
             "total_views_ops": cells.iter().map(|c| c.views_ops).sum::<usize>(),
-            "total_views_entries_dirtied":
-                cells.iter().map(|c| c.views_entries_dirtied).sum::<usize>(),
             "cells": engine_cells,
         }),
     );

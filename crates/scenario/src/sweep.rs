@@ -187,21 +187,12 @@ pub struct SweepCell {
     /// Mutations applied to the live availability index
     /// ([`mrvd_sim::SimResult::index_ops`]).
     pub index_ops: usize,
-    /// Regions dirtied between consecutive executed batches
-    /// ([`mrvd_sim::SimResult::index_regions_dirtied`]).
-    pub index_regions_dirtied: usize,
     /// Mutations applied to the live per-region batch-state counts
     /// ([`mrvd_sim::SimResult::counts_ops`]).
     pub counts_ops: usize,
-    /// Regions whose live counts changed between consecutive executed
-    /// batches ([`mrvd_sim::SimResult::counts_regions_dirtied`]).
-    pub counts_regions_dirtied: usize,
     /// Mutations applied to the live batch views
     /// ([`mrvd_sim::SimResult::views_ops`]).
     pub views_ops: usize,
-    /// View entries touched between consecutive executed batches
-    /// ([`mrvd_sim::SimResult::views_entries_dirtied`]).
-    pub views_entries_dirtied: usize,
 }
 
 impl SweepCell {
@@ -231,11 +222,8 @@ impl SweepCell {
             skip_rate: result.skip_rate(),
             events_processed: result.events_processed,
             index_ops: result.index_ops,
-            index_regions_dirtied: result.index_regions_dirtied,
             counts_ops: result.counts_ops,
-            counts_regions_dirtied: result.counts_regions_dirtied,
             views_ops: result.views_ops,
-            views_entries_dirtied: result.views_entries_dirtied,
         }
     }
 }
@@ -349,11 +337,8 @@ mod tests {
                 "every admission is an event"
             );
             assert!(c.index_ops > 0, "fleet seeding alone applies index ops");
-            assert!(c.index_regions_dirtied <= c.index_ops);
             assert!(c.counts_ops > 0, "fleet seeding alone applies count ops");
-            assert!(c.counts_regions_dirtied <= c.counts_ops);
             assert!(c.views_ops > 0, "fleet seeding alone applies view ops");
-            assert!(c.views_entries_dirtied <= 2 * c.views_ops);
             assert_eq!(c.delta_ms, 60_000, "cell records the Δ it ran at");
         }
     }

@@ -65,22 +65,12 @@ fn assert_builtin_equivalent(name: &str, policy: SweepPolicy) {
     // sparse) under the event core, rebuilt per batch under the
     // reference loop.
     assert!(fast.counts_ops > 0, "{name}: counts never maintained");
-    assert!(
-        fast.counts_regions_dirtied <= fast.counts_ops,
-        "{name}: dirtied regions exceed count mutations"
-    );
     assert_eq!(slow.counts_ops, 0, "{name}: reference loop grew counts");
-    assert_eq!(slow.counts_regions_dirtied, 0);
     // And for the live batch views: maintained at event times under the
     // event core, while the reference loop scan-builds its views and
     // reports no live-view activity.
     assert!(fast.views_ops > 0, "{name}: views never maintained");
-    assert!(
-        fast.views_entries_dirtied <= 2 * fast.views_ops,
-        "{name}: dirtied entries exceed view mutations"
-    );
     assert_eq!(slow.views_ops, 0, "{name}: reference loop grew views");
-    assert_eq!(slow.views_entries_dirtied, 0);
 }
 
 #[test]

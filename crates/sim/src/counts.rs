@@ -19,12 +19,8 @@
 //! [`RegionCounts::rejoining_between`] answers the window query with two
 //! binary searches over a (typically tiny) per-region bucket.
 //!
-//! Mirroring the live candidate index, a dirty-region set records which
-//! regions changed since the last [`RegionCounts::clear_dirty`] and
-//! [`RegionCounts::ops_applied`] counts every mutation, so callers can
-//! observe how sparse the batch-to-batch change really is
-//! ([`crate::SimResult::counts_ops`] /
-//! [`crate::SimResult::counts_regions_dirtied`]).
+//! Mirroring the live candidate index, [`RegionCounts::ops_applied`]
+//! counts every mutation ([`crate::SimResult::counts_ops`]).
 
 use mrvd_spatial::RegionId;
 
@@ -47,10 +43,6 @@ pub struct RegionCounts {
     total_waiting: usize,
     total_available: usize,
     total_rejoining: usize,
-    /// Regions whose counts changed since the last
-    /// [`RegionCounts::clear_dirty`], deduplicated via `dirty_flag`.
-    dirty: Vec<RegionId>,
-    dirty_flag: Vec<bool>,
     /// Superset of the regions with any nonzero count (see
     /// [`RegionCounts::occupied_regions`]), deduplicated via `listed`.
     occupied: Vec<RegionId>,
@@ -74,8 +66,6 @@ impl RegionCounts {
             total_waiting: 0,
             total_available: 0,
             total_rejoining: 0,
-            dirty: Vec::new(),
-            dirty_flag: vec![false; num_regions],
             occupied: Vec::new(),
             listed: vec![false; num_regions],
             occupied_watermark: OCCUPIED_WATERMARK_FLOOR,
@@ -86,14 +76,6 @@ impl RegionCounts {
     /// Number of regions tracked.
     pub fn num_regions(&self) -> usize {
         self.waiting.len()
-    }
-
-    fn touch(&mut self, r: RegionId) {
-        self.ops += 1;
-        if !self.dirty_flag[r.idx()] {
-            self.dirty_flag[r.idx()] = true;
-            self.dirty.push(r);
-        }
     }
 
     /// Enters `r` into the occupied list; called on every `add_*`.
@@ -135,7 +117,7 @@ impl RegionCounts {
     pub fn add_waiting(&mut self, r: RegionId) {
         self.waiting[r.idx()] += 1;
         self.total_waiting += 1;
-        self.touch(r);
+        self.ops += 1;
         self.list(r);
     }
 
@@ -144,14 +126,14 @@ impl RegionCounts {
         assert!(self.waiting[r.idx()] > 0, "no waiting rider in region {r}");
         self.waiting[r.idx()] -= 1;
         self.total_waiting -= 1;
-        self.touch(r);
+        self.ops += 1;
     }
 
     /// A driver becomes available in region `r`.
     pub fn add_available(&mut self, r: RegionId) {
         self.available[r.idx()] += 1;
         self.total_available += 1;
-        self.touch(r);
+        self.ops += 1;
         self.list(r);
     }
 
@@ -163,7 +145,7 @@ impl RegionCounts {
         );
         self.available[r.idx()] -= 1;
         self.total_available -= 1;
-        self.touch(r);
+        self.ops += 1;
     }
 
     /// A busy driver will rejoin region `r` at `dropoff_ms`.
@@ -172,7 +154,7 @@ impl RegionCounts {
         let i = bucket.partition_point(|&t| t <= dropoff_ms);
         bucket.insert(i, dropoff_ms);
         self.total_rejoining += 1;
-        self.touch(r);
+        self.ops += 1;
         self.list(r);
     }
 
@@ -191,7 +173,7 @@ impl RegionCounts {
         );
         bucket.remove(i);
         self.total_rejoining -= 1;
-        self.touch(r);
+        self.ops += 1;
     }
 
     /// Waiting riders per region, `|R_k|`.
@@ -238,19 +220,6 @@ impl RegionCounts {
     /// Order is event-history-dependent and carries no meaning.
     pub fn occupied_regions(&self) -> &[RegionId] {
         &self.occupied
-    }
-
-    /// Regions whose counts changed since the last
-    /// [`RegionCounts::clear_dirty`], in first-dirtied order.
-    pub fn dirty_regions(&self) -> &[RegionId] {
-        &self.dirty
-    }
-
-    /// Resets the dirty-region set.
-    pub fn clear_dirty(&mut self) {
-        for r in self.dirty.drain(..) {
-            self.dirty_flag[r.idx()] = false;
-        }
     }
 
     /// Total mutations applied over the counts' lifetime.
@@ -371,18 +340,5 @@ mod tests {
         // A region re-listed after compaction shows up again.
         c.add_available(R0);
         assert!(c.occupied_regions().contains(&R0));
-    }
-
-    #[test]
-    fn dirty_set_deduplicates_and_clears() {
-        let mut c = RegionCounts::new(4);
-        c.add_waiting(R0);
-        c.add_available(R0);
-        c.add_waiting(R1);
-        assert_eq!(c.dirty_regions(), &[R0, R1]);
-        c.clear_dirty();
-        assert!(c.dirty_regions().is_empty());
-        c.remove_waiting(R1);
-        assert_eq!(c.dirty_regions(), &[R1]);
     }
 }

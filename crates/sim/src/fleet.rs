@@ -1,136 +1,110 @@
-//! Struct-of-arrays fleet state for the event engine.
+//! The drivers no batch view shows.
 //!
-//! At city scale (10K–50K drivers) the engine's hot transitions touch
-//! one field of one driver at a time — a tag flip at dropoff, a
-//! position at assignment, a retire flag at a shift change. The
-//! array-of-structs `Vec<DriverState>` interleaves a 3-variant enum's
-//! payloads (~32 bytes each) plus a separate retire-flag vector, so
-//! every touch drags unrelated fields through cache. [`Fleet`] splits
-//! the state into parallel arrays — one tag byte, one position, one
-//! timestamp, one retire flag per driver — extending the slot
-//! discipline `BatchViews` introduced in the views layer to the fleet
-//! itself. The enum survives as `DriverState` in `reference.rs`, for the
-//! reference loop's literal per-Δ scan.
+//! A driver on shift is in exactly one of the live views a batch sees:
+//! available at a position since a time, or busy with a known rejoin
+//! time and place. The event core keeps those facts only there, in its
+//! `BatchState`. [`Fleet`] holds the two kinds of driver that no view
+//! shows:
 //!
-//! Field meaning depends on the tag:
+//! - a driver parked off shift, with the position it parked at, so a
+//!   later shift change resumes there;
+//! - a driver in a ride who is marked to retire when the ride ends, with
+//!   that ride, so a cancelled retirement can put the driver back into
+//!   upcoming supply (a retiring driver will not rejoin, so the busy view
+//!   leaves it out).
 //!
-//! | tag       | `pos`              | `time`                 |
-//! |-----------|--------------------|------------------------|
-//! | Available | current position   | available since (ms)   |
-//! | Busy      | ride dropoff point | dropoff time (ms)      |
-//! | Offline   | parked position    | unused                 |
+//! Every other driver is in a view, and the fleet holds nothing for it.
+//! The reference loop keeps its own array-of-structs `DriverState` in
+//! `reference.rs`, for its literal per-Δ scan.
 
 use mrvd_spatial::Point;
 
-use crate::types::Millis;
+use crate::policy::BusyDriver;
 
-/// A driver's coarse state; payload lives in the [`Fleet`] arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Tag {
-    /// On shift and idle.
-    Available,
-    /// Driving a rider; `pos` holds the dropoff point, `time` the
-    /// dropoff timestamp.
-    Busy,
-    /// Off shift (never shown to policies); `pos` remembers where the
-    /// driver parked so a later shift change resumes there.
-    Offline,
+/// What the fleet holds for one driver.
+#[derive(Debug, Clone, Copy)]
+enum Hidden {
+    /// Nothing: the driver is in the available or the busy view.
+    InView,
+    /// Off shift, parked at this position.
+    Parked(Point),
+    /// In this ride, and marked to retire when it ends.
+    Retiring(BusyDriver),
 }
 
-/// Struct-of-arrays driver state (see module docs).
+/// The parked and retiring drivers, by pool index (see module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct Fleet {
-    tag: Vec<Tag>,
-    pos: Vec<Point>,
-    time: Vec<Millis>,
-    /// Busy drivers marked here retire (go offline) at their dropoff.
-    retiring: Vec<bool>,
+    drivers: Vec<Hidden>,
 }
 
 impl Fleet {
-    /// Seeds the fleet from spawn positions: the first `initial_online`
-    /// drivers start available at t = 0, the rest wait offline.
+    /// The fleet of a day that starts with the first `initial_online`
+    /// drivers of `pool` on shift (the caller puts them into the
+    /// available view) and the rest parked at their spawn positions.
     pub fn new(pool: &[Point], initial_online: usize) -> Self {
         Self {
-            tag: (0..pool.len())
-                .map(|i| {
+            drivers: pool
+                .iter()
+                .enumerate()
+                .map(|(i, &pos)| {
                     if i < initial_online {
-                        Tag::Available
+                        Hidden::InView
                     } else {
-                        Tag::Offline
+                        Hidden::Parked(pos)
                     }
                 })
                 .collect(),
-            pos: pool.to_vec(),
-            time: vec![0; pool.len()],
-            retiring: vec![false; pool.len()],
         }
     }
 
     /// Number of drivers in the pool.
     pub fn len(&self) -> usize {
-        self.tag.len()
+        self.drivers.len()
     }
 
-    /// The driver's coarse state.
-    pub fn tag(&self, i: usize) -> Tag {
-        self.tag[i]
+    /// Whether the driver is parked off shift.
+    pub fn is_parked(&self, i: usize) -> bool {
+        matches!(self.drivers[i], Hidden::Parked(_))
     }
 
-    /// The driver's position payload (see the module table).
-    pub fn pos(&self, i: usize) -> Point {
-        self.pos[i]
+    /// Parks the driver off shift at `pos`.
+    pub fn park(&mut self, i: usize, pos: Point) {
+        self.drivers[i] = Hidden::Parked(pos);
     }
 
-    /// The driver's timestamp payload (see the module table).
-    pub fn time(&self, i: usize) -> Millis {
-        self.time[i]
+    /// Takes a parked driver back on shift, returning where it parked;
+    /// `None`, and no change, if the driver is not parked.
+    pub fn unpark(&mut self, i: usize) -> Option<Point> {
+        let Hidden::Parked(pos) = self.drivers[i] else {
+            return None;
+        };
+        self.drivers[i] = Hidden::InView;
+        Some(pos)
     }
 
-    /// Whether the driver is marked to retire at its next dropoff.
-    pub fn is_retiring(&self, i: usize) -> bool {
-        self.retiring[i]
+    /// Marks the driver of `ride`, which has just left the busy view, to
+    /// retire when the ride ends.
+    pub fn retire(&mut self, ride: BusyDriver) {
+        self.drivers[ride.id.0 as usize] = Hidden::Retiring(ride);
     }
 
-    /// Marks or clears the retire-at-dropoff flag.
-    pub fn set_retiring(&mut self, i: usize, v: bool) {
-        self.retiring[i] = v;
-    }
-
-    /// Puts the driver on shift and idle at `pos` since `since_ms`.
-    pub fn set_available(&mut self, i: usize, pos: Point, since_ms: Millis) {
-        self.tag[i] = Tag::Available;
-        self.pos[i] = pos;
-        self.time[i] = since_ms;
-    }
-
-    /// Puts the driver on a ride ending at `dropoff` at `until_ms`.
-    pub fn set_busy(&mut self, i: usize, dropoff: Point, until_ms: Millis) {
-        self.tag[i] = Tag::Busy;
-        self.pos[i] = dropoff;
-        self.time[i] = until_ms;
-    }
-
-    /// Takes the driver off shift, parked wherever `pos` currently
-    /// points (its last dropoff or idle position).
-    pub fn set_offline(&mut self, i: usize) {
-        self.tag[i] = Tag::Offline;
-    }
-
-    /// Number of drivers on shift and not pending retirement — the
-    /// quantity shift reconciliation compares against its target.
-    pub fn online(&self) -> usize {
-        self.tag
-            .iter()
-            .zip(&self.retiring)
-            .filter(|(t, &r)| **t != Tag::Offline && !r)
-            .count()
+    /// Takes back a driver marked to retire, returning its ride (the
+    /// retirement is cancelled, or the ride has ended); `None`, and no
+    /// change, if the driver is not retiring.
+    pub fn take_retiring(&mut self, i: usize) -> Option<BusyDriver> {
+        let Hidden::Retiring(ride) = self.drivers[i] else {
+            return None;
+        };
+        self.drivers[i] = Hidden::InView;
+        Some(ride)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::DriverId;
 
     fn pool(n: usize) -> Vec<Point> {
         (0..n)
@@ -140,15 +114,17 @@ mod tests {
 
     #[test]
     fn seeding_splits_online_and_offline() {
-        let f = Fleet::new(&pool(5), 3);
+        let p = pool(5);
+        let mut f = Fleet::new(&p, 3);
         assert_eq!(f.len(), 5);
-        assert_eq!(f.online(), 3);
         for i in 0..3 {
-            assert_eq!(f.tag(i), Tag::Available);
-            assert_eq!(f.time(i), 0);
+            assert!(!f.is_parked(i));
+            assert_eq!(f.unpark(i), None, "an online driver is not parked");
         }
-        for i in 3..5 {
-            assert_eq!(f.tag(i), Tag::Offline);
+        for (i, &spawn) in p.iter().enumerate().skip(3) {
+            assert!(f.is_parked(i));
+            assert_eq!(f.unpark(i), Some(spawn), "parked at its spawn point");
+            assert!(!f.is_parked(i));
         }
     }
 
@@ -156,21 +132,22 @@ mod tests {
     fn transitions_round_trip_payloads() {
         let mut f = Fleet::new(&pool(2), 2);
         let dropoff = Point::new(-73.90, 40.80);
-        f.set_busy(0, dropoff, 42_000);
-        assert_eq!(f.tag(0), Tag::Busy);
-        assert_eq!(f.pos(0), dropoff);
-        assert_eq!(f.time(0), 42_000);
-        assert_eq!(f.online(), 2, "busy drivers are still on shift");
-        f.set_retiring(0, true);
-        assert!(f.is_retiring(0));
-        assert_eq!(f.online(), 1, "retiring drivers leave the online count");
-        f.set_retiring(0, false);
-        f.set_available(0, dropoff, 42_000);
-        assert_eq!(f.tag(0), Tag::Available);
-        assert_eq!(f.time(0), 42_000);
-        f.set_offline(0);
-        assert_eq!(f.tag(0), Tag::Offline);
-        assert_eq!(f.pos(0), dropoff, "offline parks at the last position");
-        assert_eq!(f.online(), 1);
+        let ride = BusyDriver {
+            id: DriverId(0),
+            dropoff_ms: 42_000,
+            dropoff_pos: dropoff,
+        };
+        f.retire(ride);
+        assert!(!f.is_parked(0), "a retiring driver is still in its ride");
+        assert_eq!(f.unpark(0), None);
+        let back = f.take_retiring(0).expect("marked to retire");
+        assert_eq!((back.id, back.dropoff_ms), (DriverId(0), 42_000));
+        assert_eq!(back.dropoff_pos, dropoff);
+        assert!(f.take_retiring(0).is_none(), "taking it back clears it");
+        f.park(0, back.dropoff_pos);
+        assert!(f.is_parked(0));
+        assert!(f.take_retiring(0).is_none());
+        assert_eq!(f.unpark(0), Some(dropoff), "parks at the ride's dropoff");
+        assert!(!f.is_parked(1));
     }
 }

@@ -11,12 +11,15 @@
 //! and shift changes live on one time-ordered event queue and are
 //! applied at their exact timestamps, while the policy still runs at the
 //! paper's batch boundaries — batch slots where nothing changed are
-//! skipped entirely (see `engine`). Alongside the driver states the
-//! engine keeps one live [`BatchState`]: the policy-facing batch views
-//! ([`BatchViews`]: the waiting / available / busy slices with id→slot
-//! maps), a [`mrvd_spatial::RegionIndex`] of the available fleet and
-//! per-region batch-state counts ([`RegionCounts`]: waiting riders,
-//! available drivers, rejoin-time multisets). Each transition at those
+//! skipped entirely (see `engine`). The engine keeps one live
+//! [`BatchState`]: the policy-facing batch views ([`BatchViews`]: the
+//! waiting / available / busy slices with id→slot maps), a
+//! [`mrvd_spatial::RegionIndex`] of the available fleet and per-region
+//! batch-state counts ([`RegionCounts`]: waiting riders, available
+//! drivers, rejoin-time multisets). The views are the engine's only
+//! record of who waits and of every on-shift driver's position or ride;
+//! beside them it keeps only the drivers no view shows (parked off
+//! shift, or retiring at the end of a ride). Each transition at those
 //! same event times is one [`BatchState`] method that updates all three,
 //! and policies reach them via [`BatchContext::views`] /
 //! [`BatchContext::avail_index`] / [`BatchContext::region_counts`], so

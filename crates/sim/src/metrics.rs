@@ -106,35 +106,17 @@ pub struct SimResult {
     /// across the whole run. Zero under the legacy reference loop, which
     /// rebuilds its index from scratch every batch instead.
     pub index_ops: usize,
-    /// Cumulative count of regions whose index bucket changed between
-    /// consecutive *executed* batches (the dirty-set size drained at each
-    /// policy invocation). Low numbers relative to
-    /// `ticks_executed × num_regions` are what make incremental
-    /// maintenance pay off.
-    pub index_regions_dirtied: usize,
     /// Mutations applied to the live per-region batch-state counts
     /// ([`crate::RegionCounts`]: waiting/available/rejoining) while
     /// maintaining them incrementally across the whole run. Zero under
     /// the legacy reference loop, which rebuilds its counts from scratch
     /// every batch instead.
     pub counts_ops: usize,
-    /// Cumulative count of regions whose live batch-state counts changed
-    /// between consecutive *executed* batches (the counts' dirty-set size
-    /// drained at each policy invocation). Low numbers relative to
-    /// `ticks_executed × num_regions` are what make incremental rate
-    /// estimation pay off.
-    pub counts_regions_dirtied: usize,
     /// Mutations applied to the live batch views ([`crate::BatchViews`]:
     /// the waiting/available/busy slices policies see) while maintaining
     /// them incrementally across the whole run. Zero under the legacy
     /// reference loop, which rebuilds the views by full scans every batch.
     pub views_ops: usize,
-    /// Cumulative count of view entries touched between consecutive
-    /// *executed* batches (adds plus swap_remove targets and relocated
-    /// fillers, drained at each policy invocation). Low numbers relative
-    /// to `ticks_executed × world size` are what make the incremental
-    /// views pay off.
-    pub views_entries_dirtied: usize,
     /// Complete assignment log (chronological).
     pub assignments: Vec<AssignmentRecord>,
     /// Complete renege log (chronological).
@@ -444,11 +426,8 @@ mod tests {
             ticks_executed: 0,
             events_processed: 0,
             index_ops: 0,
-            index_regions_dirtied: 0,
             counts_ops: 0,
-            counts_regions_dirtied: 0,
             views_ops: 0,
-            views_entries_dirtied: 0,
             assignments,
             reneges,
         }

@@ -28,7 +28,8 @@ use crate::state::BatchState;
 use crate::types::{DriverId, Millis, RiderId};
 
 /// A driver's state in the reference loop's array-of-structs fleet (the
-/// event core keeps the same state struct-of-arrays, in `fleet.rs`).
+/// event core keeps the same facts in its batch views, and in `fleet.rs`
+/// for the drivers no view shows).
 #[derive(Debug, Clone, Copy)]
 enum DriverState {
     Available {
@@ -121,8 +122,6 @@ impl Simulator<'_> {
         let mut reneges: Vec<RenegeRecord> = Vec::new();
         let mut batch_time = SummaryStats::new();
         let mut batches = 0usize;
-        // Scratch flags for validation.
-        let mut rider_assigned = vec![false; riders.len()];
         let mut state = BatchState::new(self.grid(), &[], &[], &[]);
 
         let mut now = 0u64;
@@ -265,13 +264,11 @@ impl Simulator<'_> {
             let mut driver_taken: std::collections::HashSet<u32> = std::collections::HashSet::new();
             for a in &batch_assignments {
                 let ri = a.rider.0;
-                assert!(
-                    (ri as usize) < riders.len()
-                        && waiting.contains(&ri)
-                        && !rider_assigned[ri as usize],
-                    "policy assigned unknown or unavailable rider {}",
-                    a.rider
-                );
+                // An assigned rider leaves `waiting` at once, so a rider
+                // assigned twice in one batch is unavailable the second time.
+                let Some(w) = waiting.iter().position(|&x| x == ri) else {
+                    panic!("policy assigned unknown or unavailable rider {}", a.rider);
+                };
                 let di = a.driver.0 as usize;
                 assert!(
                     di < drivers.len(),
@@ -312,7 +309,7 @@ impl Simulator<'_> {
                     dropoff: rider.trip.dropoff,
                 };
                 dropoff_heap.push(Reverse((dropoff_ms, a.driver.0)));
-                rider_assigned[ri as usize] = true;
+                waiting.remove(w);
                 served += 1;
                 total_revenue += revenue;
                 assignments.push(AssignmentRecord {
@@ -327,7 +324,6 @@ impl Simulator<'_> {
                     estimated_idle_s: a.estimated_idle_s,
                 });
             }
-            waiting.retain(|&ri| !rider_assigned[ri as usize]);
 
             now += self.config().batch_interval_ms;
         }
@@ -377,11 +373,8 @@ impl Simulator<'_> {
             ticks_executed: batches,
             events_processed: 0,
             index_ops: 0,
-            index_regions_dirtied: 0,
             counts_ops: 0,
-            counts_regions_dirtied: 0,
             views_ops: 0,
-            views_entries_dirtied: 0,
             assignments,
             reneges,
         }

@@ -8,8 +8,8 @@
 //! event time through one method per transition
 //! ([`BatchState::enter_waiting`] and its five siblings), each updating
 //! all three structures. Once per executed batch,
-//! [`BatchState::settle_batch`] checks that they agree and drains their
-//! change tracking into the [`Maintenance`] counters.
+//! [`BatchState::settle_batch`] checks that they agree, and
+//! [`BatchState::maintenance`] reports how many mutations each applied.
 //!
 //! The legacy reference loop instead rebuilds its state from scratch every
 //! batch ([`BatchState::rebuild`], through the structures' full-scan
@@ -25,23 +25,16 @@ use crate::types::{DriverId, Millis, RiderId};
 use crate::views::BatchViews;
 
 /// The maintenance counters of a live [`BatchState`], over its lifetime:
-/// the mutations each structure applied, and the regions or view entries
-/// each had dirtied when a batch was settled. They describe incremental
+/// the mutations each structure applied. They describe incremental
 /// maintenance only; a [`BatchState::rebuild`] leaves them meaningless.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Maintenance {
     /// Index mutations ([`RegionIndex::ops_applied`]).
     pub index_ops: usize,
-    /// Index regions dirtied, summed over settled batches.
-    pub index_regions_dirtied: usize,
     /// Count mutations ([`RegionCounts::ops_applied`]).
     pub counts_ops: usize,
-    /// Count regions dirtied, summed over settled batches.
-    pub counts_regions_dirtied: usize,
     /// View mutations ([`BatchViews::ops_applied`]).
     pub views_ops: usize,
-    /// View entries dirtied, summed over settled batches.
-    pub views_entries_dirtied: usize,
 }
 
 /// The views, availability index and region counts of a batch (see
@@ -51,8 +44,6 @@ pub struct BatchState {
     views: BatchViews,
     index: RegionIndex<DriverId>,
     counts: RegionCounts,
-    /// The dirtied totals; the op counts are read from the structures.
-    dirtied: Maintenance,
 }
 
 impl BatchState {
@@ -72,7 +63,6 @@ impl BatchState {
             views: BatchViews::new(),
             index: RegionIndex::new(grid.clone()),
             counts: RegionCounts::new(grid.num_regions()),
-            dirtied: Maintenance::default(),
         };
         state.rebuild(
             riders.iter().copied(),
@@ -182,11 +172,9 @@ impl BatchState {
         b
     }
 
-    /// Closes the change tracking of one executed batch: checks, in debug
-    /// builds, that the index and the counts agree with the views, then
-    /// adds the dirtied regions and entries to the [`Maintenance`]
-    /// counters and clears them.
-    pub fn settle_batch(&mut self) {
+    /// Settles one executed batch: checks, in debug builds, that the
+    /// index and the counts agree with the views.
+    pub fn settle_batch(&self) {
         debug_assert_eq!(
             self.index.len(),
             self.views.available().len(),
@@ -201,12 +189,6 @@ impl BatchState {
             ),
             "live counts out of sync with the batch views"
         );
-        self.dirtied.index_regions_dirtied += self.index.dirty_regions().len();
-        self.index.clear_dirty();
-        self.dirtied.counts_regions_dirtied += self.counts.dirty_regions().len();
-        self.counts.clear_dirty();
-        self.dirtied.views_entries_dirtied += self.views.entries_dirtied();
-        self.views.clear_dirty();
     }
 
     /// The maintenance counters so far (see [`Maintenance`]).
@@ -215,7 +197,6 @@ impl BatchState {
             index_ops: self.index.ops_applied() as usize,
             counts_ops: self.counts.ops_applied() as usize,
             views_ops: self.views.ops_applied() as usize,
-            ..self.dirtied
         }
     }
 

@@ -21,10 +21,8 @@
 //!
 //! Mirroring [`crate::RegionCounts`] and `mrvd_spatial::RegionIndex`,
 //! the struct counts every mutation ([`BatchViews::ops_applied`]) and
-//! the entries it touched since the last [`BatchViews::clear_dirty`]
-//! ([`BatchViews::entries_dirtied`]), and keeps the from-scratch scan
-//! construction alive as [`BatchViews::rebuild_reference`] for
-//! differential testing.
+//! keeps the from-scratch scan construction alive as
+//! [`BatchViews::rebuild_reference`] for differential testing.
 
 use crate::policy::{AvailableDriver, BusyDriver, WaitingRider};
 use crate::types::{DriverId, RiderId};
@@ -64,20 +62,12 @@ pub struct BatchViews {
     avail_slot: Vec<u32>,
     busy_slot: Vec<u32>,
     ops: u64,
-    dirty_entries: usize,
 }
 
 impl BatchViews {
     /// Empty views.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Counts one mutation that touched `entries` view entries (the
-    /// target, plus the filler an interior `swap_remove` relocated).
-    fn touch(&mut self, entries: usize) {
-        self.ops += 1;
-        self.dirty_entries += entries;
     }
 
     /// The waiting riders (arbitrary order; see module docs).
@@ -124,7 +114,7 @@ impl BatchViews {
         );
         map_set(&mut self.waiting_slot, r.id.0, self.waiting.len() as u32);
         self.waiting.push(r);
-        self.touch(1);
+        self.ops += 1;
     }
 
     /// A rider stops waiting (assigned or reneged), returning the entry.
@@ -137,12 +127,10 @@ impl BatchViews {
             .unwrap_or_else(|| panic!("rider {id} is not waiting"));
         self.waiting_slot[id.0 as usize] = NONE;
         let r = self.waiting.swap_remove(slot);
-        let mut entries = 1;
         if let Some(moved) = self.waiting.get(slot) {
             self.waiting_slot[moved.id.0 as usize] = slot as u32;
-            entries = 2;
         }
-        self.touch(entries);
+        self.ops += 1;
         r
     }
 
@@ -158,7 +146,7 @@ impl BatchViews {
         );
         map_set(&mut self.avail_slot, d.id.0, self.avail.len() as u32);
         self.avail.push(d);
-        self.touch(1);
+        self.ops += 1;
     }
 
     /// A driver stops being available (assigned or parked off shift),
@@ -172,12 +160,10 @@ impl BatchViews {
             .unwrap_or_else(|| panic!("driver {id} is not available"));
         self.avail_slot[id.0 as usize] = NONE;
         let d = self.avail.swap_remove(slot);
-        let mut entries = 1;
         if let Some(moved) = self.avail.get(slot) {
             self.avail_slot[moved.id.0 as usize] = slot as u32;
-            entries = 2;
         }
-        self.touch(entries);
+        self.ops += 1;
         d
     }
 
@@ -194,7 +180,7 @@ impl BatchViews {
         );
         map_set(&mut self.busy_slot, b.id.0, self.busy.len() as u32);
         self.busy.push(b);
-        self.touch(1);
+        self.ops += 1;
     }
 
     /// A driver leaves the busy view (dropped off, or marked to retire
@@ -208,12 +194,10 @@ impl BatchViews {
             .unwrap_or_else(|| panic!("driver {id} is not busy"));
         self.busy_slot[id.0 as usize] = NONE;
         let b = self.busy.swap_remove(slot);
-        let mut entries = 1;
         if let Some(moved) = self.busy.get(slot) {
             self.busy_slot[moved.id.0 as usize] = slot as u32;
-            entries = 2;
         }
-        self.touch(entries);
+        self.ops += 1;
         b
     }
 
@@ -222,23 +206,11 @@ impl BatchViews {
         self.ops
     }
 
-    /// View entries touched since the last [`BatchViews::clear_dirty`]:
-    /// one per add, one or two per remove (the removed entry, plus the
-    /// relocated filler when the removal was interior).
-    pub fn entries_dirtied(&self) -> usize {
-        self.dirty_entries
-    }
-
-    /// Resets the dirtied-entries counter.
-    pub fn clear_dirty(&mut self) {
-        self.dirty_entries = 0;
-    }
-
     /// The from-scratch scan construction the incremental path replaced,
     /// kept for differential testing: discards all state and rebuilds
     /// the three views (in the given order) and their slot maps from
-    /// full iterations. Counts neither ops nor dirtied entries — it is
-    /// the reference, not a maintenance event.
+    /// full iterations. Counts no ops — it is the reference, not a
+    /// maintenance event.
     ///
     /// # Panics
     /// Panics if a rider id appears twice, or a driver id appears twice
@@ -340,20 +312,17 @@ mod tests {
     }
 
     #[test]
-    fn interior_removal_dirties_the_relocated_filler_too() {
+    fn interior_removal_relocates_the_tail_entry() {
         let mut v = BatchViews::new();
         for id in 0..3 {
             v.add_available(avail(id));
         }
-        assert_eq!(v.entries_dirtied(), 3);
-        v.clear_dirty();
-        // Removing the middle entry relocates the tail entry: 2 dirtied.
+        // Removing the middle entry moves the tail entry into its slot.
         v.remove_available(DriverId(1));
-        assert_eq!(v.entries_dirtied(), 2);
-        v.clear_dirty();
-        // Removing the last entry relocates nothing: 1 dirtied.
+        assert_eq!(v.avail_slot(DriverId(2)), Some(1));
+        assert_eq!(v.available()[1].id, DriverId(2));
+        // Removing the last entry relocates nothing.
         v.remove_available(DriverId(2));
-        assert_eq!(v.entries_dirtied(), 1);
         assert_eq!(v.avail_slot(DriverId(0)), Some(0));
         assert_eq!(v.available().len(), 1);
     }
@@ -376,7 +345,6 @@ mod tests {
         v.add_waiting(rider(9));
         v.add_available(avail(9));
         let ops = v.ops_applied();
-        v.clear_dirty();
         v.rebuild_reference(
             (0..4).map(rider),
             (0..2).map(avail),
@@ -390,7 +358,6 @@ mod tests {
         assert_eq!(v.waiting_slot(RiderId(2)), Some(2));
         assert_eq!(v.busy_slot(DriverId(7)), Some(0));
         assert_eq!(v.ops_applied(), ops, "the reference scan is not an op");
-        assert_eq!(v.entries_dirtied(), 0);
     }
 
     #[test]

@@ -19,11 +19,9 @@
 //! [`RegionIndex::remove`]/[`RegionIndex::remove_at`] and
 //! [`RegionIndex::move_item`] applied at true event times — alongside the
 //! from-scratch [`RegionIndex::rebuild_reference`] path kept for
-//! differential testing. A dirty-region set ([`RegionIndex::dirty_regions`])
-//! records which buckets changed since the last
-//! [`RegionIndex::clear_dirty`], and [`RegionIndex::ops_applied`] counts
-//! every applied mutation, so callers can observe how sparse the
-//! batch-to-batch state change really is.
+//! differential testing. [`RegionIndex::ops_applied`] counts every applied
+//! mutation, so callers can observe how sparse the batch-to-batch state
+//! change really is.
 //!
 //! The same sparsity lets a caller remember a radius query that found
 //! nothing. Every insert stamps its bucket with the op counter, a removal
@@ -97,10 +95,6 @@ pub struct RegionIndex<T> {
     grid: Grid,
     buckets: Vec<Vec<(T, Point)>>,
     len: usize,
-    /// Regions whose bucket contents changed since the last
-    /// [`RegionIndex::clear_dirty`], deduplicated via `dirty_flag`.
-    dirty: Vec<RegionId>,
-    dirty_flag: Vec<bool>,
     ops: u64,
     /// Per bucket, the op count right after its latest insert (0 if none).
     insert_stamp: Vec<u64>,
@@ -116,8 +110,6 @@ impl<T: Clone> Clone for RegionIndex<T> {
             grid: self.grid.clone(),
             buckets: self.buckets.clone(),
             len: self.len,
-            dirty: self.dirty.clone(),
-            dirty_flag: self.dirty_flag.clone(),
             ops: self.ops,
             insert_stamp: self.insert_stamp.clone(),
             instance_id: next_instance_id(),
@@ -129,24 +121,14 @@ impl<T: Copy> RegionIndex<T> {
     /// An empty index over `grid`.
     pub fn new(grid: Grid) -> Self {
         let buckets = vec![Vec::new(); grid.num_regions()];
-        let dirty_flag = vec![false; grid.num_regions()];
         let insert_stamp = vec![0; grid.num_regions()];
         Self {
             grid,
             buckets,
             len: 0,
-            dirty: Vec::new(),
-            dirty_flag,
             ops: 0,
             insert_stamp,
             instance_id: next_instance_id(),
-        }
-    }
-
-    fn mark_dirty(&mut self, r: RegionId) {
-        if !self.dirty_flag[r.idx()] {
-            self.dirty_flag[r.idx()] = true;
-            self.dirty.push(r);
         }
     }
 
@@ -158,7 +140,6 @@ impl<T: Copy> RegionIndex<T> {
         self.len += 1;
         self.ops += 1;
         self.insert_stamp[r.idx()] = self.ops;
-        self.mark_dirty(r);
     }
 
     /// Removes every copy of `item` from region `r`'s bucket; returns how
@@ -173,10 +154,7 @@ impl<T: Copy> RegionIndex<T> {
         bucket.retain(|(x, _)| *x != item);
         let removed = before - bucket.len();
         self.len -= removed;
-        if removed > 0 {
-            self.ops += removed as u64;
-            self.mark_dirty(r);
-        }
+        self.ops += removed as u64;
         removed
     }
 
@@ -216,16 +194,11 @@ impl<T: Copy> RegionIndex<T> {
         self.len == 0
     }
 
-    /// Clears all buckets, keeping capacity. Non-empty regions are marked
-    /// dirty (their contents changed to nothing); like any removal, a
-    /// clear stamps nothing.
+    /// Clears all buckets, keeping capacity. Like any removal, a clear
+    /// stamps nothing.
     pub fn clear(&mut self) {
-        for i in 0..self.buckets.len() {
-            if !self.buckets[i].is_empty() {
-                self.buckets[i].clear();
-                let id = u32::try_from(i).expect("bucket count bounded by u32 region ids");
-                self.mark_dirty(RegionId(id));
-            }
+        for bucket in &mut self.buckets {
+            bucket.clear();
         }
         self.len = 0;
     }
@@ -246,20 +219,6 @@ impl<T: Copy> RegionIndex<T> {
         self.clear();
         for (item, p) in items {
             self.insert(item, p);
-        }
-    }
-
-    /// Regions whose contents changed since the last
-    /// [`RegionIndex::clear_dirty`], in first-dirtied order.
-    pub fn dirty_regions(&self) -> &[RegionId] {
-        &self.dirty
-    }
-
-    /// Resets the dirty-region set (typically after a consumer has
-    /// refreshed whatever it derives from the dirtied buckets).
-    pub fn clear_dirty(&mut self) {
-        for r in self.dirty.drain(..) {
-            self.dirty_flag[r.idx()] = false;
         }
     }
 
@@ -449,31 +408,6 @@ mod tests {
         // Unknown item: no-op, and nothing is invented at `to`.
         assert!(!ix.move_item(6, from, to));
         assert_eq!(ix.len(), 1);
-    }
-
-    #[test]
-    fn dirty_set_tracks_touched_regions_without_duplicates() {
-        let mut ix = RegionIndex::new(grid());
-        let p = Point::new(-73.9, 40.75);
-        let q = Point::new(-73.8, 40.85);
-        assert!(ix.dirty_regions().is_empty());
-        ix.insert(1u32, p);
-        ix.insert(2u32, p); // same region → still one dirty entry
-        ix.insert(3u32, q);
-        let rp = ix.grid().region_of(p);
-        let rq = ix.grid().region_of(q);
-        assert_eq!(ix.dirty_regions(), &[rp, rq]);
-        ix.clear_dirty();
-        assert!(ix.dirty_regions().is_empty());
-        // A failed remove dirties nothing; a successful one does.
-        ix.remove(99, rp);
-        assert!(ix.dirty_regions().is_empty());
-        ix.remove(1, rp);
-        assert_eq!(ix.dirty_regions(), &[rp]);
-        // A move dirties both endpoints.
-        ix.clear_dirty();
-        ix.move_item(3, q, p);
-        assert_eq!(ix.dirty_regions(), &[rq, rp]);
     }
 
     #[test]
@@ -785,8 +719,7 @@ mod tests {
         /// The tentpole equivalence: an incrementally maintained index
         /// must stay equal to a from-scratch rebuild of its ground truth
         /// under random insert/remove/move sequences — same per-region
-        /// contents, same length, and a dirty set that covers every
-        /// region whose bucket changed.
+        /// contents and same length.
         #[test]
         fn incremental_ops_match_rebuild_reference(seed in 0u64..40, n_ops in 10usize..120) {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xD1E7);
@@ -799,8 +732,6 @@ mod tests {
             );
             let mut next_id = 0u32;
             for _ in 0..n_ops {
-                inc.clear_dirty();
-                let before = canonical(&inc);
                 match rng.gen_range(0u32..4) {
                     // Insert a fresh item.
                     0 | 1 => {
@@ -833,32 +764,11 @@ mod tests {
                     }
                 }
                 // The incremental index equals a fresh rebuild of the
-                // ground truth…
+                // ground truth.
                 let mut rebuilt: RegionIndex<u32> = RegionIndex::new(g.clone());
                 rebuilt.rebuild_reference(truth.iter().copied());
                 prop_assert_eq!(canonical(&inc), canonical(&rebuilt));
                 prop_assert_eq!(inc.len(), truth.len());
-                // …and every region whose canonical contents changed this
-                // step is in the dirty set.
-                let after = canonical(&inc);
-                let changed: Vec<u32> = {
-                    let get = |c: &Canonical<u32>, r: u32|
-                        c.iter().find(|(k, _)| *k == r).map(|(_, v)| v.clone());
-                    let mut regions: Vec<u32> =
-                        before.iter().chain(after.iter()).map(|(r, _)| *r).collect();
-                    regions.sort_unstable();
-                    regions.dedup();
-                    regions
-                        .into_iter()
-                        .filter(|&r| get(&before, r) != get(&after, r))
-                        .collect()
-                };
-                for r in changed {
-                    prop_assert!(
-                        inc.dirty_regions().contains(&RegionId(r)),
-                        "region {} changed but was not dirtied", r
-                    );
-                }
             }
         }
     }

@@ -14,10 +14,10 @@
 //!   paths and a synthetic Manhattan-lattice generator;
 //! * [`index`] — a per-region bucket index for radius-limited candidate
 //!   queries (used by the dispatcher to find drivers near a rider), with
-//!   incremental insert/remove/move maintenance, a dirty-region set and
-//!   an op counter so the simulation engine can keep one live index in
-//!   sync across batches instead of rebuilding it (drivers only move at
-//!   dropoffs; consecutive batches share almost all spatial state), and
+//!   incremental insert/remove/move maintenance and an op counter, so
+//!   the simulation engine can keep one live index in sync across
+//!   batches instead of rebuilding it (drivers only move at dropoffs;
+//!   consecutive batches share almost all spatial state), and
 //!   per-bucket insert stamps so a caller can tell when a radius query
 //!   that found nothing would still find nothing.
 //!

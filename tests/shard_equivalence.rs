@@ -63,17 +63,14 @@ fn assert_same_run(single: &SimResult, sharded: &SimResult, what: &str) {
             r.ticks_executed,
             r.events_processed,
             r.index_ops,
-            r.index_regions_dirtied,
             r.counts_ops,
-            r.counts_regions_dirtied,
             r.views_ops,
-            r.views_entries_dirtied,
         ]
     };
     assert_eq!(
         counters(single),
         counters(sharded),
-        "{what}: engine counters (ticks, events, index ops and dirtied, counts ops and dirtied, views ops and dirtied)"
+        "{what}: engine counters (ticks, events, index ops, counts ops, views ops)"
     );
 }
 

@@ -162,8 +162,6 @@ proptest! {
         let mut next_rider = 0u32;
         let mut offline: Vec<u32> = (0..rng.gen_range(1u32..12)).collect();
         let n_steps = rng.gen_range(30usize..160);
-        let mut ops_before = 0;
-        let mut dirtied = (0, 0, 0);
         for step in 0..n_steps {
             let t = step as u64 * 1_000;
             match rng.gen_range(0u8..8) {
@@ -239,24 +237,13 @@ proptest! {
             // the batch exactly as the engine does.
             if step % 5 == 4 {
                 assert_state_matches_new(&state, &model, &grid);
-                let travel = ConstantSpeedModel::default();
-                let ctx = state.context(0, &travel);
-                let ops_since = ctx.views.ops_applied() - ops_before;
-                prop_assert!(
-                    (ctx.views.entries_dirtied() as u64) <= 2 * ops_since,
-                    "each op dirties at most the target and one relocated filler"
-                );
-                dirtied.0 += ctx.avail_index.dirty_regions().len();
-                dirtied.1 += ctx.region_counts.dirty_regions().len();
-                dirtied.2 += ctx.views.entries_dirtied();
-                ops_before = ctx.views.ops_applied();
                 state.settle_batch();
                 let m = state.maintenance();
-                prop_assert_eq!(
-                    (m.index_regions_dirtied, m.counts_regions_dirtied, m.views_entries_dirtied),
-                    dirtied
-                );
-                prop_assert_eq!(m.views_ops as u64, ops_before);
+                let travel = ConstantSpeedModel::default();
+                let ctx = state.context(0, &travel);
+                prop_assert_eq!(m.index_ops as u64, ctx.avail_index.ops_applied());
+                prop_assert_eq!(m.counts_ops as u64, ctx.region_counts.ops_applied());
+                prop_assert_eq!(m.views_ops as u64, ctx.views.ops_applied());
             }
         }
         assert_state_matches_new(&state, &model, &grid);
@@ -278,16 +265,14 @@ proptest! {
             views.add_available(d);
         }
         // Rebuild from the model (as the reference loop would): the scan
-        // replaces all state but counts neither ops nor dirty entries.
+        // replaces all state but counts no ops.
         let ops = views.ops_applied();
-        views.clear_dirty();
         views.rebuild_reference(
             model.waiting.iter().copied(),
             model.available.iter().copied(),
             model.busy.iter().copied(),
         );
         prop_assert_eq!(views.ops_applied(), ops, "rebuild counts no live ops");
-        prop_assert_eq!(views.entries_dirtied(), 0);
         // …then keep mutating incrementally.
         let r = model.waiting.swap_remove(0);
         views.remove_waiting(r.id);
