@@ -1,7 +1,8 @@
 //! Demand-generation cost on the `city-*` world (64×64 grid over the NYC
-//! extent, 50K orders): one whole NYC-like day, and one origin's row of
-//! centre distances — the part of the gravity kernel that every occupied
-//! (slot, origin) cell pays once per destination region.
+//! extent, 50K orders): one whole NYC-like day; the day's gravity-kernel
+//! table, built once per generated day; and one origin's gravity row, the
+//! kernel-weighted destination row and its cumulative that every occupied
+//! (slot, origin) cell builds once.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mrvd_demand::{NycLikeConfig, NycLikeGenerator};
@@ -22,12 +23,18 @@ fn bench_generation(c: &mut Criterion) {
     g.bench_function("generate_day_trips/64x64-50k", |b| {
         b.iter(|| gen.generate_day_trips(black_box(0)))
     });
+    g.bench_function("center_table/64x64", |b| {
+        b.iter(|| black_box(&gen).gravity_kernel())
+    });
+    let kernel = gen.gravity_kernel();
     let origin = grid.at(32, 32).expect("inside a 64×64 grid");
-    let mut row = Vec::new();
-    g.bench_function("center_distances_from/64x64", |b| {
+    // Slot 17 (08:30), in the morning peak.
+    let dest_w = gen.profile().dest_weights(17);
+    let mut cum = Vec::new();
+    g.bench_function("gravity_row/64x64", |b| {
         b.iter(|| {
-            grid.center_distances_from(black_box(origin), &mut row);
-            row.last().copied()
+            gen.gravity_cum_into(&kernel, black_box(origin), &dest_w, &mut cum);
+            cum.last().copied()
         })
     });
     g.finish();

@@ -124,14 +124,15 @@ impl Polar {
 }
 
 /// Every region pair `(distance, k, j)`, by ascending center distance
-/// from `k` to `j`, ties by `(k, j)`. Each distance is computed once, a
-/// row per region `k`.
+/// from `k` to `j`, ties by `(k, j)`. The distances are read a row per
+/// region `k` from one [`Grid::center_table`].
 fn proximity_order(grid: &Grid) -> Vec<(f64, u32, u32)> {
     let n = grid.num_regions();
+    let distances = grid.center_table(|d| d);
     let mut by_distance = Vec::with_capacity(n * n);
     let mut row = Vec::with_capacity(n);
     for k in grid.regions() {
-        grid.center_distances_from(k, &mut row);
+        distances.row_into(k, &mut row);
         by_distance.extend(row.iter().zip(0u32..).map(|(&d, j)| (d, k.0, j)));
     }
     // (k, j) is unique, so the order is total and an unstable sort gives

@@ -1,6 +1,6 @@
 //! Trip and count generation from the intensity profile.
 
-use mrvd_spatial::{Grid, Point, RegionId};
+use mrvd_spatial::{CenterTable, Grid, Point, RegionId};
 use mrvd_stats::sample_poisson;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -142,11 +142,13 @@ impl NycLikeGenerator {
         let mut rng = self.day_rng(day, 1);
         let mut trips = Vec::new();
         let mut id = (day as u64) << 32;
-        // Per-slot and per-cell tables are hoisted out of the trip loop:
-        // the base rates cost one day-factor solve per slot (not per
-        // region) and the gravity cumulative is built once per *occupied*
-        // cell (not per trip). Neither computation touches the RNG, so
-        // the generated stream is bit-identical to the naive nesting.
+        // Per-day, per-slot and per-cell tables are hoisted out of the
+        // trip loop: the gravity kernel is tabled once per day, the base
+        // rates cost one day-factor solve per slot (not per region) and
+        // the gravity cumulative is built once per *occupied* cell (not
+        // per trip). None of them touches the RNG, so the generated
+        // stream is bit-identical to the naive nesting.
+        let kernel = self.gravity_kernel();
         let mut rates = Vec::new();
         let mut dest_w = Vec::new();
         let mut gravity_cum = Vec::new();
@@ -175,7 +177,7 @@ impl NycLikeGenerator {
                 if n == 0 {
                     continue;
                 }
-                self.gravity_cum_into(region, &dest_w, &mut gravity_cum);
+                self.gravity_cum_into(&kernel, region, &dest_w, &mut gravity_cum);
                 for _ in 0..n {
                     let request_ms = slot as u64 * SLOT_MS + rng.gen_range(0..SLOT_MS);
                     let pickup = self.random_point_in(region, &mut rng);
@@ -246,28 +248,36 @@ impl NycLikeGenerator {
         Point::new(rng.gen_range(lo.lon..hi.lon), rng.gen_range(lo.lat..hi.lat))
     }
 
+    /// The gravity kernel `exp(−d(i,j) / L)` of every origin `i` and
+    /// destination `j`, tabled by [`Grid::center_table`]: the kernel is
+    /// computed once per pair of grid rows and longitude term, not once
+    /// per (cell, destination) pair, and each value is exactly the
+    /// per-pair `exp(−center(i).distance_m(&center(j)) / L)`.
+    pub fn gravity_kernel(&self) -> CenterTable {
+        let scale = self.config.gravity_scale_m;
+        self.grid.center_table(|d| (-d / scale).exp())
+    }
+
     /// Builds the gravity-model cumulative distribution of one origin:
-    /// region `j` gets probability `∝ dest_w[j] · exp(−d(i,j) / L)`.
-    /// Shared by every trip of an occupied `(slot, origin)` cell — the
-    /// per-trip O(regions) rebuild was the generation wall at large
-    /// grids. The float sequence (raw weights, one total, per-entry
-    /// division, running sum) matches the per-trip computation exactly,
-    /// so sampling from it is bit-identical.
+    /// region `j` gets probability `∝ dest_w[j] · exp(−d(i,j) / L)`, the
+    /// kernel read from `kernel`, this generator's
+    /// [`Self::gravity_kernel`]. Shared by every trip of an occupied
+    /// `(slot, origin)` cell — the per-trip O(regions) rebuild was the
+    /// generation wall at large grids. The float sequence (raw weights,
+    /// one total, per-entry division, running sum) matches the per-trip
+    /// computation exactly, so sampling from it is bit-identical.
     ///
-    /// The distances come from [`Grid::center_distances_from`], which
-    /// computes the haversine's sines and cosines once per grid row and
-    /// column rather than once per pair, and still equals
-    /// `center(i).distance_m(&center(j))` bit for bit: it performs the
-    /// same IEEE operations on the same operands in the same order. So
-    /// only the square root, the `asin` and the `exp` remain per pair,
-    /// and the kernel's weights are exactly the per-pair ones.
-    fn gravity_cum_into(&self, origin: RegionId, dest_w: &[f64], cum: &mut Vec<f64>) {
-        self.grid.center_distances_from(origin, cum);
-        debug_assert_eq!(cum.len(), dest_w.len(), "one weight per region");
-        for (c, &w) in cum.iter_mut().zip(dest_w) {
-            *c = w * (-*c / self.config.gravity_scale_m).exp();
-        }
-        let total: f64 = cum.iter().sum();
+    /// # Panics
+    /// Panics if `origin` is out of range or `dest_w` does not hold one
+    /// weight per region.
+    pub fn gravity_cum_into(
+        &self,
+        kernel: &CenterTable,
+        origin: RegionId,
+        dest_w: &[f64],
+        cum: &mut Vec<f64>,
+    ) {
+        let total = kernel.weighted_row_into(origin, dest_w, cum);
         let mut acc = 0.0;
         for w in cum.iter_mut() {
             acc += *w / total;
@@ -395,11 +405,12 @@ mod tests {
     fn hoisted_gravity_cum_matches_the_per_trip_computation() {
         // The per-(slot, origin) gravity cumulative must reproduce the
         // float sequence the old per-trip code computed inline: per-pair
-        // haversine, raw weights, one total, divide each weight, running
-        // sum. Square and non-square grids, with the buffer reused.
+        // haversine and kernel, raw weights, one total, divide each
+        // weight, running sum. Every origin of the grids up to 32×32,
+        // four of the 64×64 one, at three slots, with the buffer reused.
         let scale = NycLikeConfig::default().gravity_scale_m;
         let mut cum = Vec::new();
-        for (cols, rows) in [(16, 16), (64, 64), (7, 3)] {
+        for (cols, rows) in [(7, 3), (16, 16), (32, 32), (64, 64)] {
             let g = NycLikeGenerator::with_grid(
                 Grid::new(NYC_EXTENT.0, NYC_EXTENT.1, cols, rows),
                 NycLikeConfig {
@@ -408,35 +419,43 @@ mod tests {
                     ..NycLikeConfig::default()
                 },
             );
-            let dest_w = g.profile().dest_weights(17);
+            let kernel = g.gravity_kernel();
             let n = g.grid().num_regions() as u32;
-            for origin in [0, 37 % n, n / 2, n - 1].map(RegionId) {
-                g.gravity_cum_into(origin, &dest_w, &mut cum);
-                let oc = g.grid().center(origin);
-                let weights: Vec<f64> = dest_w
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &w)| {
-                        let d = oc.distance_m(&g.grid().center(RegionId(j as u32)));
-                        w * (-d / scale).exp()
-                    })
-                    .collect();
-                let total: f64 = weights.iter().sum();
-                let mut acc = 0.0;
-                let expect: Vec<f64> = weights
-                    .iter()
-                    .map(|&w| {
-                        acc += w / total;
-                        acc
-                    })
-                    .collect();
-                assert_eq!(cum.len(), expect.len());
-                for (j, (&got, &want)) in cum.iter().zip(&expect).enumerate() {
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "{cols}x{rows} origin {origin:?} dest {j}: {got} != {want}"
-                    );
+            let origins: Vec<u32> = if n <= 1024 {
+                (0..n).collect()
+            } else {
+                vec![0, 37, n / 2, n - 1]
+            };
+            for slot in [0, 17, 37] {
+                let dest_w = g.profile().dest_weights(slot);
+                for origin in origins.iter().copied().map(RegionId) {
+                    g.gravity_cum_into(&kernel, origin, &dest_w, &mut cum);
+                    let oc = g.grid().center(origin);
+                    let weights: Vec<f64> = dest_w
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &w)| {
+                            let d = oc.distance_m(&g.grid().center(RegionId(j as u32)));
+                            w * (-d / scale).exp()
+                        })
+                        .collect();
+                    let total: f64 = weights.iter().sum();
+                    let mut acc = 0.0;
+                    let expect: Vec<f64> = weights
+                        .iter()
+                        .map(|&w| {
+                            acc += w / total;
+                            acc
+                        })
+                        .collect();
+                    assert_eq!(cum.len(), expect.len());
+                    for (j, (&got, &want)) in cum.iter().zip(&expect).enumerate() {
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{cols}x{rows} slot {slot} origin {origin:?} dest {j}: {got} != {want}"
+                        );
+                    }
                 }
             }
         }

@@ -6,7 +6,9 @@
 //! the forced single-heap layout on identical workloads. The two layouts
 //! must be byte-identical (the shard tournament pops in exactly the
 //! global heap order), so every cell is also a differential check; the
-//! KPI columns are wall time and engine events per second.
+//! KPI columns are wall time and engine events per second. The `gen (s)`
+//! column is the time to materialize the point's day (`materialize_s` in
+//! the JSON), paid once and shared by both policies' rows.
 //!
 //! A second section reruns the six built-in scenarios (scaled by
 //! `--scale`) under IRG-R on the sharded and the single-queue engine and
@@ -159,6 +161,7 @@ pub fn scale(opts: &Options) {
                 format!("{:.1}%", sharded.service_rate() * 100.0),
                 sharded.events_processed.to_string(),
                 format!("{:.2}M", events_per_s / 1e6),
+                format!("{:.2}", materialize_s),
                 format!("{:.2}", sharded_s),
                 format!("{:.2}", single_s),
                 same(&diff).to_string(),
@@ -204,6 +207,7 @@ pub fn scale(opts: &Options) {
             "rate",
             "events",
             "ev/s",
+            "gen (s)",
             "wall (s)",
             "1-queue (s)",
             "identical",

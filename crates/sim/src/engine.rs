@@ -468,6 +468,14 @@ impl<'a> Simulator<'a> {
                         "policy assigned unknown driver {}",
                         a.driver
                     );
+                    // Before the busy check: the driver's first use has
+                    // already made it busy.
+                    assert!(
+                        !driver_taken[di],
+                        "policy assigned driver {} twice in one batch",
+                        a.driver
+                    );
+                    driver_taken[di] = true;
                     let Some(slot) = state.views().avail_slot(a.driver) else {
                         if fleet.is_parked(di) {
                             panic!("policy assigned offline driver {}", a.driver);
@@ -475,12 +483,6 @@ impl<'a> Simulator<'a> {
                         panic!("policy assigned busy driver {}", a.driver);
                     };
                     let driver = state.views().available()[slot];
-                    assert!(
-                        !driver_taken[di],
-                        "policy assigned driver {} twice in one batch",
-                        a.driver
-                    );
-                    driver_taken[di] = true;
                     let ri = a.rider.0 as usize;
                     let (trip, deadline_ms) = (&trips[ri], deadlines[ri]);
                     let pickup_ms = if teleport {

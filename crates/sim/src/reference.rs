@@ -108,6 +108,8 @@ impl Simulator<'_> {
             .collect();
         // Busy drivers marked here retire (go offline) at their dropoff.
         let mut retiring = vec![false; drivers.len()];
+        // Scratch flags for the double-booking check.
+        let mut driver_taken = vec![false; drivers.len()];
         // A constant schedule (the paper's fixed-fleet setting and every
         // `run()` call) never moves drivers on or off shift, so the
         // per-batch online-count scan below can be skipped entirely.
@@ -261,7 +263,6 @@ impl Simulator<'_> {
             batches += 1;
 
             // 6. Validate and apply.
-            let mut driver_taken: std::collections::HashSet<u32> = std::collections::HashSet::new();
             for a in &batch_assignments {
                 let ri = a.rider.0;
                 // An assigned rider leaves `waiting` at once, so a rider
@@ -275,6 +276,14 @@ impl Simulator<'_> {
                     "policy assigned unknown driver {}",
                     a.driver
                 );
+                // Before the busy check: the driver's first use has
+                // already made it busy.
+                assert!(
+                    !driver_taken[di],
+                    "policy assigned driver {} twice in one batch",
+                    a.driver
+                );
+                driver_taken[di] = true;
                 let DriverState::Available { pos, since_ms } = drivers[di] else {
                     match drivers[di] {
                         DriverState::Busy { .. } => {
@@ -283,11 +292,6 @@ impl Simulator<'_> {
                         _ => panic!("policy assigned offline driver {}", a.driver),
                     }
                 };
-                assert!(
-                    driver_taken.insert(a.driver.0),
-                    "policy assigned driver {} twice in one batch",
-                    a.driver
-                );
                 let rider = &riders[ri as usize];
                 let pickup_ms = if teleport {
                     now
@@ -323,6 +327,10 @@ impl Simulator<'_> {
                     dropoff_region: self.grid().region_of(rider.trip.dropoff),
                     estimated_idle_s: a.estimated_idle_s,
                 });
+            }
+            // Reset the double-booking scratch for the next batch.
+            for a in &batch_assignments {
+                driver_taken[a.driver.0 as usize] = false;
             }
 
             now += self.config().batch_interval_ms;

@@ -1,9 +1,10 @@
 //! Both engines reject every fault a policy's output can carry, with a
 //! panic: a rider that is unknown, not yet admitted or already served; an
 //! unknown, busy or offline driver; a driver used twice in one batch; and
-//! a pickup after the rider's deadline. Each panic names its fault, except
-//! the double booking: both engines apply an assignment before checking
-//! the next one, so the driver's second use meets the busy check first.
+//! a pickup after the rider's deadline. Each panic names its fault. Both
+//! engines apply an assignment before checking the next one, so a
+//! driver's second use in a batch would meet the busy check; the
+//! double-booking check runs first.
 //!
 //! The day: riders 0 and 1 request at t = 0 next to driver 0, rider 2 at
 //! 600 s. Driver 1 is about 20 km away, too far to reach anyone before
@@ -110,7 +111,6 @@ fn offline_driver(_: &BatchContext<'_>) -> Vec<Assignment> {
     vec![pair(0, 2)]
 }
 
-/// Reported as a busy driver (see module docs).
 fn driver_twice_in_one_batch(_: &BatchContext<'_>) -> Vec<Assignment> {
     vec![pair(0, 0), pair(1, 0)]
 }
@@ -152,6 +152,6 @@ fault_tests! {
     unknown_driver => "policy assigned unknown driver d99",
     busy_driver => "policy assigned busy driver d0",
     offline_driver => "policy assigned offline driver d2",
-    driver_twice_in_one_batch => "policy assigned busy driver d0",
+    driver_twice_in_one_batch => "policy assigned driver d0 twice in one batch",
     pickup_after_deadline => "policy violated the pickup deadline",
 }

@@ -33,20 +33,23 @@ pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
 ///
 /// The formula is `h = hav(Δφ) + cos φa · cos φb · hav(Δλ)`, then the arc
 /// `2R · asin(min(√h, 1))`; `hav` and the arc are crate-private helpers
-/// that [`crate::Grid::center_distances_from`] and
+/// that [`crate::Grid::center_table`] and
 /// [`crate::RegionIndex::within_radius_into`] share. Between grid
 /// centres, `hav(Δφ)` and `cos φa · cos φb` depend only on the two rows
-/// and `hav(Δλ)` only on the two columns, so that method computes them
-/// once per row or column and still reproduces this function bit for
-/// bit: it runs the same IEEE operations on the same operands in the
-/// same order, and Rust never fuses `a + p·b` into an FMA. A radius
+/// and `hav(Δλ)` only on the two columns, so that table computes them
+/// once per row pair or column pair, and the arc once per row pair and
+/// distinct `hav(Δλ)`, and still reproduces this function bit for bit:
+/// it runs the same IEEE operations on the same operands in the same
+/// order, and Rust never fuses `a + p·b` into an FMA. A radius
 /// query computes `cos φa` of its query point `a` once and runs the rest
 /// per item, through the same crate-private formula as this function.
 ///
 /// The distance is symmetric bit for bit: swapping `a` and `b` negates
 /// `Δφ` and `Δλ` exactly, `sin` is odd so `hav` is even, and the cosine
 /// product commutes. So the distance a radius query measures from its
-/// query point to a hit is also the distance from the hit back to it.
+/// query point to a hit is also the distance from the hit back to it,
+/// and [`crate::Grid::center_table`] keeps one value for both orders of
+/// two rows.
 pub fn haversine_m(a: Point, b: Point) -> f64 {
     haversine_from(a, a.lat.to_radians().cos(), b)
 }

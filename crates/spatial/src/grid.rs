@@ -161,35 +161,77 @@ impl Grid {
         self.min.lat + (r as f64 + 0.5) * h
     }
 
-    /// Fills `out[j]` with `center(origin).distance_m(&center(j))` for
-    /// every region `j`, in row-major order, bit for bit.
+    /// Tables `f(center(o).distance_m(&center(j)))` for every pair of
+    /// regions `(o, j)`, where `f` sees each distance bit for bit.
     ///
-    /// A centre's latitude depends only on its row and its longitude only
-    /// on its column. So `hav(Δφ)` and `cos φo · cos φr` are computed once
-    /// per row and `hav(Δλ)` once per column, and each pair costs only
-    /// `a + p·b`, a square root, a `min` and an `asin`. These are the same
-    /// IEEE operations on the same operands, in the same order, as
-    /// [`crate::haversine_m`]. Allocates one `cols`-long buffer per call.
+    /// The haversine of two centres, `hav(Δφ) + cos φo · cos φj ·
+    /// hav(Δλ)`, takes its latitudes from the two rows and `Δλ` from the
+    /// two columns. So the table computes `hav(Δλ)` once per column pair
+    /// and keeps its `D` distinct values, the longitude classes; `D` is
+    /// 16, 121 and 368 on the 16×16, 64×64 and 200×200 NYC grids. It
+    /// then computes `hav(Δφ)` and `cos φa · cos φb` once per row pair
+    /// `a ≤ b`, and `f(arc)` once per row pair and class. One stored
+    /// pair serves both row orders: swapping the rows negates `Δφ`
+    /// exactly, `sin` is odd so `hav` is even, and the cosine product
+    /// commutes. Every value comes from the same IEEE operations on the
+    /// same operands, in the same order, as [`crate::haversine_m`].
+    ///
+    /// The table holds `cols²` `u32` classes and `rows·(rows+1)/2 · D`
+    /// values: 17 KB on the 16×16 grid, 2.0 MB on 64×64 and 59 MB on
+    /// 200×200.
     ///
     /// # Panics
-    /// Panics if `origin` is out of range.
-    pub fn center_distances_from(&self, origin: RegionId, out: &mut Vec<f64>) {
-        let o = self.center(origin);
-        let cos_o = o.lat.to_radians().cos();
-        let lon_terms: Vec<f64> = (0..self.cols)
-            .map(|c| half_angle_term(self.center_lon(c) - o.lon))
+    /// Panics if the value count overflows `usize`.
+    pub fn center_table(&self, mut f: impl FnMut(f64) -> f64) -> CenterTable {
+        let cols = usize::try_from(self.cols).expect("u32 fits usize");
+        let rows = usize::try_from(self.rows).expect("u32 fits usize");
+        let lon_bits: Vec<u64> = (0..self.cols)
+            .flat_map(|co| {
+                let lon_o = self.center_lon(co);
+                (0..self.cols).map(move |c| half_angle_term(self.center_lon(c) - lon_o).to_bits())
+            })
             .collect();
-        out.clear();
-        out.reserve(self.num_regions());
-        for r in 0..self.rows {
-            let lat = self.center_lat(r);
-            let lat_term = half_angle_term(lat - o.lat);
-            let cos_product = cos_o * lat.to_radians().cos();
-            out.extend(
-                lon_terms
-                    .iter()
-                    .map(|&lon_term| arc_m(lat_term + cos_product * lon_term)),
-            );
+        let mut lon_terms = lon_bits.clone();
+        lon_terms.sort_unstable();
+        lon_terms.dedup();
+        let class_of = lon_bits
+            .iter()
+            .map(|bits| {
+                let k = lon_terms
+                    .binary_search(bits)
+                    .expect("every term has a class");
+                u32::try_from(k).expect("fewer than 2³² longitude classes")
+            })
+            .collect();
+        let classes = lon_terms.len();
+        let len = rows
+            .checked_mul(rows + 1)
+            .and_then(|twice_pairs| (twice_pairs / 2).checked_mul(classes))
+            .expect("CenterTable: value count overflows usize");
+        let cos_lat: Vec<f64> = (0..self.rows)
+            .map(|r| self.center_lat(r).to_radians().cos())
+            .collect();
+        // Pair `(a, b)`, `a ≤ b`, starts at `(b·(b+1)/2 + a) · D`: the
+        // loops below visit the pairs in exactly that order.
+        let mut values = Vec::with_capacity(len);
+        for (b, &cos_b) in (0..self.rows).zip(&cos_lat) {
+            for (a, &cos_a) in (0..=b).zip(&cos_lat) {
+                let lat_term = half_angle_term(self.center_lat(b) - self.center_lat(a));
+                let cos_product = cos_a * cos_b;
+                values.extend(
+                    lon_terms.iter().map(|&lon_term| {
+                        f(arc_m(lat_term + cos_product * f64::from_bits(lon_term)))
+                    }),
+                );
+            }
+        }
+        debug_assert_eq!(values.len(), len);
+        CenterTable {
+            cols,
+            rows,
+            classes,
+            class_of,
+            values,
         }
     }
 
@@ -244,6 +286,97 @@ impl Grid {
     pub fn neighbors(&self, id: RegionId) -> Vec<RegionId> {
         self.ring(id, 1)
     }
+}
+
+/// A function of the distance between every two region centres of a
+/// [`Grid`], built by [`Grid::center_table`] and read one origin's row
+/// at a time.
+#[derive(Debug)]
+pub struct CenterTable {
+    cols: usize,
+    rows: usize,
+    /// `D`, the number of distinct longitude terms.
+    classes: usize,
+    /// `class_of[c_o · cols + c]`: the longitude class from column `c_o`
+    /// to column `c`.
+    class_of: Vec<u32>,
+    /// `D` values per row pair `a ≤ b`, the pair at `b·(b+1)/2 + a`.
+    values: Vec<f64>,
+}
+
+impl CenterTable {
+    /// Fills `out[j]` with the tabled `f(center(origin).distance_m(&center(j)))`
+    /// for every region `j`, in row-major order.
+    ///
+    /// # Panics
+    /// Panics if `origin` is out of range.
+    pub fn row_into(&self, origin: RegionId, out: &mut Vec<f64>) {
+        let (row_o, class_row) = self.origin(origin);
+        out.clear();
+        out.reserve(self.rows * self.cols);
+        for r in 0..self.rows {
+            let values = self.pair(row_o, r);
+            out.extend(class_row.iter().map(|&k| values[class_idx(k)]));
+        }
+    }
+
+    /// Fills `out[j]` with `weights[j] · v_j`, where `v_j` is the tabled
+    /// value of `(origin, j)`, and returns their sum, folded in index
+    /// order from `-0.0` as `Iterator::sum` folds it. So the result is
+    /// bit for bit that of mapping the row of values, then summing it.
+    ///
+    /// # Panics
+    /// Panics if `origin` is out of range or `weights` does not hold one
+    /// weight per region.
+    pub fn weighted_row_into(&self, origin: RegionId, weights: &[f64], out: &mut Vec<f64>) -> f64 {
+        let (row_o, class_row) = self.origin(origin);
+        assert_eq!(
+            weights.len(),
+            self.rows * self.cols,
+            "CenterTable: one weight per region"
+        );
+        out.clear();
+        out.resize(weights.len(), 0.0);
+        let mut total = -0.0;
+        let rows = out
+            .chunks_exact_mut(self.cols)
+            .zip(weights.chunks_exact(self.cols));
+        for (r, (out_row, weight_row)) in rows.enumerate() {
+            let values = self.pair(row_o, r);
+            for ((x, &k), &w) in out_row.iter_mut().zip(class_row).zip(weight_row) {
+                *x = w * values[class_idx(k)];
+                total += *x;
+            }
+        }
+        total
+    }
+
+    /// The row of `origin` and the longitude classes from its column.
+    fn origin(&self, origin: RegionId) -> (usize, &[u32]) {
+        let o = origin.idx();
+        assert!(
+            o < self.rows * self.cols,
+            "CenterTable: region out of range"
+        );
+        let col = o % self.cols;
+        (
+            o / self.cols,
+            &self.class_of[col * self.cols..(col + 1) * self.cols],
+        )
+    }
+
+    /// The `D` values of rows `r1` and `r2`, in either order.
+    fn pair(&self, r1: usize, r2: usize) -> &[f64] {
+        let (a, b) = (r1.min(r2), r1.max(r2));
+        let start = (b * (b + 1) / 2 + a) * self.classes;
+        &self.values[start..start + self.classes]
+    }
+}
+
+/// A longitude class as an index.
+#[inline]
+fn class_idx(k: u32) -> usize {
+    usize::try_from(k).expect("u32 fits usize")
 }
 
 #[cfg(test)]
@@ -381,6 +514,14 @@ mod tests {
         }
     }
 
+    #[test]
+    fn center_table_keeps_few_longitude_classes_on_the_nyc_grids() {
+        for (side, classes) in [(16, 16), (64, 121), (200, 368)] {
+            let g = Grid::new(NYC_EXTENT.0, NYC_EXTENT.1, side, side);
+            assert_eq!(g.center_table(|d| d).classes, classes, "{side}x{side}");
+        }
+    }
+
     proptest! {
         #[test]
         fn region_of_is_total(lon in -80.0f64..-70.0, lat in 38.0f64..43.0) {
@@ -432,30 +573,37 @@ mod tests {
             }
         }
 
-        /// The factored row of centre distances is `distance_m`, bit for
-        /// bit, on non-square grids from 1 to 200 cells a side over
-        /// extents from ~1e-4 of the range to all of it.
+        /// The tabled centre distances are `distance_m`, bit for bit, on
+        /// non-square grids from 1 to 64 cells a side over extents from
+        /// ~1e-4 of the range to all of it. Each case reads a random
+        /// origin and one in the last row, whose destinations all sit
+        /// in lower rows, so both row orders of the shared pairs are
+        /// read.
         #[test]
         fn center_distances_match_distance_m_bit_for_bit(
-            cols in 1u32..=200,
-            rows in 1u32..=200,
+            cols in 1u32..=64,
+            rows in 1u32..=64,
             lon_lo in -179.0f64..178.0,
             lon_log_frac in -4.0f64..0.0,
             lat_lo in -80.0f64..79.0,
             lat_log_frac in -4.0f64..0.0,
             raw in 0u32..u32::MAX,
+            last_col in 0u32..64,
         ) {
             let lon_hi = lon_lo + 10f64.powf(lon_log_frac) * (179.0 - lon_lo);
             let lat_hi = lat_lo + 10f64.powf(lat_log_frac) * (80.0 - lat_lo);
             let g = Grid::new(Point::new(lon_lo, lat_lo), Point::new(lon_hi, lat_hi), cols, rows);
-            let origin = RegionId(raw % (cols * rows));
+            let table = g.center_table(|d| d);
+            prop_assert!(table.classes <= 8 * cols as usize, "{} classes", table.classes);
             let mut out = Vec::new();
-            g.center_distances_from(origin, &mut out);
-            prop_assert_eq!(out.len(), g.num_regions());
-            let oc = g.center(origin);
-            for (j, &d) in g.regions().zip(&out) {
-                let want = oc.distance_m(&g.center(j));
-                prop_assert_eq!(d.to_bits(), want.to_bits(), "{g:?} {origin}→{j}: {d} != {want}");
+            for origin in [raw % (cols * rows), (rows - 1) * cols + last_col % cols].map(RegionId) {
+                table.row_into(origin, &mut out);
+                prop_assert_eq!(out.len(), g.num_regions());
+                let oc = g.center(origin);
+                for (j, &d) in g.regions().zip(&out) {
+                    let want = oc.distance_m(&g.center(j));
+                    prop_assert_eq!(d.to_bits(), want.to_bits(), "{g:?} {origin}→{j}: {d} != {want}");
+                }
             }
         }
 

@@ -6,7 +6,8 @@
 //!
 //! * [`geo`] — geographic points and haversine distances;
 //! * [`grid`] — the rectangular region partition (`Grid`, `RegionId`),
-//!   neighbourhood rings, and the paper's NYC extent;
+//!   neighbourhood rings, the paper's NYC extent, and tables of a
+//!   function of every centre-to-centre distance (`CenterTable`);
 //! * [`travel`] — the [`travel::TravelModel`] trait with a constant-speed
 //!   haversine implementation (the paper's setting) and a road-network
 //!   shortest-path implementation (the paper's §2 graph formalism);
@@ -36,7 +37,7 @@ pub mod road;
 pub mod travel;
 
 pub use geo::{haversine_m, Point};
-pub use grid::{Grid, RegionId, NYC_EXTENT};
+pub use grid::{CenterTable, Grid, RegionId, NYC_EXTENT};
 pub use index::{CellRange, RegionIndex};
 pub use road::RoadNetwork;
 pub use travel::{ConstantSpeedModel, Millis, RoadNetworkModel, TravelModel};

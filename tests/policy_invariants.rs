@@ -81,7 +81,7 @@ fn simulator_rejects_invalid_pairs() {
 }
 
 #[test]
-#[should_panic(expected = "busy driver")]
+#[should_panic(expected = "twice in one batch")]
 fn simulator_rejects_double_booking() {
     let (trips, drivers, grid, _) = small_world();
     let travel = ConstantSpeedModel::default();
