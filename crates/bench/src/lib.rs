@@ -4,8 +4,6 @@
 //! times of Figures 7b–10b) and microbenchmark each substrate. Fixtures
 //! here build representative batch states without running a full day.
 
-#![forbid(unsafe_code)]
-
 use mrvd_core::DemandOracle;
 use mrvd_demand::{count_trips, DemandSeries, NycLikeConfig, NycLikeGenerator, TripRecord};
 use mrvd_sim::{AvailableDriver, BatchState, BusyDriver, DriverId, RiderId, WaitingRider};

@@ -10,6 +10,11 @@
 //! ignored except that `--test` (or `CRITERION_SMOKE=1`) switches to one
 //! iteration per benchmark, which is what `cargo test --benches` runs.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "bench harness: wall-clock measurement is the shim's purpose"
+)]
+
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;

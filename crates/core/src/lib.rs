@@ -32,8 +32,6 @@
 //! All policies implement [`mrvd_sim::DispatchPolicy`] and run unmodified
 //! inside [`mrvd_sim::Simulator`].
 
-#![forbid(unsafe_code)]
-
 pub mod baselines;
 pub mod candidates;
 pub mod config;

@@ -349,6 +349,10 @@ mod tests {
     /// iterates `by_distance` (a Vec), so insertion order — not map
     /// order — drives the arithmetic, and the switch of map type must
     /// be bit-identical per key.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the reference keeps the map type the BTreeMap blueprint is checked against"
+    )]
     fn hashmap_reference_blueprint(
         oracle: &DemandOracle,
         grid: &Grid,

@@ -594,9 +594,9 @@ mod tests {
         let tc_s = cfg.tc_s();
         let mut mu = est.mu.clone();
         let mut cap = est.capacity_k.clone();
-        let assigned: std::collections::HashMap<u32, u32> =
+        let assigned: std::collections::BTreeMap<u32, u32> =
             out.iter().map(|a| (a.driver.0, a.rider.0)).collect();
-        let taken: std::collections::HashSet<u32> = out.iter().map(|a| a.rider.0).collect();
+        let taken: std::collections::BTreeSet<u32> = out.iter().map(|a| a.rider.0).collect();
         let dest = |r: &WaitingRider| grid.region_of(r.dropoff).idx();
         for a in &out {
             let r = &riders[a.rider.0 as usize];

@@ -24,8 +24,6 @@
 //! (its Appendix B) — so every downstream component sees input with the
 //! same statistical structure as the paper's.
 
-#![forbid(unsafe_code)]
-
 pub mod drivers;
 pub mod generator;
 pub mod profile;

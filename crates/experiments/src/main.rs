@@ -39,7 +39,10 @@
 //! multiplies each scale-axis point's orders and drivers by `--scale`
 //! (grid sizes are fixed — resolution is the axis under test).
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "experiments subcommands time wall-clock throughput for the BENCH_*.json tables; simulation state comes from event time"
+)]
 
 mod common;
 mod delta;

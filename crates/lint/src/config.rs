@@ -5,13 +5,14 @@
 //!
 //! ```toml
 //! [[allow]]
-//! path = "crates/experiments"
-//! rule = "D002"
-//! reason = "subcommand timing tables; never feeds simulation state"
+//! path = "crates/compat/criterion"
+//! rule = "D004"
+//! reason = "sorts bare f64 samples; equal keys are identical values"
 //! ```
 //!
 //! `path` is a workspace-relative prefix (forward slashes); `rule` is one
-//! of the determinism rule ids; `reason` is mandatory and non-empty.
+//! of the rule ids in [`crate::rules::RULES`]; `reason` is mandatory and
+//! non-empty.
 //! Entries that match no finding are reported as unused — the allowlist
 //! must shrink when the code it excuses is fixed. Any other section
 //! header is an error, and it ends the entry before it, so keys under
@@ -134,18 +135,18 @@ mod tests {
     #[test]
     fn parses_entries_and_prefix_matching() {
         let (cfg, errs) = parse(
-            "# allowlist\n[[allow]]\npath = \"crates/experiments\"\nrule = \"D002\"\nreason = \"timing tables\"\n\n[[allow]]\npath = \"examples\"\nrule = \"D002\"\nreason = \"demo printouts\"\n",
+            "# allowlist\n[[allow]]\npath = \"crates/compat/criterion\"\nrule = \"D004\"\nreason = \"bare samples\"\n\n[[allow]]\npath = \"examples\"\nrule = \"D004\"\nreason = \"demo printouts\"\n",
         );
         assert!(errs.is_empty(), "{errs:?}");
         assert_eq!(cfg.allows.len(), 2);
-        assert!(cfg.allows[0].covers("crates/experiments/src/delta.rs", "D002"));
-        assert!(!cfg.allows[0].covers("crates/experiments/src/delta.rs", "D001"));
-        assert!(!cfg.allows[0].covers("crates/sim/src/engine.rs", "D002"));
+        assert!(cfg.allows[0].covers("crates/compat/criterion/src/lib.rs", "D004"));
+        assert!(!cfg.allows[0].covers("crates/compat/criterion/src/lib.rs", "P002"));
+        assert!(!cfg.allows[0].covers("crates/sim/src/engine.rs", "D004"));
     }
 
     #[test]
     fn missing_reason_is_an_error() {
-        let (cfg, errs) = parse("[[allow]]\npath = \"x\"\nrule = \"D001\"\n");
+        let (cfg, errs) = parse("[[allow]]\npath = \"x\"\nrule = \"D004\"\n");
         assert!(cfg.allows.is_empty());
         assert_eq!(errs.len(), 1);
         // Reported at the entry's `[[allow]]` header.
@@ -163,14 +164,14 @@ mod tests {
 
     #[test]
     fn unquoted_value_is_an_error() {
-        let (_, errs) = parse("[[allow]]\npath = x\nrule = \"D001\"\nreason = \"r\"\n");
+        let (_, errs) = parse("[[allow]]\npath = x\nrule = \"D004\"\nreason = \"r\"\n");
         assert!(!errs.is_empty());
     }
 
     #[test]
     fn leftover_roots_section_is_an_error_at_its_line() {
         let (cfg, errs) = parse(
-            "[[allow]]\npath = \"x\"\nrule = \"D002\"\nreason = \"r\"\n\n[roots]\nfn = \"parallel_map\"\npath = \"\"\n",
+            "[[allow]]\npath = \"x\"\nrule = \"D004\"\nreason = \"r\"\n\n[roots]\nfn = \"parallel_map\"\npath = \"\"\n",
         );
         assert_eq!(
             errs,

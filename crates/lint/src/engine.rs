@@ -1,4 +1,4 @@
-//! Orchestration: walk the workspace, run the flat rules per file,
+//! Orchestration: walk the workspace, run the rule per file,
 //! apply suppressions, audit the suppressions themselves.
 
 use std::fs;
@@ -20,16 +20,14 @@ pub struct FileAnalysis {
     pub pragmas: Vec<Pragma>,
 }
 
-/// Lexes and rule-checks one source text. `rel_path` decides
-/// path-scoped rules (D005) and path-level test exemption; pass a
-/// `tests/`-free path to treat fixture text as production code. The
-/// audits that need the whole workspace (unused `lint.toml` entries)
-/// run in [`scan_sources`].
+/// Lexes and rule-checks one source text. `rel_path` decides the
+/// path-level test exemption; pass a `tests/`-free path to treat fixture
+/// text as production code. The audits that need the whole workspace
+/// (unused `lint.toml` entries) run in [`scan_sources`].
 pub fn analyze_source(rel_path: &str, source: &str) -> FileAnalysis {
     let lexed = lex(source);
     let test_spans = detect_test_spans(&lexed);
     let ctx = FileCtx {
-        rel_path,
         lexed: &lexed,
         test_spans: &test_spans,
         is_test_path: is_test_path(rel_path),
@@ -100,9 +98,8 @@ fn sort_findings(findings: &mut [Finding]) {
 /// file is analyzed ([`analyze_source`]) and its suppressions resolved
 /// and audited (P001 malformed, P002 unused pragma); then every
 /// `lint.toml` entry that suppressed nothing is a P003.
-pub fn scan_sources(root_display: &str, files: &[(String, String)], config: &Config) -> Report {
+pub fn scan_sources(files: &[(String, String)], config: &Config) -> Report {
     let mut report = Report {
-        root: root_display.to_string(),
         files_scanned: files.len(),
         findings: Vec::new(),
     };
@@ -169,7 +166,7 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Report> {
         let source = fs::read_to_string(root.join(&rel))?;
         files.push((rel, source));
     }
-    let mut report = scan_sources(&root.display().to_string(), &files, &config);
+    let mut report = scan_sources(&files, &config);
     for (line, message) in config_errors {
         report.findings.push(Finding {
             rule: "P004".into(),
@@ -207,7 +204,7 @@ mod tests {
 
     #[test]
     fn pragma_suppression_round_trip() {
-        let src = "fn f() {\n  // lint:allow(D002): batch timing telemetry only\n  let t = std::time::Instant::now();\n}\n";
+        let src = "fn f(v: &mut [f64]) {\n  // lint:allow(D004): equal keys are identical values\n  v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}\n";
         let (a, pragma_used, _) = analyze_and_resolve("crates/x/src/a.rs", src, "");
         assert_eq!(a.findings.len(), 1);
         assert!(matches!(
@@ -219,8 +216,8 @@ mod tests {
 
     #[test]
     fn config_suppression_round_trip() {
-        let src = "fn f() { let t = std::time::Instant::now(); }\n";
-        let toml = "[[allow]]\npath = \"crates/x\"\nrule = \"D002\"\nreason = \"demo timing\"\n";
+        let src = "fn f(v: &mut [f64]) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }\n";
+        let toml = "[[allow]]\npath = \"crates/x\"\nrule = \"D004\"\nreason = \"bare samples\"\n";
         let (a, _, config_used) = analyze_and_resolve("crates/x/src/a.rs", src, toml);
         assert!(matches!(
             a.findings[0].suppressed,
@@ -231,7 +228,8 @@ mod tests {
 
     #[test]
     fn unrelated_pragma_does_not_suppress() {
-        let src = "fn f() {\n  // lint:allow(D001): wrong rule\n  let t = std::time::Instant::now();\n}\n";
+        // D002 is not a rule of this scan, so the pragma is malformed too.
+        let src = "fn f(v: &mut [f64]) {\n  // lint:allow(D002): wrong rule\n  v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}\n";
         let (a, pragma_used, _) = analyze_and_resolve("crates/x/src/a.rs", src, "");
         assert!(a.findings[0].suppressed.is_none());
         assert_eq!(pragma_used, vec![false]);
@@ -239,7 +237,7 @@ mod tests {
 
     #[test]
     fn pragma_on_wrong_line_does_not_suppress() {
-        let src = "// lint:allow(D002): too far away\nfn f() {\n\n  let t = std::time::Instant::now();\n}\n";
+        let src = "// lint:allow(D004): too far away\nfn f(v: &mut [f64]) {\n\n  v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}\n";
         let (a, pragma_used, _) = analyze_and_resolve("crates/x/src/a.rs", src, "");
         assert!(a.findings[0].suppressed.is_none());
         assert_eq!(pragma_used, vec![false]);
@@ -248,21 +246,22 @@ mod tests {
     fn scan_one(rel: &str, src: &str, toml: &str) -> Report {
         let (config, errs) = config::parse(toml);
         assert!(errs.is_empty(), "{errs:?}");
-        scan_sources("/w", &[(rel.to_string(), src.to_string())], &config)
+        scan_sources(&[(rel.to_string(), src.to_string())], &config)
     }
 
     #[test]
     fn stale_and_malformed_suppressions_are_p001_p002_p003() {
-        let src = "fn f() {
-    // lint:allow(D002): batch timing telemetry only
-    let t = std::time::Instant::now();
-    // lint:allow(D002): the read it excused was deleted
+        let src = "fn f(v: &mut [f64]) {
+    // lint:allow(D004): equal keys are identical values
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    // lint:allow(D004): the sort it excused was deleted
     let u = 1;
-    // lint:allow(D002)
-    let v = std::time::Instant::now();
+    // lint:allow(D004)
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
 }
 ";
-        let toml = "[[allow]]\npath = \"crates/x\"\nrule = \"D001\"\nreason = \"no hash iteration left\"\n";
+        let toml =
+            "[[allow]]\npath = \"crates/y\"\nrule = \"D004\"\nreason = \"no float sort left\"\n";
         let report = scan_one("crates/x/src/a.rs", src, toml);
         let found: Vec<(&str, &str, u32, bool)> = report
             .findings
@@ -279,11 +278,11 @@ mod tests {
         assert_eq!(
             found,
             vec![
-                ("D002", "crates/x/src/a.rs", 3, true),
+                ("D004", "crates/x/src/a.rs", 3, true),
                 ("P002", "crates/x/src/a.rs", 4, false),
                 ("P001", "crates/x/src/a.rs", 6, false),
                 // A malformed pragma suppresses nothing.
-                ("D002", "crates/x/src/a.rs", 7, false),
+                ("D004", "crates/x/src/a.rs", 7, false),
                 ("P003", "lint.toml", 1, false),
             ],
             "{:#?}",

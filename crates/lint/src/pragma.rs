@@ -1,6 +1,6 @@
 //! Inline suppression pragmas.
 //!
-//! Syntax: `// lint:allow(D001): reason text` — one or more comma-separated
+//! Syntax: `// lint:allow(D004): reason text` — one or more comma-separated
 //! rule ids, a colon, and a **mandatory** non-empty reason. The marker
 //! must start the comment (prose that merely *mentions* the syntax, like
 //! this paragraph, is not a pragma). A trailing pragma suppresses
@@ -81,36 +81,38 @@ mod tests {
 
     #[test]
     fn parses_well_formed_pragmas() {
-        let src = "// lint:allow(D002): telemetry only, never feeds results\nlet t = now();\n";
+        let src = "// lint:allow(D004): equal keys are identical values\nv.sort_by(f);\n";
         let p = parse_pragmas(&lex(src));
         assert_eq!(p.len(), 1);
         assert!(p[0].error.is_none(), "{:?}", p[0].error);
-        assert_eq!(p[0].rules, vec!["D002"]);
-        assert_eq!(p[0].reason, "telemetry only, never feeds results");
+        assert_eq!(p[0].rules, vec!["D004"]);
+        assert_eq!(p[0].reason, "equal keys are identical values");
         assert_eq!(p[0].target_line, Some(2));
     }
 
     #[test]
     fn trailing_pragma_targets_its_own_line() {
-        let src = "let t = now(); // lint:allow(D002): timing telemetry\n";
+        let src = "v.sort_by(f); // lint:allow(D004): bare samples\n";
         let p = parse_pragmas(&lex(src));
         assert_eq!(p[0].target_line, Some(1));
     }
 
     #[test]
     fn multi_rule_pragmas() {
-        let src = "// lint:allow(D001, D004): both are provably order-free here\nx();\n";
+        // Every id in the list is checked: D002 is not a rule of this scan.
+        let src = "// lint:allow(D004, D002): bare samples\nx();\n";
         let p = parse_pragmas(&lex(src));
-        assert!(p[0].error.is_none());
-        assert_eq!(p[0].rules, vec!["D001", "D004"]);
+        assert_eq!(p[0].rules, vec!["D004", "D002"]);
+        let err = p[0].error.as_deref().unwrap();
+        assert!(err.contains("unknown rule `D002`"), "{err}");
     }
 
     #[test]
     fn missing_reason_is_an_error() {
         for src in [
-            "// lint:allow(D001)\nx();\n",
-            "// lint:allow(D001):\nx();\n",
-            "// lint:allow(D001):   \nx();\n",
+            "// lint:allow(D004)\nx();\n",
+            "// lint:allow(D004):\nx();\n",
+            "// lint:allow(D004):   \nx();\n",
         ] {
             let p = parse_pragmas(&lex(src));
             assert!(p[0].error.is_some(), "src {src:?} should be malformed");
@@ -129,7 +131,7 @@ mod tests {
 
     #[test]
     fn pragma_with_no_following_code_has_no_target() {
-        let p = parse_pragmas(&lex("x();\n// lint:allow(D001): dangling\n"));
+        let p = parse_pragmas(&lex("x();\n// lint:allow(D004): dangling\n"));
         assert_eq!(p[0].target_line, None);
     }
 }

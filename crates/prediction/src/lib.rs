@@ -25,8 +25,6 @@
 //! may only read counts strictly before that slot — a property the test
 //! suite enforces by mutating the future and checking invariance.
 
-#![forbid(unsafe_code)]
-
 pub mod eval;
 pub mod features;
 pub mod gbrt;

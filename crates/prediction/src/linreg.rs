@@ -50,7 +50,10 @@ impl Predictor for LinearRegression {
         "LR"
     }
 
-    #[allow(clippy::needless_range_loop)] // dual-indexed triangular matrix fill
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "dual-indexed triangular matrix fill"
+    )]
     fn fit(&mut self, series: &DemandSeries, train_days: usize) {
         assert!(
             train_days <= series.days(),
@@ -109,7 +112,10 @@ impl Predictor for LinearRegression {
 /// # Panics
 /// Panics on a (numerically) singular system — impossible after ridge
 /// regularization.
-#[allow(clippy::needless_range_loop)] // row/column elimination needs index pairs
+#[expect(
+    clippy::needless_range_loop,
+    reason = "row/column elimination needs index pairs"
+)]
 fn solve(mut a: [[f64; DIM]; DIM], mut b: [f64; DIM]) -> [f64; DIM] {
     for col in 0..DIM {
         // Pivot.
@@ -172,7 +178,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // index-pair matrix construction
+    #[expect(clippy::needless_range_loop, reason = "index-pair matrix construction")]
     fn solver_inverts_known_system() {
         // Build A x = b with known x via a diagonally dominant A.
         let mut a = [[0.0; DIM]; DIM];

@@ -28,8 +28,6 @@
 //! bits. [`expected_idle_time_numeric`] sums the distribution state by
 //! state as the independent check.
 
-#![forbid(unsafe_code)]
-
 pub mod idle;
 pub mod params;
 pub mod steady;

@@ -28,7 +28,6 @@
 //! not one lucky weekday.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod builtins;
 pub mod spec;

@@ -241,7 +241,10 @@ pub fn sweep(specs: &[ScenarioSpec], policies: &[SweepPolicy], threads: usize) -
     let workloads_ref = &workloads;
     parallel_map(jobs, threads, |&(w, policy)| {
         let workload = &workloads_ref[w];
-        // lint:allow(D002): feeds only the wall_time_s telemetry column, never simulated results
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "feeds only the wall_time_s telemetry column, never simulated results"
+        )]
         let t0 = std::time::Instant::now();
         let result = run_scenario(workload, policy);
         SweepCell::from_result(
@@ -280,7 +283,10 @@ pub fn sweep_deltas(
     let workloads_ref = &workloads;
     parallel_map(jobs, threads, |&(w, policy, delta)| {
         let workload = &workloads_ref[w];
-        // lint:allow(D002): feeds only the wall_time_s telemetry column, never simulated results
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "feeds only the wall_time_s telemetry column, never simulated results"
+        )]
         let t0 = std::time::Instant::now();
         let result = run_scenario_with_delta(workload, policy, Some(delta));
         SweepCell::from_result(

@@ -449,7 +449,10 @@ impl<'a> Simulator<'a> {
                 state.settle_batch();
                 let ctx = state.context(tick, self.travel);
 
-                // lint:allow(D002): feeds only the batch_time telemetry column, never simulated results
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "feeds only the batch_time telemetry column, never simulated results"
+                )]
                 let t0 = std::time::Instant::now();
                 let batch_assignments = policy.assign(&ctx);
                 batch_time.push(t0.elapsed().as_secs_f64());
@@ -651,7 +654,7 @@ mod tests {
         fn assign(&mut self, ctx: &BatchContext<'_>) -> Vec<Assignment> {
             let mut riders: Vec<&WaitingRider> = ctx.riders.iter().collect();
             riders.sort_by_key(|r| r.id);
-            let mut taken = std::collections::HashSet::new();
+            let mut taken = std::collections::BTreeSet::new();
             let mut out = Vec::new();
             for r in riders {
                 let best = ctx
@@ -758,8 +761,8 @@ mod tests {
     fn drivers_are_never_double_booked() {
         let res = run(&mut FirstFit, 150, 5);
         // Per driver, busy intervals [batch, dropoff] must not overlap.
-        let mut per_driver: std::collections::HashMap<DriverId, Vec<(Millis, Millis)>> =
-            std::collections::HashMap::new();
+        let mut per_driver: std::collections::BTreeMap<DriverId, Vec<(Millis, Millis)>> =
+            std::collections::BTreeMap::new();
         for a in &res.assignments {
             per_driver
                 .entry(a.driver)
@@ -834,7 +837,7 @@ mod tests {
     fn busy_drivers_are_visible_with_correct_rejoin_info() {
         // A policy that checks the busy list matches what it assigned.
         struct BusyAuditor {
-            expected: std::collections::HashMap<DriverId, (Millis, (i64, i64))>,
+            expected: std::collections::BTreeMap<DriverId, (Millis, (i64, i64))>,
             checks: usize,
         }
         impl DispatchPolicy for BusyAuditor {
@@ -866,7 +869,7 @@ mod tests {
             }
         }
         let mut auditor = BusyAuditor {
-            expected: std::collections::HashMap::new(),
+            expected: std::collections::BTreeMap::new(),
             checks: 0,
         };
         let res = run(&mut auditor, 60, 3);
@@ -879,8 +882,8 @@ mod tests {
         let res = run(&mut FirstFit, 120, 4);
         // For consecutive assignments of a driver, the idle interval of
         // the later one starts exactly at the earlier one's dropoff.
-        let mut last_dropoff: std::collections::HashMap<DriverId, Millis> =
-            std::collections::HashMap::new();
+        let mut last_dropoff: std::collections::BTreeMap<DriverId, Millis> =
+            std::collections::BTreeMap::new();
         let mut verified = 0;
         for a in &res.assignments {
             if let Some(&prev) = last_dropoff.get(&a.driver) {

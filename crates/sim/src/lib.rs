@@ -39,7 +39,6 @@
 //! engine's skip/event counters.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod counts;
 pub mod engine;

@@ -608,15 +608,18 @@ mod tests {
         // Driver 2's pair first, then 5's, then 7's.
         assert_eq!(pairs, vec![(20.0, 40.0), (10.0, 50.0), (30.0, 60.0)]);
 
-        // Same join rebuilt through an unordered grouping yields the
-        // same multiset — only the emission order was at stake.
-        let mut by_driver: std::collections::HashMap<DriverId, Vec<usize>> =
-            std::collections::HashMap::new();
+        // Same join rebuilt through a grouping in first-appearance order
+        // (drivers 7, 2, 5) yields the same multiset — only the emission
+        // order was at stake.
+        let mut by_driver: Vec<(DriverId, Vec<usize>)> = Vec::new();
         for (i, a) in result.assignments.iter().enumerate() {
-            by_driver.entry(a.driver).or_default().push(i);
+            match by_driver.iter_mut().find(|(d, _)| *d == a.driver) {
+                Some((_, seq)) => seq.push(i),
+                None => by_driver.push((a.driver, vec![i])),
+            }
         }
         let mut reference: Vec<(f64, f64)> = Vec::new();
-        for seq in by_driver.values() {
+        for (_, seq) in &by_driver {
             for w in seq.windows(2) {
                 let (cur, next) = (&result.assignments[w[0]], &result.assignments[w[1]]);
                 if let Some(est) = cur.estimated_idle_s {

@@ -256,7 +256,10 @@ impl Simulator<'_> {
             let ctx = state.context(now, self.travel());
 
             // 5. Run the policy, timed.
-            // lint:allow(D002): feeds only the batch_time telemetry column, never simulated results
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "feeds only the batch_time telemetry column, never simulated results"
+            )]
             let t0 = std::time::Instant::now();
             let batch_assignments = policy.assign(&ctx);
             batch_time.push(t0.elapsed().as_secs_f64());

@@ -16,7 +16,6 @@ impl RegionId {
     /// The raw index as a `usize`, for indexing per-region tables.
     #[inline]
     pub fn idx(self) -> usize {
-        // lint:allow(D005): u32 → usize widens on every supported target
         self.0 as usize
     }
 }
@@ -85,7 +84,6 @@ impl Grid {
     pub fn num_regions(&self) -> usize {
         // The constructor guarantees cols × rows ≤ u32::MAX, but widen
         // before multiplying so the arithmetic itself cannot overflow.
-        // lint:allow(D005): u32 → usize widens on every supported target
         self.cols as usize * self.rows as usize
     }
 
@@ -113,6 +111,10 @@ impl Grid {
     /// inside a lon/lat box always lands between the cells of the box's
     /// corners; range queries rely on this to scan exactly the cells a
     /// box can touch. NaN maps to the first column/row.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a float → i64 `as` saturates (NaN gives 0), and the clamp just after bounds it to the grid"
+    )]
     pub(crate) fn coords_of(&self, p: Point) -> (u32, u32) {
         let fx = (p.lon - self.min.lon) / (self.max.lon - self.min.lon);
         let fy = (p.lat - self.min.lat) / (self.max.lat - self.min.lat);
@@ -437,7 +439,7 @@ mod tests {
     fn rings_partition_the_grid() {
         let g = Grid::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0), 9, 9);
         let center = g.at(4, 4).unwrap();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         // The largest Chebyshev distance between two cells of a 9×9 grid.
         for ring in 0..=8 {
             for id in g.ring(center, ring) {

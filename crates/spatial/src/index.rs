@@ -520,12 +520,12 @@ mod tests {
         }
         let q = Point::new(-73.9, 40.75);
         let radius = 3_000.0;
-        let got: std::collections::HashSet<u32> = ix
+        let got: std::collections::BTreeSet<u32> = ix
             .within_radius(q, radius)
             .into_iter()
             .map(|(i, _, _)| i)
             .collect();
-        let expect: std::collections::HashSet<u32> = pts
+        let expect: std::collections::BTreeSet<u32> = pts
             .iter()
             .enumerate()
             .filter(|(_, p)| q.distance_m(p) <= radius)

@@ -35,10 +35,15 @@ impl RoadNetwork {
     }
 
     /// Adds a vertex at `p` and returns its id.
+    ///
+    /// # Panics
+    /// Panics if the network already has 2^32 vertices, so the new id
+    /// would not fit a [`VertexId`].
     pub fn add_vertex(&mut self, p: Point) -> VertexId {
+        let id = u32::try_from(self.positions.len()).expect("vertex id exceeds u32");
         self.positions.push(p);
         self.adj.push(Vec::new());
-        (self.positions.len() - 1) as VertexId
+        id
     }
 
     /// Adds a directed edge `u → v` with the given cost.
@@ -80,6 +85,10 @@ impl RoadNetwork {
     /// (linear scan; snapping is not on the hot path).
     ///
     /// Returns `None` for an empty network.
+    ///
+    /// # Panics
+    /// Panics if the nearest vertex's index does not fit a [`VertexId`],
+    /// which [`RoadNetwork::add_vertex`] already rules out.
     pub fn nearest_vertex(&self, p: Point) -> Option<VertexId> {
         self.positions
             .iter()
@@ -95,7 +104,7 @@ impl RoadNetwork {
                     .expect("distance is never NaN")
                     .then(j.cmp(i))
             })
-            .map(|(i, _)| i as VertexId)
+            .map(|(i, _)| u32::try_from(i).expect("vertex id exceeds u32"))
     }
 
     /// Single-source Dijkstra: cost from `src` to every vertex

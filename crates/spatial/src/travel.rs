@@ -93,6 +93,10 @@ impl TravelModel for ConstantSpeedModel {
             .expect("a constant speed prices every distance")
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the time is rounded first, and a float → u64 `as` saturates, so it never wraps"
+    )]
     fn travel_time_ms_at(&self, distance_m: f64) -> Option<Millis> {
         let secs = distance_m / self.speed_mps;
         Some((secs * 1000.0).round() as Millis)
@@ -141,6 +145,10 @@ impl RoadNetworkModel {
 }
 
 impl TravelModel for RoadNetworkModel {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the time is rounded first, and a float → u64 `as` saturates, so it never wraps"
+    )]
     fn travel_time_ms(&self, from: Point, to: Point) -> Millis {
         let u = self
             .network

@@ -9,9 +9,11 @@
 
 /// Lanczos coefficients for g = 7, n = 9 (canonical values; precision
 /// beyond f64 is intentional and harmless).
-#[allow(clippy::excessive_precision)]
 const LANCZOS_G: f64 = 7.0;
-#[allow(clippy::excessive_precision)]
+#[expect(
+    clippy::excessive_precision,
+    reason = "the canonical Lanczos coefficients, kept digit for digit"
+)]
 const LANCZOS_COEF: [f64; 9] = [
     0.999_999_999_999_809_93,
     676.520_368_121_885_1,

@@ -19,8 +19,6 @@
 //!
 //! Everything is deterministic given a seed and uses no global state.
 
-#![forbid(unsafe_code)]
-
 pub mod chi_square;
 pub mod gamma;
 pub mod metrics;

@@ -6,6 +6,11 @@
 //! cargo run --release --example prediction_pipeline
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the example prints wall-clock timings as demo output; nothing feeds back into simulated results"
+)]
+
 use mrvd::prelude::*;
 
 fn main() {

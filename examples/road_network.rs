@@ -9,6 +9,11 @@
 //! cargo run --release --example road_network
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the example prints wall-clock timings as demo output; nothing feeds back into simulated results"
+)]
+
 use mrvd::prelude::*;
 use rand::rngs::StdRng;
 

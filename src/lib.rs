@@ -45,8 +45,6 @@
 //! | [`spatial`] | `mrvd-spatial` | grids, travel models, road networks |
 //! | [`stats`] | `mrvd-stats` | Poisson, chi-square, error metrics |
 
-#![forbid(unsafe_code)]
-
 pub use mrvd_core as core;
 pub use mrvd_demand as demand;
 pub use mrvd_prediction as prediction;

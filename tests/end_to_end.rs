@@ -70,8 +70,30 @@ fn all_policies_complete_a_day_and_conserve_riders() {
         )),
         Box::new(Upper),
     ];
-    for mut p in policies {
+    // Every policy's output digest on this day, pinned, so a change to
+    // any policy's code that moves its outputs fails here. LS-R's equals
+    // IRG-R's: its local search changes no assignment on this day (both
+    // serve 4,025 riders).
+    let pinned: [(&str, u64); 8] = [
+        ("IRG-R", 0x99f8_e44b_e5a1_d247),
+        ("LS-R", 0x99f8_e44b_e5a1_d247),
+        ("SHORT-R", 0x9d9b_16d5_3ccf_c1ab),
+        ("LTG", 0xac56_cbcb_ba8c_1b56),
+        ("NEAR", 0x01c5_1f6c_1d88_a5cd),
+        ("RAND", 0x6db7_03aa_fb1e_03ae),
+        ("POLAR-R", 0x8d8d_fffb_1875_9f93),
+        ("UPPER", 0x1e2f_6183_e901_b133),
+    ];
+    for (mut p, (name, digest)) in policies.into_iter().zip(pinned) {
         let res = run(&s, p.as_mut());
+        assert_eq!(res.policy, name, "policy order");
+        assert_eq!(
+            res.digest(),
+            digest,
+            "{}: output digest {:#018x}, pinned {digest:#018x}",
+            res.policy,
+            res.digest()
+        );
         assert_eq!(
             res.served + res.reneged + res.still_waiting,
             res.total_riders,

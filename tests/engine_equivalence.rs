@@ -127,7 +127,7 @@ proptest! {
             // quantized ones, and never more than Δ earlier (record
             // order may differ inside one batch interval, so join by
             // rider).
-            let slow_by_rider: std::collections::HashMap<u32, u64> = slow
+            let slow_by_rider: std::collections::BTreeMap<u32, u64> = slow
                 .reneges
                 .iter()
                 .map(|x| (x.rider.0, x.renege_ms))

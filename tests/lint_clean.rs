@@ -1,10 +1,12 @@
-//! Tier-1 gate: the workspace must be determinism-lint-clean.
+//! Tier-1 gate: the workspace must be free of D004 findings.
 //!
-//! Runs the full `mrvd-lint` scan — the flat D rules plus the audits of
-//! pragmas and `lint.toml` entries — and fails on any unsuppressed
-//! finding: the same check CI runs and the `mrvd-lint` binary reports.
-//! A finding here means either fix the site or add a reasoned
-//! `// lint:allow(RULE): …` pragma / `lint.toml` entry.
+//! Runs the `mrvd-lint` scan — D004, float sorts without an id
+//! tie-break, plus the audits of pragmas and `lint.toml` entries — and
+//! fails on any unsuppressed finding. The other determinism rules are
+//! rustc and clippy lints (`clippy.toml`, `[workspace.lints]`), gated by
+//! CI's `cargo clippy --workspace --all-targets -- -D warnings`. A
+//! finding here means either fix the site or add a reasoned
+//! `lint:allow(D004)` pragma / `lint.toml` entry.
 
 use std::path::Path;
 
@@ -62,8 +64,9 @@ fn parallel_module_waiver_set_is_pinned() {
     );
 }
 
-/// The engine crate keeps exactly its two long-standing D002 pragmas
-/// (batch wall-clock timers) and nothing else.
+/// The engine crate needs no D004 waiver, and gets none from a
+/// `lint.toml` path prefix: a new one is a reviewable event. (Its two
+/// batch wall-clock timers are `#[expect]`s that rustc audits.)
 #[test]
 fn sim_crate_suppression_set_is_pinned() {
     let report = scan();
@@ -84,19 +87,8 @@ fn sim_crate_suppression_set_is_pinned() {
         .collect();
     assert_eq!(
         suppressed,
-        vec![
-            ("crates/sim/src/engine.rs".to_string(), "D002".to_string()),
-            (
-                "crates/sim/src/reference.rs".to_string(),
-                "D002".to_string()
-            ),
-        ],
+        Vec::<(String, String)>::new(),
         "the sim crate's suppression set changed — new waivers need review"
-    );
-    assert!(
-        sim.iter()
-            .all(|f| !matches!(&f.suppressed, Some(mrvd_lint::Suppression::Config { .. }))),
-        "crates/sim must not be suppressed via lint.toml"
     );
 }
 
@@ -117,18 +109,4 @@ fn every_suppression_carries_a_reason() {
             );
         }
     }
-}
-
-/// `LINT_report.json` carries the schema version, so a consumer of an
-/// older shape fails loudly.
-#[test]
-fn report_schema_is_versioned() {
-    let json = scan().render_json();
-    assert!(
-        json.contains(&format!(
-            "\"schema_version\": {}",
-            mrvd_lint::SCHEMA_VERSION
-        )),
-        "LINT_report.json must carry the schema version"
-    );
 }

@@ -102,8 +102,8 @@ fn queueing_policy_outputs_only_valid_unique_pairs() {
         }
         fn assign(&mut self, ctx: &BatchContext<'_>) -> Vec<Assignment> {
             let out = self.inner.assign(ctx);
-            let mut riders = std::collections::HashSet::new();
-            let mut drivers = std::collections::HashSet::new();
+            let mut riders = std::collections::BTreeSet::new();
+            let mut drivers = std::collections::BTreeSet::new();
             for a in &out {
                 assert!(riders.insert(a.rider), "rider assigned twice");
                 assert!(drivers.insert(a.driver), "driver assigned twice");

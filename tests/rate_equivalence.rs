@@ -162,7 +162,7 @@ impl DispatchPolicy for RateAudit {
         self.batches_with_busy += usize::from(!ctx.busy.is_empty());
         // First-fit assignments keep the event stream rich: dropoffs,
         // rejoin-window churn, busy retirements under ramp-downs.
-        let mut taken = std::collections::HashSet::new();
+        let mut taken = std::collections::BTreeSet::new();
         let mut out = Vec::new();
         for r in ctx.riders {
             let best = ctx
