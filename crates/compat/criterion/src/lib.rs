@@ -196,7 +196,7 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(label: &str, sample_size: usize, smoke:
         println!("{label}: no samples (closure never called iter)");
         return;
     }
-    samples.sort_by(f64::total_cmp);
+    samples.sort_by(f64::total_cmp); // D004: bare f64 samples; equal keys are identical values
     let median = samples[samples.len() / 2];
     let lo = samples[0];
     let hi = samples[samples.len() - 1];

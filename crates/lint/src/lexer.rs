@@ -1,11 +1,11 @@
 //! A small but correct Rust lexer.
 //!
-//! The rule engine does not need a parser — every determinism pattern it
+//! The rule engine does not need a parser — the D004 pattern it
 //! recognizes is a short token sequence — but it *does* need the token
-//! stream to be right: a `HashMap` inside a string literal, a `//` inside
-//! a raw string, or an `unsafe` inside a nested block comment must not
-//! produce findings. This lexer therefore handles exactly the lexical
-//! subtleties that matter for that guarantee:
+//! stream to be right: a `sort_by` inside a string literal or a nested
+//! block comment must not produce a finding, and a `// D004:` inside a
+//! string must not waive one. This lexer therefore handles exactly the
+//! lexical subtleties that matter for that guarantee:
 //!
 //! * line comments (incl. doc comments) and **nested** block comments;
 //! * string literals with escapes, byte strings, and raw (byte) strings
@@ -16,8 +16,8 @@
 //! * `::` and `->` joined into single punctuation tokens so rules can
 //!   match paths and tell `::` apart from a type-ascription `:`.
 //!
-//! Everything is positioned (1-based line, column) so findings and
-//! suppression pragmas can be tied to source lines.
+//! Everything is positioned (1-based line, column) so findings and the
+//! `// D004: reason` markers that waive them can be tied to source lines.
 
 /// What a [`Token`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,11 +51,6 @@ pub struct Token {
 }
 
 impl Token {
-    /// Whether this token is the identifier `s`.
-    pub fn is_ident(&self, s: &str) -> bool {
-        self.kind == TokenKind::Ident && self.text == s
-    }
-
     /// Whether this token is the punctuation `s`.
     pub fn is_punct(&self, s: &str) -> bool {
         self.kind == TokenKind::Punct && self.text == s
@@ -69,10 +64,6 @@ pub struct Comment {
     pub text: String,
     /// 1-based line the comment starts on.
     pub line: u32,
-    /// Whether any code token precedes the comment on its start line
-    /// (a trailing comment annotates its own line; a standalone comment
-    /// annotates the next code line).
-    pub trailing: bool,
 }
 
 /// Lexer output: the token stream plus every comment.
@@ -82,20 +73,6 @@ pub struct Lexed {
     pub tokens: Vec<Token>,
     /// Comments, in source order.
     pub comments: Vec<Comment>,
-}
-
-impl Lexed {
-    /// Whether any code token sits on `line`.
-    pub fn line_has_code(&self, line: u32) -> bool {
-        // Token lines are non-decreasing: binary search for the line.
-        self.tokens.binary_search_by(|t| t.line.cmp(&line)).is_ok()
-    }
-
-    /// First code line at or after `line`, if any.
-    pub fn next_code_line(&self, line: u32) -> Option<u32> {
-        let i = self.tokens.partition_point(|t| t.line < line);
-        self.tokens.get(i).map(|t| t.line)
-    }
 }
 
 struct Cursor {
@@ -282,11 +259,9 @@ pub fn lex(src: &str) -> Lexed {
 }
 
 fn push_comment(out: &mut Lexed, text: String, line: u32) {
-    let trailing = out.tokens.last().is_some_and(|t| t.line == line);
     out.comments.push(Comment {
         text: text.trim().to_string(),
         line,
-        trailing,
     });
 }
 
@@ -527,8 +502,10 @@ mod tests {
         let l = lex("let a = 1; // trailing note\n/* block */ let b = 2;");
         assert_eq!(l.comments.len(), 2);
         assert_eq!(l.comments[0].text, "trailing note");
-        assert!(l.comments[0].trailing);
-        assert!(!l.comments[1].trailing);
+        assert_eq!(
+            (l.comments[1].text.as_str(), l.comments[1].line),
+            ("block", 2)
+        );
         assert!(idents("let a = 1; // HashMap\n")
             .iter()
             .all(|i| i != "HashMap"));

@@ -22,34 +22,38 @@
 //! The scan reads one file's token stream at a time, so it parses
 //! nothing: the lexer ([`lexer`]) is the only front end.
 //!
-//! Suppression is explicit and auditable: inline
-//! `// lint:allow(D004): reason` pragmas ([`pragma`]) and a checked-in
-//! `lint.toml` path allowlist ([`config`]), each requiring a reason;
-//! malformed and *unused* suppressions are findings themselves.
+//! A false positive is waived where it stands, by a comment that starts
+//! with `D004:` and gives a reason, on the line the finding is reported
+//! at: `v.sort_by(f64::total_cmp); // D004: bare f64 samples`. A marker
+//! on a line with no finding, or one without a reason, is a finding
+//! itself, so no waiver outlives the sort it excused.
 //!
 //! The gate is the workspace test `tests/lint_clean.rs`, so `cargo test`
-//! fails on any unsuppressed finding.
+//! fails on any finding that no marker waives.
 //!
 //! ```
 //! use mrvd_lint::analyze_source;
 //!
-//! let analysis = analyze_source(
+//! let findings = analyze_source(
 //!     "crates/demo/src/lib.rs",
-//!     "fn f(v: &mut [f64]) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }",
+//!     "fn f(v: &mut [f64]) {\n\
+//!          v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n\
+//!          v.sort_by(f64::total_cmp); // D004: bare scalars\n\
+//!      }",
 //! );
-//! assert_eq!(analysis.findings.len(), 1);
-//! assert_eq!(analysis.findings[0].rule, "D004");
+//! assert_eq!(findings.len(), 2);
+//! assert_eq!((findings[0].line, findings[0].suppressed.as_deref()), (2, None));
+//! assert_eq!(
+//!     (findings[1].line, findings[1].suppressed.as_deref()),
+//!     (3, Some("bare scalars"))
+//! );
 //! ```
 
-pub mod config;
 pub mod engine;
 pub mod lexer;
-pub mod pragma;
 pub mod report;
 pub mod rules;
 pub mod walk;
 
-pub use engine::{
-    analyze_source, resolve_suppressions, scan_sources, scan_workspace, FileAnalysis,
-};
-pub use report::{Finding, Report, Suppression};
+pub use engine::{analyze_source, scan_workspace};
+pub use report::{Finding, Report};

@@ -5,21 +5,13 @@
 //! checked by rustc and clippy with type information (`clippy.toml`, the
 //! workspace `[lints]` table and crate attributes). D004 needs to know
 //! that a comparator has no tie-break, which no clippy lint states, so it
-//! stays a pattern match over one file's lexed token stream, with a
-//! reasoned suppression (`// lint:allow(D004): reason` or a `lint.toml`
-//! entry) as the escape hatch for false positives.
+//! stays a pattern match over one file's lexed token stream. A false
+//! positive is waived by a `// D004: reason` comment on the flagged line
+//! (see [`crate::engine::analyze_source`]).
 
 use crate::lexer::{Lexed, Token, TokenKind};
 
-/// All rule identifiers.
-pub const RULES: [&str; 1] = ["D004"];
-
-/// Whether `rule` is a known determinism rule id.
-pub fn is_known_rule(rule: &str) -> bool {
-    RULES.contains(&rule)
-}
-
-/// A rule hit before suppression is applied.
+/// A rule hit before markers are applied.
 #[derive(Debug, Clone)]
 pub struct RawFinding {
     /// Rule id (`D004`).

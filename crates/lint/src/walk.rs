@@ -10,13 +10,6 @@ const SKIP_DIRS: [&str; 4] = ["target", ".git", "results", "node_modules"];
 /// linter's own violation fixtures *must* contain findings.
 const SKIP_SUFFIXES: [&str; 1] = ["crates/lint/fixtures"];
 
-/// Files (relative, forward slashes) excluded from the scan.
-/// `benchmark/src/clock.rs` carries a `// lint:allow(D002)` pragma, and
-/// D002 is a clippy rule, so the scan would report it as a malformed
-/// pragma (P001). The file holds no sort, so skipping it hides no D004
-/// finding, and CI pins it as the benchmark's only wall-clock read.
-const SKIP_FILES: [&str; 1] = ["benchmark/src/clock.rs"];
-
 /// Collects every `.rs` file under `root`, workspace-relative with
 /// forward slashes, in a deterministic (sorted) order.
 pub fn rust_files(root: &Path) -> std::io::Result<Vec<String>> {
@@ -41,7 +34,7 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
                 continue;
             }
             walk(root, &path, out)?;
-        } else if name.ends_with(".rs") && !SKIP_FILES.contains(&rel.as_str()) {
+        } else if name.ends_with(".rs") {
             out.push(rel);
         }
     }
@@ -87,7 +80,7 @@ mod tests {
         assert!(a.iter().any(|p| p == "crates/lint/src/lexer.rs"));
         assert!(a.iter().all(|p| !p.contains("crates/lint/fixtures/")));
         assert!(a.iter().any(|p| p == "benchmark/src/run.rs"));
-        assert!(a.iter().all(|p| p != "benchmark/src/clock.rs"));
+        assert!(a.iter().any(|p| p == "benchmark/src/clock.rs"));
         assert!(a.iter().all(|p| !p.starts_with("target/")));
     }
 }

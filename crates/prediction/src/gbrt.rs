@@ -143,9 +143,9 @@ impl Gbrt {
 
 /// Builds quantile bin edges for one feature from its sorted values.
 fn quantile_edges(mut values: Vec<f64>, n_bins: usize) -> Vec<f64> {
-    // lint:allow(D004): sorting bare scalars — equal keys are identical
-    // values, so any permutation of them yields the same edge vector
-    values.sort_by(|a, b| a.partial_cmp(b).expect("counts are finite"));
+    // Sorting bare scalars: equal keys are identical values, so any
+    // permutation of them yields the same edge vector.
+    values.sort_by(|a, b| a.partial_cmp(b).expect("counts are finite")); // D004: bare scalars
     let mut edges = Vec::new();
     for b in 1..n_bins {
         let idx = b * values.len() / n_bins;

@@ -299,4 +299,15 @@ fn predicted_oracle_end_to_end() {
     let sim = Simulator::new(SimConfig::default(), &travel, &grid);
     let res = sim.run(&trips, &drivers, &mut policy);
     assert!(res.served > 0);
+    // IRG-P's output digest on this day, pinned like the real-oracle
+    // policies' above, so a change to the predicted oracle's path that
+    // moves its outputs fails here.
+    let pinned = 0xf315_8631_81be_b173_u64;
+    assert_eq!(
+        res.digest(),
+        pinned,
+        "{}: output digest {:#018x}, pinned {pinned:#018x}",
+        res.policy,
+        res.digest()
+    );
 }
