@@ -11,9 +11,13 @@
 //!   memory of it, as in a batch where nothing moved near that rider.
 //!
 //! All arms produce identical candidate sets. The sizes are the paper's
-//! 16×16 grid, plus one `city-*`-shaped batch (64×64 grid, 2 500
-//! available drivers) where the 32-candidate budget binds: two of its 20
-//! riders have 36 and 50 valid drivers.
+//! 16×16 grid, plus two `city-*`-shaped batches of 20 riders on the
+//! 64×64 grid. With 2 500 available drivers the 32-candidate budget binds
+//! for two riders (36 and 50 valid drivers). The dense batch, 8 000
+//! drivers, is the regime where candidate search skips most exact
+//! distances: the budget binds for 8 riders (37 to 150 valid drivers),
+//! who hold 627 of the batch's 686 valid pairs. Its deadlines, 5 to
+//! 180 s, leave the other riders few drivers at any fleet size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrvd_bench::BatchFixture;
@@ -33,6 +37,7 @@ fn bench_candidates(c: &mut Criterion) {
         (16, 20, 2000),
         (16, 50, 8000),
         (64, 20, 2_500),
+        (64, 20, 8_000),
     ] {
         let f = BatchFixture::rush_hour(side, riders, avail, 0, 7);
         let size = format!("{side}x{side}/{riders}r/{avail}d");

@@ -14,17 +14,36 @@
 //! generation builds no index of its own; hits map back to batch slots
 //! through the views' id→slot map ([`BatchContext::views`]).
 //!
-//! A hit costs one haversine. Each carries the distance its membership
-//! test measured from the pickup, and a model that prices distances
+//! The radius query is a filter, and the exact distance a refinement
+//! (a k-nearest filter-and-refine search). The box scan returns every
+//! driver it cannot rule out with a cheap lower bound `lb` of its
+//! distance from the pickup, and no exact distance. A model that prices
+//! distances
 //! ([`TravelModel::travel_time_ms_at`](mrvd_spatial::TravelModel::travel_time_ms_at):
-//! constant speed, and a slowdown over it) turns that into the travel
-//! time. The haversine is symmetric bit for bit, so this is exactly the
-//! driver → pickup `travel_time_ms`. Hits past the deadline are dropped,
-//! the rest become `(travel ms, driver id)` keys, and the
-//! `max_candidates` smallest keys are kept (`select_nth_unstable`, then a
-//! sort of the kept ones). Only the kept drivers are looked up in the
-//! views, so a rider with 80 valid drivers and a budget of 32 pays 32 slot
-//! lookups, not 80, and no compare reads `ctx.drivers`.
+//! constant speed, and a slowdown over it) prices an exact distance into
+//! the travel time; the haversine is symmetric bit for bit, so this is
+//! exactly the driver → pickup `travel_time_ms`. A driver is a candidate
+//! if its exact distance is within the radius and its travel time makes
+//! the deadline; it becomes a `(travel ms, driver id)` key, and the
+//! `max_candidates = k` smallest keys are kept (`select_nth_unstable`,
+//! then a sort of the kept ones). Only the kept drivers are looked up in
+//! the views, so a rider with 80 valid drivers and a budget of 32 pays 32
+//! slot lookups, not 80, and no compare reads `ctx.drivers`.
+//!
+//! When the model prices distances and the scan returned more than `k`
+//! drivers, most of them cannot make the budget, and their haversine is
+//! skipped. The `k` drivers with the smallest bounds are priced first.
+//! If all `k` give valid keys, with largest travel time `T`, a remaining
+//! driver is priced only if `travel_time_ms_at(lb) <= T`: its exact time
+//! is at least that, because a pricing model is non-decreasing in the
+//! distance, so a driver with `travel_time_ms_at(lb) > T` has a key
+//! larger than `k` valid ones. Ties at `T` are priced, because the
+//! driver id then decides. If fewer than `k` of the first `k` are valid,
+//! every driver is priced. So is every driver of a query with `k` or
+//! fewer, of a model that does not price distances, or under a budget of
+//! 0. [`CandidateStats::distances`] counts the exact distances; with
+//! debug assertions on, every query also prices every driver and checks
+//! that the pruned keys equal the exhaustive ones.
 //!
 //! Most radius queries find no driver at all (riders waiting where the
 //! fleet is not), and they would find none again next batch. So the
@@ -40,7 +59,11 @@
 //! radius; every driver in another cell lies outside the old radius's
 //! box. The answer depends on nothing else — not on which rider asks, nor
 //! on the deadline beyond its radius — and a query with any hit is not
-//! remembered, so the travel-time filter never enters the argument.
+//! remembered, so the travel-time filter never enters the argument. A
+//! query is remembered only if no driver it priced lies within the
+//! radius; that is still exact, because a query that skips drivers has
+//! `k ≥ 1` valid keys, each a hit, and every driver the scan dropped lies
+//! outside the radius.
 //!
 //! Candidates are sorted by `(pickup travel time, driver id)` — a total
 //! order on the drivers themselves, not their batch slots — so neither
@@ -51,10 +74,13 @@
 //! which drivers the budget keeps is decided the same way. The
 //! engine-equivalence batteries pin this end to end, and a property test
 //! here checks the indexed path against the full scan under budgets 0, 1,
-//! 3, 32 and unbounded, with co-located drivers whose times tie.
+//! 3, 8, 32 and unbounded, with co-located drivers whose times tie, a
+//! model that rounds to whole seconds, so that many drivers share the
+//! `k`-th travel time, and a driver with one of the `k` smallest bounds
+//! past the radius, which forces the price-every-driver fallback.
 
-use mrvd_sim::{BatchContext, DriverId};
-use mrvd_spatial::{CellRange, Millis, Point};
+use mrvd_sim::{BatchContext, DriverId, WaitingRider};
+use mrvd_spatial::{CellRange, Millis, Origin, Point};
 
 /// Valid pairs per rider: `pairs[i]` lists `(driver_index, pickup_travel_ms)`
 /// for rider `ctx.riders[i]`, sorted by pickup travel time and truncated
@@ -74,15 +100,17 @@ impl CandidateSet {
 }
 
 /// Lifetime counters of one [`CandidateScratch`]: radius queries run
-/// against the index, and queries skipped because a remembered empty
-/// answer still held (see module docs). Scans without a speed bound
-/// count as neither.
+/// against the index, queries skipped because a remembered empty answer
+/// still held, and the exact distances the queries computed (see module
+/// docs). Scans without a speed bound count as none of these.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CandidateStats {
     /// Radius queries run.
     pub queries: u64,
     /// Radius queries skipped.
     pub skipped: u64,
+    /// Exact distances computed: one per driver a query priced.
+    pub distances: u64,
 }
 
 /// A radius query that found no driver (see module docs).
@@ -106,12 +134,14 @@ impl EmptyQuery {
 }
 
 /// Reusable state for [`valid_candidates_with`], owned by the policy and
-/// carried across batches: the radius queries' hit buffer, and the
-/// queries that found nothing (see module docs).
+/// carried across batches: one query's buffers, and the queries that
+/// found nothing (see module docs).
 #[derive(Debug, Default)]
 pub struct CandidateScratch {
-    hits: Vec<(DriverId, Point, f64)>,
-    /// One rider's valid hits as `(pickup travel ms, driver id)` keys.
+    /// One query's scan: the drivers it could not rule out, each with a
+    /// lower bound of its squared distance from the pickup.
+    found: Vec<(DriverId, Point, f64)>,
+    /// One rider's candidates as `(pickup travel ms, driver id)` keys.
     keys: Vec<(Millis, DriverId)>,
     /// [`RegionIndex::instance_id`](mrvd_spatial::RegionIndex::instance_id)
     /// of the index `empty` was recorded against.
@@ -128,7 +158,8 @@ impl CandidateScratch {
         Self::default()
     }
 
-    /// Queries run and skipped over this scratch's lifetime.
+    /// Queries run and skipped, and exact distances computed, over this
+    /// scratch's lifetime.
     pub fn stats(&self) -> CandidateStats {
         self.stats
     }
@@ -183,10 +214,8 @@ pub fn valid_candidates_with(
 
 /// Valid pairs per rider from radius queries at speed bound `v`, each
 /// list the `max_candidates` smallest `(travel time, driver id)` keys in
-/// order. A hit's travel time comes from the distance the query already
-/// measured when the model prices distances
-/// ([`TravelModel::travel_time_ms_at`](mrvd_spatial::TravelModel::travel_time_ms_at)),
-/// and only the kept drivers are mapped to view slots.
+/// order (see [`rider_keys`]). Only the kept drivers are mapped to view
+/// slots.
 fn indexed_pairs(
     ctx: &BatchContext<'_>,
     v: f64,
@@ -201,43 +230,37 @@ fn indexed_pairs(
     if scratch.empty.len() < ctx.riders.len() {
         scratch.empty.resize(ctx.riders.len(), None);
     }
-    let (hits, keys) = (&mut scratch.hits, &mut scratch.keys);
+    let cut = Cut {
+        ctx,
+        k: max_candidates,
+        priced: ctx.travel.travel_time_ms_at(0.0).is_some(),
+    };
+    let CandidateScratch {
+        found,
+        keys,
+        empty,
+        stats,
+        ..
+    } = scratch;
     ctx.riders
         .iter()
-        .zip(&mut scratch.empty)
+        .zip(empty.iter_mut())
         .map(|(rider, empty)| {
             let budget_ms = rider.deadline_ms.saturating_sub(ctx.now_ms);
             let radius_m = v * budget_ms as f64 / 1000.0;
             let at = (rider.pickup.lon.to_bits(), rider.pickup.lat.to_bits());
             if empty.is_some_and(|q| q.still_empty(ctx, at, radius_m)) {
-                scratch.stats.skipped += 1;
+                stats.skipped += 1;
                 return Vec::new();
             }
-            scratch.stats.queries += 1;
-            let cells = ctx
-                .avail_index
-                .within_radius_into(rider.pickup, radius_m, hits);
-            *empty = cells.filter(|_| hits.is_empty()).map(|cells| EmptyQuery {
+            stats.queries += 1;
+            let cells = rider_keys(&cut, rider, radius_m, found, keys, &mut stats.distances);
+            *empty = cells.map(|cells| EmptyQuery {
                 at,
                 radius_m,
                 ops: ctx.avail_index.ops_applied(),
                 cells,
             });
-            keys.clear();
-            keys.extend(hits.iter().filter_map(|&(id, pos, d)| {
-                let t = ctx
-                    .travel
-                    .travel_time_ms_at(d)
-                    .unwrap_or_else(|| ctx.travel.travel_time_ms(pos, rider.pickup));
-                (ctx.now_ms + t <= rider.deadline_ms).then_some((t, id))
-            }));
-            // Keys are unique per driver, so the cut and the order are
-            // deterministic whatever the bucket order of the hits.
-            if keys.len() > max_candidates {
-                keys.select_nth_unstable(max_candidates);
-                keys.truncate(max_candidates);
-            }
-            keys.sort_unstable();
             keys.iter()
                 .map(|&(t, id)| {
                     let slot = ctx
@@ -251,23 +274,141 @@ fn indexed_pairs(
         .collect()
 }
 
+/// What every query of one [`indexed_pairs`] call shares.
+struct Cut<'c, 'a> {
+    ctx: &'c BatchContext<'a>,
+    /// The candidate budget.
+    k: usize,
+    /// Whether the travel model prices a distance.
+    priced: bool,
+}
+
+/// One rider's radius query and budget cut (see module docs): fills
+/// `keys` with the `k` smallest valid `(travel time, driver id)` keys, in
+/// order, and adds the exact distances it computes to `distances`.
+/// Returns the cells scanned if no driver lies within the radius, so the
+/// query can be remembered.
+///
+/// Kept out of line: inlined into the loop that checks remembered empty
+/// queries (about 9.5 M checks a day on `shortage-irg`), it made that
+/// day's simulation 8 % slower.
+#[inline(never)]
+fn rider_keys(
+    cut: &Cut<'_, '_>,
+    rider: &WaitingRider,
+    radius_m: f64,
+    found: &mut Vec<(DriverId, Point, f64)>,
+    keys: &mut Vec<(Millis, DriverId)>,
+    distances: &mut u64,
+) -> Option<CellRange> {
+    let (ctx, k) = (cut.ctx, cut.k);
+    let from = Origin::new(rider.pickup);
+    let cells = ctx.avail_index.within_radius_into(from, radius_m, found);
+    // Whether a scanned driver is within the radius, and its key if it
+    // also makes the deadline.
+    let exact = |&(id, pos, _): &(DriverId, Point, f64)| {
+        let d = from.distance_m(pos);
+        let within = d <= radius_m;
+        let key = within.then(|| {
+            ctx.travel
+                .travel_time_ms_at(d)
+                .unwrap_or_else(|| ctx.travel.travel_time_ms(pos, rider.pickup))
+        });
+        let key = key
+            .filter(|&t| ctx.now_ms + t <= rider.deadline_ms)
+            .map(|t| (t, id));
+        (within, key)
+    };
+    let mut hit = false;
+    let mut price = |x: &(DriverId, Point, f64)| {
+        *distances += 1;
+        let (within, key) = exact(x);
+        hit |= within;
+        key
+    };
+    keys.clear();
+    if cut.priced && k > 0 && found.len() > k {
+        // The k smallest bounds first; the id makes the split, and so
+        // the count of distances, independent of the bucket order.
+        found.select_nth_unstable_by(k, |a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)));
+        let (nearest, rest) = found.split_at(k);
+        keys.extend(nearest.iter().filter_map(&mut price));
+        if keys.len() == k {
+            let last = keys.iter().fold(0, |m, &(t, _)| m.max(t));
+            let may_make_the_cut = |x: &&(DriverId, Point, f64)| {
+                let fastest = ctx.travel.travel_time_ms_at(x.2.sqrt());
+                fastest.is_none_or(|t| t <= last)
+            };
+            keys.extend(rest.iter().filter(may_make_the_cut).filter_map(&mut price));
+        } else {
+            keys.extend(rest.iter().filter_map(&mut price));
+        }
+    } else {
+        keys.extend(found.iter().filter_map(&mut price));
+    }
+    keep_smallest(keys, k);
+    if cfg!(debug_assertions) {
+        let (mut all, mut any_within) = (Vec::new(), false);
+        for x in found.iter() {
+            let (within, key) = exact(x);
+            any_within |= within;
+            all.extend(key);
+        }
+        keep_smallest(&mut all, k);
+        assert_eq!(*keys, all, "pruned candidates of rider {:?}", rider.id);
+        assert_eq!(hit, any_within, "radius hit of rider {:?}", rider.id);
+    }
+    cells.filter(|_| !hit)
+}
+
+/// Keeps the `k` smallest keys, in order. Keys are unique per driver, so
+/// the cut and the order are deterministic whatever the scan order.
+fn keep_smallest(keys: &mut Vec<(Millis, DriverId)>, k: usize) {
+    if keys.len() > k {
+        keys.select_nth_unstable(k);
+        keys.truncate(k);
+    }
+    keys.sort_unstable();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrvd_sim::{AvailableDriver, BatchState, RiderId, WaitingRider};
+    use mrvd_sim::{AvailableDriver, BatchState, RiderId};
     use mrvd_spatial::{ConstantSpeedModel, Grid, RegionIndex, TravelModel, NYC_EXTENT};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
 
-    struct NoBoundModel(ConstantSpeedModel);
+    struct NoBoundModel<M>(M);
 
-    impl TravelModel for NoBoundModel {
+    impl<M: TravelModel> TravelModel for NoBoundModel<M> {
         fn travel_time_ms(&self, a: Point, b: Point) -> u64 {
             self.0.travel_time_ms(a, b)
         }
         // speed_bound_mps stays None → forces the scan path.
+    }
+
+    /// A distance-priced model that rounds up to whole seconds, so that
+    /// many drivers share a travel time and the driver id decides the
+    /// cut. Rounding up keeps every valid pair within the radius.
+    #[derive(Clone, Copy)]
+    struct WholeSecondsModel(f64);
+
+    impl TravelModel for WholeSecondsModel {
+        fn travel_time_ms(&self, a: Point, b: Point) -> u64 {
+            self.travel_time_ms_at(a.distance_m(&b))
+                .expect("prices every distance")
+        }
+
+        fn travel_time_ms_at(&self, distance_m: f64) -> Option<u64> {
+            Some((distance_m / self.0).ceil() as u64 * 1000)
+        }
+
+        fn speed_bound_mps(&self) -> Option<f64> {
+            Some(self.0)
+        }
     }
 
     /// A speed bound without distance pricing: the indexed path prices
@@ -362,6 +503,35 @@ mod tests {
             assert!(w[0].1 <= w[1].1);
         }
         assert_eq!(c.pairs[0][0].1, 0);
+    }
+
+    #[test]
+    fn a_query_prices_only_the_drivers_that_can_make_the_budget() {
+        let grid = Grid::nyc_16x16();
+        let travel = ConstantSpeedModel::new(8.0);
+        // 700 s at 8 m/s: all 30 drivers, ~170 m apart, are within the
+        // 5.6 km radius. The 5 nearest are priced; the 6th is ~840 m
+        // away, so its bound prices it past the 5th's ~670 m.
+        let riders = [rider(0, Point::new(-73.98, 40.75), 700_000)];
+        let state = BatchState::new(&grid, &riders, &drivers_line(30), &[]);
+        let mut scratch = CandidateScratch::new();
+        let c = valid_candidates_with(&state.context(0, &travel), 5, &mut scratch);
+        assert_eq!(
+            c.pairs,
+            valid_candidates(&state.context(0, &travel), 5).pairs
+        );
+        assert_eq!(scratch.stats().distances, 5);
+        // Without distance pricing, or with a budget as large as the
+        // scan, every driver is priced.
+        let bound_only = BoundOnlyModel(travel);
+        for (ctx, budget) in [
+            (state.context(0, &bound_only), 5),
+            (state.context(0, &travel), 30),
+        ] {
+            let mut scratch = CandidateScratch::new();
+            valid_candidates_with(&ctx, budget, &mut scratch);
+            assert_eq!(scratch.stats().distances, 30);
+        }
     }
 
     #[test]
@@ -564,14 +734,16 @@ mod tests {
             run(&live, 362_500),
             CandidateStats {
                 queries: 2,
-                skipped: 0
+                skipped: 0,
+                distances: 0
             }
         );
         assert_eq!(
             run(&live, 362_500),
             CandidateStats {
                 queries: 2,
-                skipped: 1
+                skipped: 1,
+                distances: 0
             }
         );
     }
@@ -617,15 +789,55 @@ mod tests {
         }
     }
 
+    /// A rider a whole number of seconds from its deadline, 120 to 240,
+    /// at 8 m/s (radius `r` of 960 to 1,920 m), away from the
+    /// proptest's cluster, with two drivers its radius query returns:
+    /// `past`, 1 cm beyond the radius due east or west (past the 4 mm
+    /// that rounding to the millisecond still prices within the budget,
+    /// which the radius query never returns), and `inside`, 2 cm within
+    /// it due north or south.
+    /// East–west the bound is looser (its `cos φ` term), so `past` has
+    /// the smaller bound: under a budget of 1, the nearest bound misses
+    /// the deadline and every driver must be priced.
+    fn past_and_inside(
+        rng: &mut StdRng,
+        id: u32,
+        ids: (u32, u32),
+    ) -> (WaitingRider, [AvailableDriver; 2]) {
+        use mrvd_spatial::geo::EARTH_RADIUS_M;
+        let p = Point::new(rng.gen_range(-73.95..-73.90), rng.gen_range(40.80..40.85));
+        let budget_ms = 1000 * rng.gen_range(120..240);
+        let radius = budget_ms as f64 / 125.0;
+        let sign = |rng: &mut StdRng| [-1.0, 1.0][rng.gen_range(0..2)];
+        // Along a parallel, `d = 2R·asin(cos φ·sin(Δλ/2))`.
+        let half_dlon = ((radius + 0.01) / (2.0 * EARTH_RADIUS_M)).sin() / p.lat.to_radians().cos();
+        let past = Point::new(
+            p.lon + sign(rng) * (2.0 * half_dlon.asin()).to_degrees(),
+            p.lat,
+        );
+        // Along a meridian, `d = R·|Δφ|`.
+        let dlat = ((radius - 0.02) / EARTH_RADIUS_M).to_degrees();
+        let inside = Point::new(p.lon, p.lat + sign(rng) * dlat);
+        assert!(p.distance_m(&past) > radius && p.distance_m(&inside) <= radius);
+        let drivers = [driver(ids.0, past), driver(ids.1, inside)];
+        (rider(id, p, budget_ms), drivers)
+    }
+
     proptest! {
         /// The indexed path equals the scan, also where the budget binds:
         /// random riders over a few km² holding up to 150 drivers, a
         /// third of them parked on another driver's spot (and some riders
         /// on a driver's spot), so travel times tie and the driver id
         /// decides. Ids are shuffled against the view slots. Budget 0 is
-        /// reachable through the policies' public `max_candidates`. A
-        /// model with a speed bound but no distance pricing takes the
-        /// indexed path too, pricing hits by their endpoints.
+        /// reachable through the policies' public `max_candidates`, and 8
+        /// cuts inside the clusters. Three models take the indexed path:
+        /// the constant speed, one that rounds up to whole seconds (many
+        /// drivers then share the `k`-th time, and ties at it are priced),
+        /// and one with a speed bound but no distance pricing, which
+        /// prices every driver by its endpoints. One more rider, away
+        /// from the cluster, has a driver just past its radius with the
+        /// smallest bound, which forces the price-every-driver fallback
+        /// under a budget of 1.
         #[test]
         fn indexed_candidates_equal_the_scan_under_every_budget(
             seed in 0u64..1_000_000,
@@ -648,12 +860,12 @@ mod tests {
                 };
                 positions.push(p);
             }
-            let drivers: Vec<AvailableDriver> = ids
+            let mut drivers: Vec<AvailableDriver> = ids
                 .iter()
                 .zip(&positions)
                 .map(|(&id, &pos)| driver(id, pos))
                 .collect();
-            let riders: Vec<WaitingRider> = (0..n_riders as u32)
+            let mut riders: Vec<WaitingRider> = (0..n_riders as u32)
                 .map(|i| {
                     let p = match positions.choose(&mut rng) {
                         Some(&q) if i % 3 == 0 => q,
@@ -662,18 +874,38 @@ mod tests {
                     rider(i, p, rng.gen_range(0..300_000))
                 })
                 .collect();
+            // Ids `3i + 2` are free.
+            let (alone, pair) = past_and_inside(&mut rng, n_riders as u32, (2, 5));
+            let slot = rng.gen_range(0..=drivers.len());
+            drivers.splice(slot..slot, pair);
+            riders.push(alone);
             let state = BatchState::new(&grid, &riders, &drivers, &[]);
+            // The fallback's premise: the driver past the radius has the
+            // smaller bound.
+            let mut found = Vec::new();
+            state
+                .context(0, &ConstantSpeedModel::new(8.0))
+                .avail_index
+                .within_radius_into(Origin::new(alone.pickup), alone.deadline_ms as f64 / 125.0, &mut found);
+            found.sort_by(|a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)));
+            let order: Vec<DriverId> = found.iter().map(|x| x.0).collect();
+            prop_assert_eq!(order, vec![pair[0].id, pair[1].id]);
             let travel = ConstantSpeedModel::new(8.0);
+            let seconds = WholeSecondsModel(8.0);
             let bound_only = BoundOnlyModel(travel);
-            let scan = NoBoundModel(travel);
-            for budget in [0, 1, 3, 32, usize::MAX] {
+            for budget in [0, 1, 3, 8, 32, usize::MAX] {
+                let scanned = valid_candidates(&state.context(0, &NoBoundModel(travel)), budget);
                 let indexed = valid_candidates(&state.context(0, &travel), budget);
-                let scanned = valid_candidates(&state.context(0, &scan), budget);
                 prop_assert_eq!(&indexed.pairs, &scanned.pairs, "budget {}", budget);
                 let unpriced = valid_candidates(&state.context(0, &bound_only), budget);
                 prop_assert_eq!(&unpriced.pairs, &scanned.pairs, "budget {}", budget);
-                prop_assert_eq!(indexed.pairs.len(), n_riders);
+                let whole = valid_candidates(&state.context(0, &seconds), budget);
+                let whole_scanned = valid_candidates(&state.context(0, &NoBoundModel(seconds)), budget);
+                prop_assert_eq!(&whole.pairs, &whole_scanned.pairs, "budget {}", budget);
+                prop_assert_eq!(indexed.pairs.len(), n_riders + 1);
                 prop_assert!(indexed.pairs.iter().all(|c| c.len() <= budget));
+                prop_assert_eq!(indexed.pairs[n_riders].len(), budget.min(1));
+                prop_assert_eq!(whole.pairs[n_riders].len(), budget.min(1));
             }
         }
     }

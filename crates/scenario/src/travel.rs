@@ -93,7 +93,43 @@ mod tests {
         assert_eq!(m.speed_bound_mps(), Some(5.0));
     }
 
+    /// The next float above a non-negative, finite `x` (`f64::next_up`
+    /// needs a newer Rust than the workspace's minimum).
+    fn next_up(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1)
+    }
+
     proptest! {
+        /// A slowed constant speed keeps the pricing contract candidate
+        /// search relies on: the time never decreases with the distance.
+        /// Random pairs, equal distances, and float neighbours, also
+        /// across a millisecond's rounding boundary of the inner model.
+        #[test]
+        fn slowed_distance_priced_time_is_non_decreasing(
+            seed in 0u64..1_000_000,
+            factor in 0.05f64..3.0,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let inner = ConstantSpeedModel::default();
+            let model = SlowdownModel::new(inner, factor);
+            for k in 0..60 {
+                let a = match k % 3 {
+                    0 => rng.gen_range(0.0..2_000.0),
+                    1 => inner.speed_mps() * (f64::from(rng.gen_range(0u32..1_000_000)) + 0.5) / 1000.0,
+                    _ => rng.gen_range(0.0..4e7),
+                };
+                let b = match k % 4 {
+                    0 => a,
+                    1 => next_up(a),
+                    2 => next_up(next_up(a)),
+                    _ => rng.gen_range(0.0..4e7),
+                };
+                let (near, far) = if a <= b { (a, b) } else { (b, a) };
+                let (t_near, t_far) = (model.travel_time_ms_at(near), model.travel_time_ms_at(far));
+                prop_assert!(t_near <= t_far, "{} m: {:?}, {} m: {:?}", near, t_near, far, t_far);
+            }
+        }
+
         /// A slowed constant speed prices a distance exactly as it prices
         /// the two points, measured either way round — so `rain-slowdown`
         /// candidate search may price hits by the distance its radius

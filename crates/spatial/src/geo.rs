@@ -33,16 +33,15 @@ pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
 ///
 /// The formula is `h = hav(Δφ) + cos φa · cos φb · hav(Δλ)`, then the arc
 /// `2R · asin(min(√h, 1))`; `hav` and the arc are crate-private helpers
-/// that [`crate::Grid::center_table`] and
-/// [`crate::RegionIndex::within_radius_into`] share. Between grid
-/// centres, `hav(Δφ)` and `cos φa · cos φb` depend only on the two rows
-/// and `hav(Δλ)` only on the two columns, so that table computes them
-/// once per row pair or column pair, and the arc once per row pair and
-/// distinct `hav(Δλ)`, and still reproduces this function bit for bit:
-/// it runs the same IEEE operations on the same operands in the same
-/// order, and Rust never fuses `a + p·b` into an FMA. A radius
-/// query computes `cos φa` of its query point `a` once and runs the rest
-/// per item, through the same crate-private formula as this function.
+/// that [`crate::Grid::center_table`] and [`Origin::distance_m`] share.
+/// Between grid centres, `hav(Δφ)` and `cos φa · cos φb` depend only on
+/// the two rows and `hav(Δλ)` only on the two columns, so that table
+/// computes them once per row pair or column pair, and the arc once per
+/// row pair and distinct `hav(Δλ)`, and still reproduces this function
+/// bit for bit: it runs the same IEEE operations on the same operands in
+/// the same order, and Rust never fuses `a + p·b` into an FMA. An [`Origin`]
+/// computes `cos φa` of its point `a` once and runs the rest per
+/// distance; this function is `Origin::new(a).distance_m(b)`.
 ///
 /// The distance is symmetric bit for bit: swapping `a` and `b` negates
 /// `Δφ` and `Δλ` exactly, `sin` is odd so `hav` is even, and the cosine
@@ -51,17 +50,47 @@ pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
 /// and [`crate::Grid::center_table`] keeps one value for both orders of
 /// two rows.
 pub fn haversine_m(a: Point, b: Point) -> f64 {
-    haversine_from(a, a.lat.to_radians().cos(), b)
+    Origin::new(a).distance_m(b)
 }
 
-/// [`haversine_m`]`(a, b)` given `cos_lat_a`, the cosine of `a`'s
-/// latitude, so a caller measuring many points from one `a` computes it
-/// once.
-#[inline]
-pub(crate) fn haversine_from(a: Point, cos_lat_a: f64, b: Point) -> f64 {
-    let h = half_angle_term(b.lat - a.lat)
-        + cos_lat_a * b.lat.to_radians().cos() * half_angle_term(b.lon - a.lon);
-    arc_m(h)
+/// A point to measure many distances from, with the cosine of its
+/// latitude computed once. A radius query
+/// ([`crate::RegionIndex::within_radius_into`]) takes one, so its caller
+/// can measure the exact distance to any item the query returns without
+/// another `cos` of the query point.
+#[derive(Debug, Clone, Copy)]
+pub struct Origin {
+    point: Point,
+    cos_lat: f64,
+}
+
+impl Origin {
+    /// `point`, with the cosine of its latitude.
+    pub fn new(point: Point) -> Self {
+        Self {
+            point,
+            cos_lat: point.lat.to_radians().cos(),
+        }
+    }
+
+    /// The point distances are measured from.
+    pub(crate) fn point(&self) -> Point {
+        self.point
+    }
+
+    /// The cosine of the point's latitude.
+    pub(crate) fn cos_lat(&self) -> f64 {
+        self.cos_lat
+    }
+
+    /// [`haversine_m`]`(self.point(), q)`, bit for bit.
+    #[inline]
+    pub fn distance_m(&self, q: Point) -> f64 {
+        let a = self.point;
+        let h = half_angle_term(q.lat - a.lat)
+            + self.cos_lat * q.lat.to_radians().cos() * half_angle_term(q.lon - a.lon);
+        arc_m(h)
+    }
 }
 
 /// `sin²((Δ · π/180) / 2)` of an angle difference `Δ` in degrees: the
@@ -112,6 +141,68 @@ pub(crate) fn radius_box(p: Point, radius_m: f64) -> (Point, Point) {
     let (lon_lo, lon_hi) = span(p.lon, dlon);
     let (lat_lo, lat_hi) = span(p.lat, dlat);
     (Point::new(lon_lo, lat_lo), Point::new(lon_hi, lat_hi))
+}
+
+/// A lower bound on the squared distance, in m², from an [`Origin`] `p`
+/// to any point `q` inside a [`radius_box`] around it: four multiplies
+/// and four adds per point, where [`Origin::distance_m`] runs a `cos`, two
+/// `sin`s and an `asin`.
+///
+/// `lb² = R²·(1 − 2·10⁻⁴)·(Δφ² + c·Δλ²)`, with angles in radians and
+/// `c = cos φp · max(0, cos φp − 1.01·δ)`, `δ` the box's half-height.
+/// In the haversine term `h = sin²(Δφ/2) + cos φp·cos φq·sin²(Δλ/2)`:
+/// - `sin x ≥ x·(1 − x²/6)`, so `sin² x ≥ x²·(1 − x²/3)`, and the
+///   series term is under 3·10⁻⁵ for half-angles below 0.5°;
+/// - `cos` is 1-Lipschitz, so `cos φq ≥ cos φp − δ` for every `q` in the
+///   box (the 1.01 absorbs the rounding of the box corners);
+/// - `asin y ≥ y`, so the distance `2R·asin(√h) ≥ 2R·√h`.
+///
+/// The 2·10⁻⁴ covers the series term and the float rounding of both
+/// sides. The bound holds only while the half-angles stay small and
+/// `cos φp` clear of 0, so it is used only when the box is finite, under
+/// 1° on each axis, and `|φp| < 80°`; otherwise it is 0. It is never
+/// NaN: a NaN coordinate bounds nothing. And it is 0 below 10⁻²⁹⁰ m²,
+/// where [`Origin::distance_m`] underflows and loses its relative
+/// precision.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DistanceBound {
+    /// m² per squared degree of latitude difference.
+    per_lat: f64,
+    /// m² per squared degree of longitude difference.
+    per_lon: f64,
+}
+
+impl DistanceBound {
+    /// The bound for points inside the box that [`radius_box`] drew
+    /// around `from`, given its upper corner `hi` (the box is symmetric).
+    pub(crate) fn new(from: Origin, hi: Point) -> Self {
+        const KEEP: f64 = 1.0 - 2e-4;
+        let p = from.point();
+        let (half_lat, half_lon) = (hi.lat - p.lat, hi.lon - p.lon);
+        // NaN and infinite half-sizes fail the compares too.
+        if !(half_lat < 1.0 && half_lon < 1.0 && p.lat.abs() < 80.0) {
+            return Self {
+                per_lat: 0.0,
+                per_lon: 0.0,
+            };
+        }
+        let cos_p = from.cos_lat();
+        let c = cos_p * (cos_p - 1.01 * half_lat.to_radians()).max(0.0);
+        let per_lat = EARTH_RADIUS_M * EARTH_RADIUS_M * KEEP * 1f64.to_radians().powi(2);
+        Self {
+            per_lat,
+            per_lon: per_lat * c,
+        }
+    }
+
+    /// The lower bound on `from.distance_m(q)²`, for `q` inside the box.
+    #[inline]
+    pub(crate) fn squared_m2(&self, from: Point, q: Point) -> f64 {
+        const UNDERFLOW_M2: f64 = 1e-290;
+        let (dlat, dlon) = (q.lat - from.lat, q.lon - from.lon);
+        // `max` maps NaN to 0.
+        (self.per_lat * dlat * dlat + self.per_lon * dlon * dlon - UNDERFLOW_M2).max(0.0)
+    }
 }
 
 #[cfg(test)]

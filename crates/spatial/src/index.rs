@@ -6,11 +6,14 @@
 //! per batch. Bucketing items by region lets a radius query
 //! ([`RegionIndex::within_radius_into`]) scan only the buckets under a
 //! lon/lat box that provably holds the radius, rejecting most items by
-//! four compares against the box before the exact distance test. Each
-//! hit comes back with the distance that test measured, bit for bit
-//! [`Point::distance_m`] from the query point, so a caller that prices a
-//! hit by its distance (candidate search under a constant speed) runs no
-//! second haversine.
+//! four compares against the box. It is a filter: it computes no exact
+//! distance. Each item inside the box gets a cheap lower bound of its
+//! distance, items whose bound exceeds the radius are dropped (they are
+//! provably outside it), and the rest come back with their bound. The
+//! caller refines: it measures the exact distance
+//! ([`Origin::distance_m`], bit for bit [`Point::distance_m`]) only for
+//! the items it still needs, so candidate search under a 32-driver
+//! budget skips the haversine of most drivers inside the radius.
 //!
 //! Between consecutive batch timestamps almost nothing moves: drivers only
 //! change position at dropoffs, and only change availability at
@@ -35,7 +38,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::geo::{haversine_from, radius_box, Point};
+use crate::geo::{radius_box, DistanceBound, Origin, Point};
 use crate::grid::{Grid, RegionId};
 
 /// The next [`RegionIndex::instance_id`]: every index built or cloned in
@@ -62,8 +65,9 @@ pub struct CellRange {
 /// An index of items bucketed by their grid region.
 ///
 /// `T` is typically a driver id. Items carry their exact position, and
-/// radius-query hits their distance from the query point, so that
-/// callers can apply precise travel-time filters after the query.
+/// radius-query results a lower bound of their distance from the query
+/// point, so that callers can apply precise travel-time filters after the
+/// query, measuring only the distances they need.
 ///
 /// # Example
 ///
@@ -260,38 +264,53 @@ impl<T: Copy> RegionIndex<T> {
 
     /// Collects every item whose straight-line distance to `p` is at most
     /// `radius_m`, as `(item, position, distance)` with the distance
-    /// `p.distance_m(&position)` in meters. The result is not sorted;
-    /// callers order by their own criterion (travel time, cost…).
+    /// `p.distance_m(&position)` in meters: the scan of
+    /// [`RegionIndex::within_radius_into`], filtered exactly. The result
+    /// is not sorted; callers order by their own criterion (travel time,
+    /// cost…).
     pub fn within_radius(&self, p: Point, radius_m: f64) -> Vec<(T, Point, f64)> {
+        let from = Origin::new(p);
         let mut out = Vec::new();
-        self.within_radius_into(p, radius_m, &mut out);
+        self.within_radius_into(from, radius_m, &mut out);
+        out.retain_mut(|(_, q, d)| {
+            *d = from.distance_m(*q);
+            *d <= radius_m
+        });
         out
     }
 
-    /// Like [`RegionIndex::within_radius`], appending into a caller-held
-    /// buffer so per-query allocations amortize away. `out` is cleared
-    /// first. Returns the cells scanned, or `None` for a NaN or negative
-    /// radius, which scans nothing.
+    /// The candidates of a radius query around `from`, appended into a
+    /// caller-held buffer so per-query allocations amortize away: every
+    /// item within `radius_m` of `from`, and some items just past it, as
+    /// `(item, position, lb²)`, where `lb²` is a lower bound of the
+    /// squared distance `from.distance_m(position)²`, in m². `out` is
+    /// cleared first. Returns the cells scanned, or `None` for a NaN or
+    /// negative radius, which scans nothing.
     ///
     /// One pass over the buckets of a lon/lat box that holds the whole
     /// radius, allocating nothing. The box corners map to a cell range
     /// through `Grid::coords_of`, the arithmetic that assigns items to
     /// buckets, so every item inside the box sits in a scanned bucket —
     /// out-of-extent items clamped into border cells included. Four
-    /// compares against the box drop most non-hits before the haversine,
-    /// which stays the only membership test: the hits are exactly those
-    /// of a linear scan, for latitudes in [−90°, 90°] and longitudes that
-    /// do not wrap across the antimeridian. An item in a cell outside the
-    /// returned range is therefore farther than `radius_m` from `p`.
+    /// compares against the box drop most items, and the bound drops
+    /// every item with `lb² > radius_m²`, which is provably farther than
+    /// `radius_m`. So the items with `from.distance_m(q) <= radius_m`
+    /// among the returned ones are exactly the hits of a linear scan, for
+    /// latitudes in [−90°, 90°] and longitudes that do not wrap across
+    /// the antimeridian. An item in a cell outside the returned range is
+    /// farther than `radius_m` from `from`.
     ///
-    /// Each hit carries the distance its membership test computed, so a
-    /// caller pricing the hit by distance needs no second haversine. The
-    /// query point's `cos φ` is computed once per query; the rest of
-    /// [`haversine_m`](crate::haversine_m) runs per item, so the distance
-    /// equals `p.distance_m(&q)` bit for bit.
+    /// The bound (see `DistanceBound` in `geo.rs`) costs a few multiplies
+    /// and adds per item and reuses `from`'s `cos φ`, so it adds no trig
+    /// call. It applies where the box is finite and under 1° on each
+    /// axis, and `|φ| < 80°`; elsewhere it is 0 and prunes nothing. Along
+    /// a meridian it is within 10⁻⁴ of the distance; east–west its `cos φ`
+    /// term loosens it by about `δ / (2·cos φ)` more, for a box of
+    /// half-height `δ` radians (10⁻⁴ for a 1 km radius in New York). It
+    /// is kept squared, so the scan takes no square root.
     pub fn within_radius_into(
         &self,
-        p: Point,
+        from: Origin,
         radius_m: f64,
         out: &mut Vec<(T, Point, f64)>,
     ) -> Option<CellRange> {
@@ -300,11 +319,13 @@ impl<T: Copy> RegionIndex<T> {
             // No distance qualifies (and the box would be inside out).
             return None;
         }
+        let p = from.point();
         let (lo, hi) = radius_box(p, radius_m);
         let (c0, r0) = self.grid.coords_of(lo);
         let (c1, r1) = self.grid.coords_of(hi);
         let cols = self.grid.cols();
-        let cos_p = p.lat.to_radians().cos();
+        let bound = DistanceBound::new(from, hi);
+        let radius2 = radius_m * radius_m;
         for row in r0..=r1 {
             let first = RegionId(row * cols + c0).idx();
             let last = RegionId(row * cols + c1).idx();
@@ -315,9 +336,9 @@ impl<T: Copy> RegionIndex<T> {
                     if q.lon < lo.lon || q.lon > hi.lon || q.lat < lo.lat || q.lat > hi.lat {
                         continue;
                     }
-                    let d = haversine_from(p, cos_p, q);
-                    if d <= radius_m {
-                        out.push((item, q, d));
+                    let lb2 = bound.squared_m2(p, q);
+                    if lb2 <= radius2 {
+                        out.push((item, q, lb2));
                     }
                 }
             }
@@ -332,6 +353,7 @@ impl<T: Copy> RegionIndex<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geo::EARTH_RADIUS_M;
     use crate::grid::{Grid, NYC_EXTENT};
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -541,10 +563,27 @@ mod tests {
         for i in 0..20u32 {
             ix.insert(i, p);
         }
+        // ~1.1 km north: inside the 2 km box, outside a 1 km radius.
+        let north = Point::new(-73.9, 40.76);
+        ix.insert(20, north);
         let mut buf = vec![(99u32, p, 0.0)]; // stale content must be cleared
-        let cells = ix.within_radius_into(p, 100.0, &mut buf);
+        let cells = ix.within_radius_into(Origin::new(p), 100.0, &mut buf);
         assert_eq!(buf.len(), 20);
+        assert!(buf.iter().all(|&(_, q, lb2)| q == p && lb2 == 0.0));
         assert_eq!(ix.within_radius(p, 100.0), buf);
+        // The bound drops `north` from the 1 km scan; a 1.2 km scan keeps
+        // it with a bound just under its distance.
+        ix.within_radius_into(Origin::new(p), 1_000.0, &mut buf);
+        assert_eq!(buf.len(), 20);
+        ix.within_radius_into(Origin::new(p), 1_200.0, &mut buf);
+        let d = p.distance_m(&north);
+        let lb = buf
+            .iter()
+            .find(|x| x.0 == 20)
+            .expect("north is scanned")
+            .2
+            .sqrt();
+        assert!(lb <= d && lb > 0.9998 * d, "{lb} vs {d}");
         // The query's own cell is in its scanned range; a radius no
         // distance can meet scans nothing.
         let own = cell_of(&ix, p);
@@ -552,8 +591,106 @@ mod tests {
         assert!(cells.cols.0 <= own.cols.0 && own.cols.1 <= cells.cols.1);
         assert!(cells.rows.0 <= own.rows.0 && own.rows.1 <= cells.rows.1);
         for radius in [-1.0, f64::NAN] {
-            assert_eq!(ix.within_radius_into(p, radius, &mut buf), None);
+            assert_eq!(
+                ix.within_radius_into(Origin::new(p), radius, &mut buf),
+                None
+            );
             assert!(buf.is_empty());
+        }
+    }
+
+    /// Checks one radius query against the items `pts` the index holds
+    /// (item `i` at `pts[i]`): every returned bound is at most the
+    /// distance, no item within the radius is dropped, and the exactly
+    /// filtered scan is the linear scan. Returns the returned bounds'
+    /// largest ratio to the distance (0 if none applies).
+    fn check_bounds(ix: &RegionIndex<u32>, pts: &[Point], q: Point, radius: f64) -> f64 {
+        let mut found = Vec::new();
+        ix.within_radius_into(Origin::new(q), radius, &mut found);
+        let mut tightest = 0.0f64;
+        for &(i, p, lb2) in &found {
+            let (lb, d) = (lb2.sqrt(), q.distance_m(&p));
+            assert!(
+                lb <= d,
+                "item {i} at {p:?}: bound {lb} > distance {d} from {q:?}"
+            );
+            if d > 0.0 {
+                tightest = tightest.max(lb / d);
+            }
+        }
+        let mut returned: Vec<u32> = found.iter().map(|x| x.0).collect();
+        returned.sort_unstable();
+        for i in linear_scan(pts, q, radius) {
+            assert!(
+                returned.binary_search(&i).is_ok(),
+                "item {i} at {:?} within {radius} m of {q:?} dropped",
+                pts[i as usize]
+            );
+        }
+        assert_eq!(indexed(ix, q, radius), linear_scan(pts, q, radius));
+        tightest
+    }
+
+    #[test]
+    fn bound_holds_and_is_tight_at_its_worst_case() {
+        // Near the guard's edges: |φ| just under 80°, where cos φ is
+        // smallest, and boxes near 0.5° and 1° on their longer side,
+        // where the series term is largest.
+        let mut rng = StdRng::seed_from_u64(29);
+        for (lat, half_deg) in [
+            (79.9f64, 0.5f64),
+            (-79.9, 0.95),
+            (60.0, 0.5),
+            (45.0, 0.95),
+            (0.0, 0.5),
+        ] {
+            let p = Point::new(10.0, lat);
+            // The radius whose box is `half_deg` wide in longitude.
+            let radius = half_deg.to_radians() * EARTH_RADIUS_M * lat.to_radians().cos();
+            let (lo, hi) = radius_box(p, radius);
+            assert!(
+                hi.lon - p.lon < 1.0 && hi.lon - p.lon > 0.45,
+                "{lo:?} {hi:?}"
+            );
+            let mut pts = Vec::new();
+            // The meridian, where the haversine is exactly R·|Δφ| and the
+            // bound is tightest; the parallel; the box edges and corners;
+            // and points spread over the box.
+            for k in 0..=400 {
+                let f = f64::from(k) / 400.0;
+                pts.push(Point::new(p.lon, lo.lat + f * (hi.lat - lo.lat)));
+                pts.push(Point::new(lo.lon + f * (hi.lon - lo.lon), p.lat));
+                pts.push(Point::new(lo.lon + f * (hi.lon - lo.lon), lo.lat));
+                pts.push(Point::new(hi.lon, lo.lat + f * (hi.lat - lo.lat)));
+                pts.push(Point::new(
+                    rng.gen_range(lo.lon..=hi.lon),
+                    rng.gen_range(lo.lat..=hi.lat),
+                ));
+            }
+            let mut ix = RegionIndex::new(Grid::new(lo, hi, 7, 5));
+            for (i, &q) in (0u32..).zip(&pts) {
+                ix.insert(i, q);
+            }
+            let tightest = check_bounds(&ix, &pts, p, radius);
+            assert!(tightest > 0.9998, "at {lat}°: tightest bound {tightest}");
+        }
+        // Past the guard the bound is 0: at 80.1°, and for a box past 1°.
+        for (p, radius) in [
+            (Point::new(10.0, 80.1), 5_000.0),
+            (Point::new(10.0, 45.0), 150_000.0),
+        ] {
+            let (lo, hi) = radius_box(p, radius);
+            let mut ix = RegionIndex::new(Grid::new(lo, hi, 4, 4));
+            let pts: Vec<Point> = (0..300)
+                .map(|_| Point::new(rng.gen_range(lo.lon..hi.lon), rng.gen_range(lo.lat..hi.lat)))
+                .collect();
+            for (i, &q) in (0u32..).zip(&pts) {
+                ix.insert(i, q);
+            }
+            assert_eq!(check_bounds(&ix, &pts, p, radius), 0.0);
+            let mut found = Vec::new();
+            ix.within_radius_into(Origin::new(p), radius, &mut found);
+            assert_eq!(found.len(), pts.len());
         }
     }
 
@@ -584,7 +721,6 @@ mod tests {
 
     #[test]
     fn unbounded_longitude_branches_match_linear_scan() {
-        use crate::geo::radius_box;
         let mut rng = StdRng::seed_from_u64(11);
         // A polar cap, every longitude: a query ~220 m from the pole gets
         // a box past 90° (the φmax branch), so hits come from all columns.
@@ -653,12 +789,16 @@ mod tests {
     }
 
     proptest! {
-        /// The box scan finds exactly what a linear scan finds: random
-        /// grid shapes (1×N, N×1, non-square cells, up to 200×200) over
-        /// the NYC extent or a box near 60° N, points up to one grid
-        /// width outside the extent (clamped into border buckets), some
-        /// coincident, and radii from 0 to past the grid diagonal,
-        /// including radii that put an item exactly on the boundary.
+        /// The box scan with its bound finds exactly what a linear scan
+        /// finds: random grid shapes (1×N, N×1, non-square cells, up to
+        /// 200×200) over the NYC extent or a box of 0.2° to 3° anywhere
+        /// up to ±85° of latitude, points up to one grid width outside the
+        /// extent (clamped into border buckets), some coincident, items on
+        /// each query's box edges and corners, and radii from 0 to past
+        /// the grid diagonal and past the bound's 1° guard, including radii
+        /// that put an item exactly on the boundary. Every returned bound
+        /// is at most the distance, and no item within the radius is
+        /// dropped.
         #[test]
         fn radius_query_matches_linear_scan(
             seed in 0u64..1_000_000,
@@ -672,16 +812,18 @@ mod tests {
                 1 => (cols, 1),
                 _ => (cols, rows),
             };
-            let (min, max) = if seed % 2 == 0 {
+            let (min, max) = if seed % 3 == 0 {
                 NYC_EXTENT
             } else {
-                (Point::new(10.0, 59.5), Point::new(11.2, 60.3))
+                let (lon, lat) = (rng.gen_range(-170.0..170.0), rng.gen_range(-85.0..85.0));
+                let half = rng.gen_range(0.1..1.5);
+                (Point::new(lon - half, lat - half), Point::new(lon + half, lat + half))
             };
             let mut ix = RegionIndex::new(Grid::new(min, max, cols, rows));
             let (w, h) = (max.lon - min.lon, max.lat - min.lat);
             let pt = |rng: &mut StdRng| Point::new(
                 rng.gen_range(min.lon - w..max.lon + w),
-                rng.gen_range(min.lat - h..max.lat + h),
+                rng.gen_range(min.lat - h..max.lat + h).clamp(-90.0, 90.0),
             );
             let mut pts: Vec<Point> = (0..150).map(|_| pt(&mut rng)).collect();
             // Coincident items: copies of earlier positions.
@@ -692,26 +834,42 @@ mod tests {
                 ix.insert(i, p);
             }
             let diagonal = min.distance_m(&max);
-            for k in 0..10 {
+            for k in 0..12 {
                 // Every other query sits exactly on an item.
                 let q = if k % 2 == 0 { pts[rng.gen_range(0..pts.len())] } else { pt(&mut rng) };
-                let radius = match k % 5 {
+                let radius = match k % 6 {
                     0 => 0.0,
                     1 => rng.gen_range(0.0..2_000.0),
                     2 => rng.gen_range(0.0..diagonal),
                     3 => rng.gen_range(diagonal..3.0 * diagonal),
+                    4 => rng.gen_range(0.0..200_000.0),
                     _ => q.distance_m(&pts[rng.gen_range(0..pts.len())]),
                 };
-                prop_assert_eq!(indexed(&ix, q, radius), linear_scan(&pts, q, radius));
+                // Items on the query box's edges and corners, there for
+                // this query only.
+                let (lo, hi) = radius_box(q, radius);
+                let edges: Vec<Point> = [lo.lon, q.lon, hi.lon]
+                    .into_iter()
+                    .flat_map(|lon| [lo.lat, q.lat, hi.lat].map(|lat| Point::new(lon, lat)))
+                    .filter(|e| e.lon.is_finite() && e.lat.is_finite() && *e != q)
+                    .collect();
+                let all: Vec<Point> = pts.iter().chain(&edges).copied().collect();
+                for (i, &e) in (0u32..).zip(&all).skip(pts.len()) {
+                    ix.insert(i, e);
+                }
+                check_bounds(&ix, &all, q, radius);
                 // Every item outside the scanned cells is beyond the
                 // radius: what remembering an empty answer relies on.
-                let cells = ix.within_radius_into(q, radius, &mut Vec::new());
+                let cells = ix.within_radius_into(Origin::new(q), radius, &mut Vec::new());
                 let cells = cells.expect("a radius >= 0 scans cells");
-                for p in &pts {
+                for p in &all {
                     let (col, row) = ix.grid().coords(ix.grid().region_of(*p));
                     let inside = (cells.cols.0..=cells.cols.1).contains(&col)
                         && (cells.rows.0..=cells.rows.1).contains(&row);
                     prop_assert!(inside || q.distance_m(p) > radius);
+                }
+                for (i, &e) in (0u32..).zip(&all).skip(pts.len()) {
+                    prop_assert_eq!(ix.remove_at(i, e), 1);
                 }
             }
         }

@@ -4,7 +4,8 @@
 //! a 16×16 grid of regions over New York City and measures travel cost as
 //! travel time (distance / speed). This crate provides:
 //!
-//! * [`geo`] — geographic points and haversine distances;
+//! * [`geo`] — geographic points and haversine distances, also from an
+//!   [`Origin`] that computes its `cos φ` once;
 //! * [`grid`] — the rectangular region partition (`Grid`, `RegionId`),
 //!   neighbourhood rings, the paper's NYC extent, and tables of a
 //!   function of every centre-to-centre distance (`CenterTable`);
@@ -38,7 +39,7 @@ pub mod index;
 pub mod road;
 pub mod travel;
 
-pub use geo::{haversine_m, Point};
+pub use geo::{haversine_m, Origin, Point};
 pub use grid::{CenterTable, Grid, RegionId, NYC_EXTENT};
 pub use index::{CellRange, RegionIndex};
 pub use road::RoadNetwork;

@@ -18,8 +18,10 @@ pub type Millis = u64;
 /// A model whose time depends on the straight-line distance alone
 /// (constant speed, and decorators that rescale it) also prices a
 /// distance directly through [`TravelModel::travel_time_ms_at`]. Candidate
-/// search uses that to turn the distance each radius-query hit already
-/// carries into its travel time, without a second haversine per hit.
+/// search uses that twice: it prices the exact distance it measured from
+/// the pickup, without a second haversine from the driver, and it prices
+/// a lower bound of a driver's distance, to skip the exact distance of a
+/// driver that cannot make the rider's candidate budget.
 pub trait TravelModel: Send + Sync {
     /// Travel time from `from` to `to` in milliseconds.
     fn travel_time_ms(&self, from: Point, to: Point) -> Millis;
@@ -31,6 +33,13 @@ pub trait TravelModel: Send + Sync {
     /// `a` and `b` (see [`haversine_m`](crate::haversine_m)). `None` (the
     /// default) means the model needs the endpoints (a road network), and
     /// callers use [`TravelModel::travel_time_ms`].
+    ///
+    /// A model that returns `Some` must be non-decreasing in the
+    /// distance: `d₁ <= d₂` implies `travel_time_ms_at(d₁) <=
+    /// travel_time_ms_at(d₂)`. Candidate search relies on it: it prices a
+    /// lower bound of a driver's distance, and skips the exact distance
+    /// of a driver whose bound already prices it past the rider's
+    /// candidate budget.
     fn travel_time_ms_at(&self, _distance_m: f64) -> Option<Millis> {
         None
     }
@@ -256,7 +265,45 @@ mod tests {
         }
     }
 
+    /// The next float above a non-negative, finite `x` (`f64::next_up`
+    /// needs a newer Rust than the workspace's minimum).
+    fn next_up(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1)
+    }
+
     proptest! {
+        /// The pricing contract candidate search relies on: a
+        /// distance-priced time never decreases with the distance. Random
+        /// pairs from 0 to past the Earth's circumference, equal
+        /// distances, and float neighbours, also across a millisecond's
+        /// rounding boundary.
+        #[test]
+        fn distance_priced_time_is_non_decreasing(
+            seed in 0u64..1_000_000,
+            speed in 0.5f64..40.0,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let model = ConstantSpeedModel::new(speed);
+            for k in 0..60 {
+                let a = match k % 3 {
+                    0 => rng.gen_range(0.0..2_000.0),
+                    // Half a millisecond past a whole one: where the
+                    // rounding steps.
+                    1 => speed * (f64::from(rng.gen_range(0u32..1_000_000)) + 0.5) / 1000.0,
+                    _ => rng.gen_range(0.0..4e7),
+                };
+                let b = match k % 4 {
+                    0 => a,
+                    1 => next_up(a),
+                    2 => next_up(next_up(a)),
+                    _ => rng.gen_range(0.0..4e7),
+                };
+                let (near, far) = if a <= b { (a, b) } else { (b, a) };
+                let (t_near, t_far) = (model.travel_time_ms_at(near), model.travel_time_ms_at(far));
+                prop_assert!(t_near <= t_far, "{} m: {:?}, {} m: {:?}", near, t_near, far, t_far);
+            }
+        }
+
         /// What pricing a radius-query hit by its distance rests on. The
         /// query measures the pickup → driver distance and
         /// `travel_time_ms` the driver → pickup one: the two are equal
