@@ -61,7 +61,7 @@ fn main() {
         t0.elapsed().as_secs_f64()
     );
     println!(
-        "(road travel has no speed bound hint, so candidate search scans all \
-         drivers — fine at this scale, see mrvd-core docs)"
+        "(road travel has no speed bound hint, so candidate search prices every \
+         rider–driver pair through the road network: the run takes minutes)"
     );
 }
