@@ -1,22 +1,23 @@
-//! Rate-estimation cost on the dispatch hot path: the lazy `RateTracker`
-//! (counts, rates and idle times computed only at the batch's candidate
-//! destinations) against the verbatim eager `estimate_rates` reference
-//! (full rider/driver/busy scans + a queueing solve for every region per
-//! batch). Both paths produce bit-identical assignments — the difference
-//! is pure estimation overhead, which is what dominates IRG/LS/SHORT
-//! batches once candidate generation runs off the live index (the
-//! fine-Δ regime of the `delta` sweep). The eager cost grows with the
-//! region count, so the last arm runs on the 64×64 grid of the `city-*`
-//! benchmark workloads.
+//! Rate-estimation cost on the dispatch hot path: one IRG batch on the
+//! lazy `RateTracker` (counts, rates and idle times computed only at the
+//! batch's candidate destinations) against the verbatim eager reference
+//! on the same context, `estimate_rates` + `expected_idle_times` (full
+//! rider/driver/busy scans + a queueing solve for every region). The
+//! `tracker` arm times a whole batch, candidate search and selection
+//! included; the `eager_estimate` arm times only the estimation the
+//! tracker replaces, from an oracle window computed once outside the
+//! loop. The eager cost grows with the region count, so the last arm
+//! runs on the 64×64 grid of the `city-*` benchmark workloads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrvd_bench::BatchFixture;
-use mrvd_core::{DispatchConfig, QueueingPolicy};
+use mrvd_core::{estimate_rates, DispatchConfig, QueueingPolicy};
 use mrvd_sim::DispatchPolicy;
 use mrvd_spatial::ConstantSpeedModel;
 
 fn bench_rate_paths(c: &mut Criterion) {
     let travel = ConstantSpeedModel::default();
+    let cfg = DispatchConfig::default();
     let mut g = c.benchmark_group("irg_batch_by_rate_path");
     g.sample_size(20);
     // (grid side, riders, available, busy): the sparse-change fine-Δ
@@ -37,18 +38,12 @@ fn bench_rate_paths(c: &mut Criterion) {
         let state = fixture.batch_state();
         let ctx = state.context(fixture.now_ms, &travel);
         let size = format!("{side}x{side}/{riders}r/{avail}d/{busy}b");
-        g.bench_with_input(BenchmarkId::new("reference", &size), &(), |b, ()| {
-            let mut policy = QueueingPolicy::irg(
-                DispatchConfig {
-                    reference_rates: true,
-                    ..DispatchConfig::default()
-                },
-                fixture.oracle(),
-            );
-            b.iter(|| policy.assign(&ctx))
+        let upcoming = fixture.oracle().upcoming_riders(fixture.now_ms, cfg.tc_ms);
+        g.bench_with_input(BenchmarkId::new("eager_estimate", &size), &(), |b, ()| {
+            b.iter(|| estimate_rates(&ctx, &upcoming, &cfg).expected_idle_times(&cfg))
         });
         g.bench_with_input(BenchmarkId::new("tracker", &size), &(), |b, ()| {
-            let mut policy = QueueingPolicy::irg(DispatchConfig::default(), fixture.oracle());
+            let mut policy = QueueingPolicy::irg(cfg.clone(), fixture.oracle());
             b.iter(|| policy.assign(&ctx))
         });
     }

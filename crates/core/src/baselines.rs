@@ -86,7 +86,8 @@ impl Default for Near {
 }
 
 impl Near {
-    /// Radius queries run and skipped by this policy's candidate search.
+    /// This policy's candidate-search counters: radius queries run and
+    /// skipped, and exact distances computed (see [`CandidateStats`]).
     pub fn candidate_stats(&self) -> CandidateStats {
         self.scratch.stats()
     }

@@ -20,13 +20,6 @@ pub struct DispatchConfig {
     /// of the idle ratio (the `ablation` experiment of
     /// `mrvd-experiments`).
     pub uniform_et: bool,
-    /// Differential-testing switch: when true, the queueing policies
-    /// estimate rates through the verbatim eager reference path
-    /// ([`crate::estimate_rates`] + a full expected-idle-time table)
-    /// instead of the lazy [`crate::RateTracker`]. Both paths
-    /// must produce byte-identical assignments; the equivalence batteries
-    /// pin it.
-    pub reference_rates: bool,
 }
 
 impl Default for DispatchConfig {
@@ -36,7 +29,6 @@ impl Default for DispatchConfig {
             beta: 0.05,
             max_candidates: 32,
             uniform_et: false,
-            reference_rates: false,
         }
     }
 }

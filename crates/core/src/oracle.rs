@@ -114,22 +114,12 @@ impl DemandOracle {
 
     /// Expected new riders per region during `[now_ms, now_ms + tc_ms)` of
     /// the simulated day — slot counts (real or forecast) scaled by each
-    /// slot's overlap with the window. Windows are truncated at the end of
-    /// the day. Allocates the output; the dispatch hot path uses
-    /// [`DemandOracle::upcoming_riders_into`] with a reused buffer.
+    /// slot's overlap with the window, accumulated from `+0.0` in slot
+    /// order. Windows are truncated at the end of the day. The dispatch
+    /// hot path reads single regions through
+    /// [`DemandOracle::upcoming_region`] instead.
     pub fn upcoming_riders(&self, now_ms: u64, tc_ms: u64) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.upcoming_riders_into(now_ms, tc_ms, &mut out);
-        out
-    }
-
-    /// Like [`DemandOracle::upcoming_riders`], filling a caller-owned
-    /// buffer (cleared and resized to the region count) so the per-batch
-    /// call allocates nothing: slot frames are accumulated in place with
-    /// the scalar overlap weights — no per-slot frame copies.
-    pub fn upcoming_riders_into(&self, now_ms: u64, tc_ms: u64, out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(self.regions(), 0.0);
+        let mut out = vec![0.0; self.regions()];
         self.for_each_window_slot(now_ms, tc_ms, |s0, s, overlap| {
             self.with_slot_counts(s0, s, |frame| {
                 for (o, &v) in out.iter_mut().zip(frame) {
@@ -137,9 +127,10 @@ impl DemandOracle {
                 }
             });
         });
+        out
     }
 
-    /// Region `k`'s entry of [`DemandOracle::upcoming_riders_into`],
+    /// Region `k`'s entry of [`DemandOracle::upcoming_riders`],
     /// bit for bit: the same `overlap × frame[k]` products accumulated
     /// from `+0.0` in the same slot order, without touching any other
     /// region. The dispatch hot path reads only the regions a batch
@@ -183,7 +174,7 @@ impl DemandOracle {
     }
 }
 
-/// Reusable sparse evaluation of [`DemandOracle::upcoming_riders_into`].
+/// Reusable sparse evaluation of [`DemandOracle::upcoming_riders`].
 ///
 /// No policy calls this: the queueing policies read single regions
 /// through [`DemandOracle::upcoming_region`]. It survives for the
@@ -220,7 +211,7 @@ pub struct SparseUpcoming {
 
 impl SparseUpcoming {
     /// Fills [`SparseUpcoming::values`] exactly as
-    /// [`DemandOracle::upcoming_riders_into`] would, touching only the
+    /// [`DemandOracle::upcoming_riders`] would, touching only the
     /// previously-active and currently-demanded regions.
     pub fn compute(&mut self, oracle: &DemandOracle, now_ms: u64, tc_ms: u64) {
         let regions = oracle.regions();
@@ -450,17 +441,6 @@ mod tests {
         assert_eq!(walked.full_day_forecast(), fresh.full_day_forecast());
     }
 
-    #[test]
-    fn upcoming_riders_into_reuses_the_buffer() {
-        let o = DemandOracle::real(series(), 2);
-        let mut buf = vec![99.0; 7]; // stale content and wrong size
-        o.upcoming_riders_into(SLOT_MS, SLOT_MS, &mut buf);
-        assert_eq!(buf, o.upcoming_riders(SLOT_MS, SLOT_MS));
-        // An empty window yields zeros, not stale values.
-        o.upcoming_riders_into(SLOT_MS, 0, &mut buf);
-        assert_eq!(buf, vec![0.0, 0.0]);
-    }
-
     /// 3 days × 4 slots × 6 regions: 0–2 carry demand, 3 is always
     /// +0.0, 4 holds a -0.0 (nonzero bit pattern), 5 is +0.0 except in
     /// slot 2.
@@ -496,9 +476,8 @@ mod tests {
         // Region 4's -0.0 frames must accumulate onto +0.0 exactly as
         // the dense buffer does.
         let o = DemandOracle::real(signed_zero_series(), 2);
-        let mut dense = Vec::new();
         for (now, tc) in WINDOWS {
-            o.upcoming_riders_into(now, tc, &mut dense);
+            let dense = o.upcoming_riders(now, tc);
             for (k, v) in dense.iter().enumerate() {
                 assert_eq!(
                     o.upcoming_region(now, tc, k).to_bits(),
@@ -542,10 +521,9 @@ mod tests {
         // Region 4's -0.0 must stay in the union.
         let o = DemandOracle::real(signed_zero_series(), 2);
         let mut sparse = SparseUpcoming::default();
-        let mut dense = Vec::new();
         for (now, tc) in WINDOWS {
             sparse.compute(&o, now, tc);
-            o.upcoming_riders_into(now, tc, &mut dense);
+            let dense = o.upcoming_riders(now, tc);
             assert_eq!(sparse.values().len(), dense.len());
             for (k, (a, b)) in sparse.values().iter().zip(&dense).enumerate() {
                 assert_eq!(
@@ -572,7 +550,6 @@ mod tests {
         let o = DemandOracle::predicted(Box::new(HistoricalAverage), s.clone(), 2);
         let reference = DemandOracle::predicted(Box::new(HistoricalAverage), s, 2);
         let mut sparse = SparseUpcoming::default();
-        let mut dense = Vec::new();
         // Walk the day forward across base advances — both oracles see
         // the same call sequence so their forecast caches stay in step.
         for (now, tc) in [
@@ -583,7 +560,7 @@ mod tests {
             (3 * SLOT_MS, 10 * SLOT_MS),
         ] {
             sparse.compute(&o, now, tc);
-            reference.upcoming_riders_into(now, tc, &mut dense);
+            let dense = reference.upcoming_riders(now, tc);
             let bits: Vec<u64> = sparse.values().iter().map(|v| v.to_bits()).collect();
             let dense_bits: Vec<u64> = dense.iter().map(|v| v.to_bits()).collect();
             assert_eq!(bits, dense_bits, "diverged at now={now}");

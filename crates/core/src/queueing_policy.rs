@@ -30,7 +30,7 @@ use crate::candidates::{valid_candidates_with, CandidateScratch, CandidateStats}
 use crate::config::DispatchConfig;
 use crate::oracle::DemandOracle;
 use crate::rate_tracker::{RateTracker, RateTrackerStats};
-use crate::rates::{estimate_rates, idle_ratio};
+use crate::rates::idle_ratio;
 
 /// Whether to refine the greedy result with local search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,10 +101,6 @@ pub struct QueueingPolicy {
     /// Lazy rate state, reused across batches (the per-batch λ/μ/K/ET
     /// entries live here — nothing is cloned per batch).
     tracker: RateTracker,
-    /// Reused buffer for the oracle's `|R̂_k|` window counts, filled
-    /// densely by the reference-rates path only; the hot path reads
-    /// single regions through [`DemandOracle::upcoming_region`].
-    upcoming: Vec<f64>,
     /// Reused per-region version stamps for the lazy greedy heap.
     /// Invariant between batches: all zero — `version_touched` undoes
     /// every bump at the end of a batch, so no per-batch
@@ -142,7 +138,6 @@ impl QueueingPolicy {
             rule,
             scratch: CandidateScratch::new(),
             tracker: RateTracker::new(),
-            upcoming: Vec::new(),
             version: Vec::new(),
             version_touched: Vec::new(),
             heap: BinaryHeap::new(),
@@ -178,8 +173,9 @@ impl QueueingPolicy {
         self.tracker.stats()
     }
 
-    /// The candidate search's lifetime counters: radius queries run, and
-    /// queries skipped because their remembered empty answer still held.
+    /// The candidate search's lifetime counters: radius queries run,
+    /// queries skipped because their remembered empty answer still held,
+    /// and exact distances computed (see [`CandidateStats`]).
     pub fn candidate_stats(&self) -> CandidateStats {
         self.scratch.stats()
     }
@@ -226,22 +222,10 @@ impl DispatchPolicy for QueueingPolicy {
             return Vec::new();
         }
         // Algorithm 1, lines 3–6: region state and rates — computed
-        // lazily, region by region, at the candidate destinations below
-        // by default; the verbatim eager estimator over a dense oracle
-        // buffer loads every region under `reference_rates`
-        // (byte-identical outputs; the equivalence batteries pin it).
-        // Either way the per-batch state lives in policy/tracker-owned
-        // buffers reused across batches.
-        if self.cfg.reference_rates {
-            self.oracle
-                .upcoming_riders_into(ctx.now_ms, self.cfg.tc_ms, &mut self.upcoming);
-            let est = estimate_rates(ctx, &self.upcoming, &self.cfg);
-            let ets = est.expected_idle_times(&self.cfg);
-            self.tracker.load_reference(&est, &ets);
-        } else {
-            self.tracker
-                .begin_batch(ctx.grid.num_regions(), ctx.now_ms, &self.cfg);
-        }
+        // lazily, region by region, at the candidate destinations below,
+        // into tracker-owned buffers reused across batches.
+        self.tracker
+            .begin_batch(ctx.grid.num_regions(), ctx.now_ms, &self.cfg);
 
         // Valid pairs (Algorithm 2, lines 3–5).
         let cands = valid_candidates_with(ctx, self.cfg.max_candidates, &mut self.scratch);
@@ -284,9 +268,7 @@ impl DispatchPolicy for QueueingPolicy {
             self.riders[r].dest = dest;
             // The only regions this batch reads: every later idle-time
             // read or μ-bump lands on the destination of a rider with a
-            // candidate, all filled here before the first bump. (A
-            // reference load has already stamped every region, so this
-            // is a no-op then.)
+            // candidate, all filled here before the first bump.
             self.tracker.fill(dest, ctx.region_counts, || {
                 self.oracle
                     .upcoming_region(ctx.now_ms, self.cfg.tc_ms, dest)
@@ -418,7 +400,7 @@ impl DispatchPolicy for QueueingPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rates::et_for;
+    use crate::rates::{estimate_rates, et_for};
     use mrvd_demand::DemandSeries;
     use mrvd_sim::{AvailableDriver, BatchState, DriverId, RiderId, WaitingRider};
     use mrvd_spatial::{ConstantSpeedModel, Grid, Point, TravelModel};

@@ -36,29 +36,25 @@
 //! every occupied or demand-bearing region through the same `fill`. No
 //! policy calls it; the repository benchmark's rate probe and the tests
 //! do. [`estimate_rates`](crate::rates::estimate_rates) itself is kept
-//! verbatim as the reference path for differential testing, and
-//! [`RateTracker::load_reference`] lets a policy run it end to end
-//! through the same greedy machinery.
+//! verbatim as the reference the tests compare the tracker against.
 
 use mrvd_sim::{BatchContext, RegionCounts};
 use mrvd_spatial::RegionId;
 
 use crate::config::DispatchConfig;
-use crate::rates::{et_for, region_rates, RegionEstimate, RegionEstimates};
+use crate::rates::{et_for, region_rates, RegionEstimate};
 
 /// Lifetime counters of a [`RateTracker`], for benchmarks and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RateTrackerStats {
     /// Batches prepared ([`RateTracker::begin_batch`], also through
-    /// [`RateTracker::begin_batch_sparse`], plus
-    /// [`RateTracker::load_reference`] calls).
+    /// [`RateTracker::begin_batch_sparse`]).
     pub batches: u64,
     /// Expected-idle-time solves performed (lazy evaluations plus
-    /// μ-bump recomputations; eager reference loads count one solve per
-    /// region).
+    /// μ-bump recomputations).
     pub ets_computed: u64,
     /// Regions whose counts and rates were computed ([`RateTracker::fill`]
-    /// calls that did work; eager reference loads count every region).
+    /// calls that did work).
     pub regions_filled: u64,
 }
 
@@ -96,20 +92,14 @@ impl RateTracker {
         Self::default()
     }
 
-    /// Sizes the tracker to `n` regions and opens a new epoch. Slots
-    /// kept across a size change carry an older epoch, so they are stale
-    /// like every other.
-    fn next_epoch(&mut self, n: usize) {
+    /// Opens a batch over `n` regions at `now_ms`. Writes no region:
+    /// until [`RateTracker::fill`] computes one, it reads as the
+    /// baseline. Slots kept across a size change carry an older epoch,
+    /// so they are stale like every other.
+    pub fn begin_batch(&mut self, n: usize, now_ms: u64, cfg: &DispatchConfig) {
         self.slots.resize(n, Slot::default());
         self.epoch += 1;
         self.batches += 1;
-    }
-
-    /// Opens a batch over `n` regions at `now_ms`. Writes no region:
-    /// until [`RateTracker::fill`] computes one, it reads as the
-    /// baseline.
-    pub fn begin_batch(&mut self, n: usize, now_ms: u64, cfg: &DispatchConfig) {
-        self.next_epoch(n);
         self.now_ms = now_ms;
         self.window_end_ms = now_ms + cfg.tc_ms;
         self.tc_s = cfg.tc_s();
@@ -179,28 +169,6 @@ impl RateTracker {
         }
     }
 
-    /// Loads the *eager reference* estimates for one batch — the output
-    /// of the verbatim [`estimate_rates`](crate::rates::estimate_rates) /
-    /// [`RegionEstimates::expected_idle_times`] pair — into every region,
-    /// so a policy can run the reference rate path through the same
-    /// greedy machinery (differential testing;
-    /// `DispatchConfig::reference_rates`).
-    pub fn load_reference(&mut self, est: &RegionEstimates, ets: &[f64]) {
-        let n = est.lambda.len();
-        assert_eq!(ets.len(), n, "RateTracker::load_reference: length mismatch");
-        self.next_epoch(n);
-        let epoch = self.epoch;
-        for (k, (slot, &et)) in self.slots.iter_mut().zip(ets).enumerate() {
-            *slot = Slot {
-                est: est.region(k),
-                et: Some(et),
-                filled: epoch,
-            };
-        }
-        self.ets_computed += n as u64;
-        self.regions_filled += n as u64;
-    }
-
     /// Region `k`'s slot for the current batch, started from the
     /// baseline if nothing filled it.
     fn current(&mut self, k: usize) -> &mut Slot {
@@ -219,7 +187,7 @@ impl RateTracker {
     /// computed (and cached) on first access — Eqs. 10/13/16, with the
     /// infinite case clamped to `t_c` and the uniform-ET ablation mapped
     /// to the constant `t_c / 2`, exactly as
-    /// [`RegionEstimates::expected_idle_times`].
+    /// [`RegionEstimates::expected_idle_times`](crate::rates::RegionEstimates::expected_idle_times).
     pub fn et(&mut self, k: usize, cfg: &DispatchConfig) -> f64 {
         let tc_s = cfg.tc_s();
         if cfg.uniform_et {
@@ -289,7 +257,7 @@ impl RateTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rates::estimate_rates;
+    use crate::rates::{estimate_rates, RegionEstimates};
     use mrvd_sim::{AvailableDriver, BatchState, BusyDriver, DriverId, RiderId, WaitingRider};
     use mrvd_spatial::{ConstantSpeedModel, Grid, Point};
 
@@ -544,12 +512,11 @@ mod tests {
         let dense_up = vec![2.0; grid.num_regions()];
         let sparse_up = vec![0.0; grid.num_regions()];
 
-        // A reference load writes every region; the next sparse batch
-        // must read none of those entries.
+        // A dense batch writes every region, its idle time included;
+        // the next sparse batch must read none of those entries.
         let mut t = RateTracker::new();
-        let est_dense = estimate_rates(&live, &dense_up, &cfg);
-        let ets_dense = est_dense.expected_idle_times(&cfg);
-        t.load_reference(&est_dense, &ets_dense);
+        begin(&mut t, &live, &dense_up, &cfg);
+        assert_tracker_matches(&mut t, &estimate_rates(&live, &dense_up, &cfg), &cfg);
         begin(&mut t, &live, &sparse_up, &cfg);
         let est = estimate_rates(&live, &sparse_up, &cfg);
         assert_tracker_matches(&mut t, &est, &cfg);
@@ -604,14 +571,19 @@ mod tests {
         assert_eq!(bits(t.region(p)), filled);
         assert_eq!(t.stats().regions_filled, 2);
 
-        // A reference load stamps every region; none survives into the
-        // next lazy batch, where a bump starts from the baseline.
-        let est = estimate_rates(&ctx, &vec![2.0; n], &cfg);
-        t.load_reference(&est, &est.expected_idle_times(&cfg));
-        assert_eq!(bits(t.region(p)), bits(est.region(p)));
+        // A dense batch writes every region, its idle time included;
+        // none survives into the next lazy batch, where a bump starts
+        // from the baseline.
+        let dense = vec![2.0; n];
+        begin(&mut t, &ctx, &dense, &cfg);
+        assert_tracker_matches(&mut t, &estimate_rates(&ctx, &dense, &cfg), &cfg);
         t.begin_batch(n, 0, &cfg);
         for k in 0..n {
-            assert_eq!(bits(t.region(k)), baseline, "region {k} after a load");
+            assert_eq!(
+                bits(t.region(k)),
+                baseline,
+                "region {k} after a dense batch"
+            );
         }
         t.bump_mu(p, &cfg);
         let bumped = t.region(p);

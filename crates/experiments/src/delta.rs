@@ -15,8 +15,8 @@
 //! Results go to the console table and `<out>/BENCH_delta.json`. The
 //! cost of one executed sparse-regime batch is timed by the criterion
 //! benches in `crates/bench`: `batch_views` (view maintenance against
-//! the scan rebuild) and `rate_estimation` (the lazy rate path against
-//! the eager reference).
+//! the scan rebuild) and `rate_estimation` (a whole IRG batch on the
+//! lazy rate path against the eager estimation alone).
 
 use mrvd_scenario::{builtins, sweep_deltas, SweepPolicy};
 use serde_json::{json, Value};

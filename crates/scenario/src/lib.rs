@@ -41,8 +41,7 @@ pub use builtins::{
 };
 pub use spec::{DriverPhase, HotspotInjection, ScenarioSpec, SimOverrides, SurgeWindow};
 pub use sweep::{
-    run_scenario, run_scenario_configured, run_scenario_reference, run_scenario_with_delta, sweep,
-    sweep_deltas, SweepCell, SweepPolicy,
+    run_scenario, run_scenario_configured, sweep, sweep_deltas, SweepCell, SweepPolicy,
 };
 pub use travel::SlowdownModel;
 pub use workload::{ScenarioShaper, ScenarioWorkload};

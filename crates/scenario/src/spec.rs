@@ -1,6 +1,6 @@
 //! The declarative scenario specification and its JSON round-trip.
 
-use mrvd_sim::DriverSchedule;
+use mrvd_sim::{DriverSchedule, SimConfig};
 use serde_json::{json, Value};
 
 /// A time-boxed demand-rate multiplier: every `(slot, region)` cell whose
@@ -121,7 +121,9 @@ impl ScenarioSpec {
     /// non-positive volume or speed factor, an empty or oversized grid,
     /// inverted or out-of-day windows, non-positive surge factors,
     /// negative injection mass, an invalid driver schedule (empty, not
-    /// starting at 0, or unsorted), or a zero batch interval override.
+    /// starting at 0, or unsorted), a zero batch interval override, or a
+    /// base wait override for which the latest deadline (day end + base
+    /// wait + the default noise's upper end) overflows `u64`.
     pub fn validate(&self) -> Result<(), String> {
         let check = |ok: bool, what: &str| {
             if ok {
@@ -183,10 +185,21 @@ impl ScenarioSpec {
                 .all(|w| w[0].from_ms < w[1].from_ms),
             "driver phases must be strictly increasing in time",
         )?;
-        // Simulator::new asserts Δ > 0; catch it here, by name.
+        // Simulator::new asserts Δ > 0 and that the latest deadline fits
+        // in u64; catch both here, by name.
         check(
             self.sim.batch_interval_ms != Some(0),
             "sim.batch_interval_ms must be positive",
+        )?;
+        let max_noise_ms = SimConfig::default().wait_noise_ms.1;
+        check(
+            self.sim.base_wait_ms.is_none_or(|w| {
+                mrvd_demand::DAY_MS
+                    .checked_add(w)
+                    .and_then(|t| t.checked_add(max_noise_ms))
+                    .is_some()
+            }),
+            "sim.base_wait_ms is so large that a pickup deadline overflows u64",
         )
     }
 
@@ -557,6 +570,26 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("batch_interval_ms"), "{err}");
+    }
+
+    #[test]
+    fn base_wait_whose_deadline_overflows_is_rejected() {
+        let with_base_wait = |w: u64| {
+            ScenarioSpec::from_json_str(&format!(
+                r#"{{"name": "x", "orders_per_day": 1000,
+                    "driver_phases": [{{"from_ms": 0, "drivers": 1}}],
+                    "sim": {{"base_wait_ms": {w}}}}}"#
+            ))
+        };
+        let largest = u64::MAX - mrvd_demand::DAY_MS - SimConfig::default().wait_noise_ms.1;
+        assert_eq!(
+            with_base_wait(largest).unwrap().sim.base_wait_ms,
+            Some(largest)
+        );
+        for w in [largest + 1, u64::MAX] {
+            let err = with_base_wait(w).unwrap_err();
+            assert!(err.contains("sim.base_wait_ms"), "{err}");
+        }
     }
 
     #[test]

@@ -3,6 +3,13 @@
 //! Materializes every scenario once, then runs every `(scenario, policy)`
 //! cell on the shared [`mrvd_stats::parallel_map`] worker pool. Results
 //! come back in deterministic input order regardless of the worker count.
+//!
+//! Every cell runs on the event core, where the queueing policies read
+//! the engine's live per-region counts. The built-in engine-equivalence
+//! battery (`tests/engine_equivalence.rs` of this crate) runs the same
+//! [`SweepPolicy::build`] policies on the legacy per-Δ loop
+//! ([`Simulator::run_scheduled_reference`]), whose counts are rebuilt
+//! from scratch every batch, and requires identical outputs.
 
 use mrvd_core::{DemandOracle, DispatchConfig, Ltg, Near, QueueingPolicy, Rand};
 use mrvd_sim::{DispatchPolicy, SimResult, Simulator};
@@ -51,28 +58,12 @@ impl SweepPolicy {
 
     /// Builds the policy against one materialized workload.
     pub fn build(&self, workload: &ScenarioWorkload) -> Box<dyn DispatchPolicy> {
-        self.build_with(workload, false)
-    }
-
-    /// Like [`SweepPolicy::build`], selecting the queueing policies' rate
-    /// path: `reference_rates = true` runs the verbatim eager
-    /// `estimate_rates` reference instead of the incremental lazy
-    /// `RateTracker` (baselines are unaffected). The equivalence battery
-    /// uses it to pin the two paths byte-identical.
-    pub fn build_with(
-        &self,
-        workload: &ScenarioWorkload,
-        reference_rates: bool,
-    ) -> Box<dyn DispatchPolicy> {
         let oracle = || DemandOracle::real(workload.series.clone(), 0);
-        let cfg = || DispatchConfig {
-            reference_rates,
-            ..DispatchConfig::default()
-        };
+        let cfg = DispatchConfig::default();
         match self {
-            SweepPolicy::IrgReal => Box::new(QueueingPolicy::irg(cfg(), oracle())),
-            SweepPolicy::LsReal => Box::new(QueueingPolicy::ls(cfg(), oracle())),
-            SweepPolicy::ShortReal => Box::new(QueueingPolicy::short(cfg(), oracle())),
+            SweepPolicy::IrgReal => Box::new(QueueingPolicy::irg(cfg, oracle())),
+            SweepPolicy::LsReal => Box::new(QueueingPolicy::ls(cfg, oracle())),
+            SweepPolicy::ShortReal => Box::new(QueueingPolicy::short(cfg, oracle())),
             SweepPolicy::Ltg => Box::new(Ltg::default()),
             SweepPolicy::Near => Box::new(Near::default()),
             SweepPolicy::Rand => Box::new(Rand::new(workload.spec.seed ^ 0x5EED_1E55)),
@@ -82,25 +73,17 @@ impl SweepPolicy {
 
 /// Runs one policy over one materialized scenario on the event core.
 pub fn run_scenario(workload: &ScenarioWorkload, policy: SweepPolicy) -> SimResult {
-    run_scenario_with_delta(workload, policy, None)
+    run_scenario_configured(workload, policy, None, None)
 }
 
-/// [`run_scenario`] with an optional batch-interval override — the
-/// Δ-sensitivity sweeps rerun one materialized workload at many Δ values
-/// without regenerating trips (the workload does not depend on Δ).
-pub fn run_scenario_with_delta(
-    workload: &ScenarioWorkload,
-    policy: SweepPolicy,
-    delta_ms: Option<u64>,
-) -> SimResult {
-    run_scenario_configured(workload, policy, delta_ms, None)
-}
-
-/// [`run_scenario_with_delta`] with an explicit event-queue shard count
-/// override (`Some(1)` forces the single global heap, `Some(0)`/`None`
-/// keep the config's sharding — `0` = auto-sized to the grid). The scale
-/// experiments use it to pin the sharded engine byte-identical to the
-/// single-queue layout while comparing their wall times.
+/// [`run_scenario`] with an optional batch-interval override and an
+/// optional event-queue shard count override (`Some(1)` forces the
+/// single global heap, `Some(0)`/`None` keep the config's sharding —
+/// `0` = auto-sized to the grid). The Δ-sensitivity sweeps rerun one
+/// materialized workload at many Δ values without regenerating trips
+/// (the workload does not depend on Δ); the scale experiments pin the
+/// sharded engine byte-identical to the single-queue layout while
+/// comparing their wall times.
 pub fn run_scenario_configured(
     workload: &ScenarioWorkload,
     policy: SweepPolicy,
@@ -117,27 +100,6 @@ pub fn run_scenario_configured(
     let sim = Simulator::new(config, &workload.travel, &workload.grid);
     let mut p = policy.build(workload);
     sim.run_scheduled(
-        &workload.trips,
-        &workload.driver_pool,
-        &workload.schedule,
-        p.as_mut(),
-    )
-}
-
-/// Runs one policy over one materialized scenario on the legacy per-Δ
-/// batch loop ([`Simulator::run_scheduled_reference`]) — the
-/// differential baseline the engine-equivalence battery compares
-/// [`run_scenario`] against. The queueing policies also run their
-/// *reference* rate path (`reference_rates = true`), so the differential
-/// covers both the engine and the rate estimator.
-pub fn run_scenario_reference(workload: &ScenarioWorkload, policy: SweepPolicy) -> SimResult {
-    let sim = Simulator::new(
-        workload.sim_config.clone(),
-        &workload.travel,
-        &workload.grid,
-    );
-    let mut p = policy.build_with(workload, true);
-    sim.run_scheduled_reference(
         &workload.trips,
         &workload.driver_pool,
         &workload.schedule,
@@ -288,7 +250,7 @@ pub fn sweep_deltas(
             reason = "feeds only the wall_time_s telemetry column, never simulated results"
         )]
         let t0 = std::time::Instant::now();
-        let result = run_scenario_with_delta(workload, policy, Some(delta));
+        let result = run_scenario_configured(workload, policy, Some(delta), None);
         SweepCell::from_result(
             workload.spec.name.clone(),
             policy,

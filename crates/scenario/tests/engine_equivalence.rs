@@ -1,12 +1,13 @@
 //! Engine-equivalence battery: the event-driven core and the legacy
 //! per-Δ batch loop must produce identical `SimResult`s on every
 //! built-in scenario (the built-ins all use Δ-aligned driver phases, so
-//! equivalence is exact, not approximate). The differential covers the
-//! rate estimator too: `run_scenario` runs the queueing policies on the
-//! incremental lazy `RateTracker` fed by the engine's live counts, while
-//! `run_scenario_reference` runs them on the verbatim eager
-//! `estimate_rates` path — so a bit-identical result pins engine, index
-//! and rate paths at once.
+//! equivalence is exact, not approximate). Both runs build the same
+//! policy and differ only in the loop around it: under `run_scenario`
+//! the queueing policies read the event core's live index and
+//! per-region counts, while under `run_scenario_reference` they read an
+//! index and counts that `BatchState::rebuild` builds from scratch every
+//! batch — so a bit-identical result pins engine, index and rate counts
+//! at once.
 //!
 //! The default tests run each built-in at reduced volume but the *paper
 //! default Δ = 3 s*, so the skip logic is exercised across thousands of
@@ -15,15 +16,32 @@
 //! is executed by CI's `cargo test -- --ignored` pass.
 
 use mrvd_scenario::{
-    builtins, run_scenario, run_scenario_configured, run_scenario_reference, ScenarioSpec,
-    SweepPolicy,
+    builtins, run_scenario, run_scenario_configured, ScenarioSpec, ScenarioWorkload, SweepPolicy,
 };
-use mrvd_sim::{RenegeMatch, SimResult};
+use mrvd_sim::{RenegeMatch, SimResult, Simulator};
 
 /// Shrinks a built-in to 20% volume/fleet, keeping the default Δ = 3 s,
 /// so one debug-mode differential run stays in the low seconds.
 fn quick(spec: ScenarioSpec) -> ScenarioSpec {
     spec.scaled(0.2)
+}
+
+/// Runs one policy over one materialized scenario on the legacy per-Δ
+/// batch loop ([`Simulator::run_scheduled_reference`]), the differential
+/// baseline for [`run_scenario`].
+fn run_scenario_reference(workload: &ScenarioWorkload, policy: SweepPolicy) -> SimResult {
+    let sim = Simulator::new(
+        workload.sim_config.clone(),
+        &workload.travel,
+        &workload.grid,
+    );
+    let mut p = policy.build(workload);
+    sim.run_scheduled_reference(
+        &workload.trips,
+        &workload.driver_pool,
+        &workload.schedule,
+        p.as_mut(),
+    )
 }
 
 /// Asserts that two runs of `name` have the same simulated outputs,

@@ -160,7 +160,9 @@ impl<'a> Simulator<'a> {
     /// Creates a simulator.
     ///
     /// # Panics
-    /// Panics on a zero batch interval or zero horizon.
+    /// Panics on a zero batch interval or zero horizon, an inverted noise
+    /// range, or a horizon + base wait + noise upper end that overflows
+    /// `u64` (the bound on every pickup deadline).
     pub fn new(config: SimConfig, travel: &'a dyn TravelModel, grid: &'a Grid) -> Self {
         assert!(
             config.batch_interval_ms > 0,
@@ -170,6 +172,14 @@ impl<'a> Simulator<'a> {
         assert!(
             config.wait_noise_ms.0 <= config.wait_noise_ms.1,
             "Simulator: noise range inverted"
+        );
+        assert!(
+            config
+                .horizon_ms
+                .checked_add(config.base_wait_ms)
+                .and_then(|t| t.checked_add(config.wait_noise_ms.1))
+                .is_some(),
+            "Simulator: horizon + base wait + noise overflows u64"
         );
         Self {
             config,
@@ -1257,6 +1267,19 @@ mod tests {
             &DriverSchedule::constant(2),
             &mut Idle,
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "base wait + noise overflows u64")]
+    fn base_wait_whose_deadline_overflows_panics() {
+        let grid = Grid::nyc_16x16();
+        let travel = ConstantSpeedModel::new(8.0);
+        let defaults = SimConfig::default();
+        let config = SimConfig {
+            base_wait_ms: u64::MAX - defaults.horizon_ms - defaults.wait_noise_ms.1 + 1,
+            ..defaults
+        };
+        Simulator::new(config, &travel, &grid);
     }
 
     #[test]

@@ -64,15 +64,6 @@ fn policies(
             DispatchConfig::default(),
             DemandOracle::real(series.clone(), 0),
         )),
-        // The same policy on the verbatim eager rate path — the engine
-        // differential must hold for both rate estimators.
-        Box::new(QueueingPolicy::irg(
-            DispatchConfig {
-                reference_rates: true,
-                ..DispatchConfig::default()
-            },
-            DemandOracle::real(series.clone(), 0),
-        )),
         // POLAR carries cross-batch state (the slot-rolled blueprint
         // budget), so it exercises the skip-exactness argument hardest.
         Box::new(Polar::new(

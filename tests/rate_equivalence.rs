@@ -3,9 +3,10 @@
 //! region — must reproduce the verbatim eager reference estimator
 //! (`estimate_rates` + the full expected-idle-time table) bit-for-bit
 //! over random event sequences — arrivals, assignments, dropoffs,
-//! reneges and shift changes — and the queueing policies must emit
-//! byte-identical assignments whichever rate path they run, over real
-//! and predicted demand alike.
+//! reneges and shift changes. `RateAudit` checks that at every executed
+//! batch of the policy it wraps: first-fit, and each queueing policy,
+//! which must also emit byte-identical assignments on the event core
+//! and on the legacy per-Δ loop, over real and predicted demand alike.
 
 use mrvd::core::{estimate_rates, RateTracker, RegionEstimate, RegionEstimates};
 use mrvd::prelude::*;
@@ -63,28 +64,29 @@ fn bits(e: RegionEstimate) -> (u32, u32, u32, u64, u64, u64) {
     )
 }
 
-/// A first-fit policy that, at every executed batch, pins the engine's
-/// live counts and the tracker against the verbatim eager reference
-/// estimator for *every* region — counts, λ/μ/K bits and lazy-vs-eager
-/// expected idle times — twice: after the eager prefill, and after a
-/// lazy fill of every region in a scrambled order from the oracle's
-/// per-region window.
-struct RateAudit {
+/// A policy wrapper that, at every executed batch, pins the engine's
+/// live counts and a tracker of its own against the verbatim eager
+/// reference estimator for *every* region — counts, λ/μ/K bits and
+/// lazy-vs-eager expected idle times — twice: after the eager prefill,
+/// and after a lazy fill of every region in a scrambled order from the
+/// oracle's per-region window. Then it hands the batch to `P`, so the
+/// checks run on `P`'s own event stream.
+struct RateAudit<P> {
+    inner: P,
     cfg: DispatchConfig,
     oracle: DemandOracle,
     tracker: RateTracker,
     checks: usize,
-    batches_with_busy: usize,
 }
 
-impl RateAudit {
-    fn new(series: DemandSeries) -> Self {
+impl<P: DispatchPolicy> RateAudit<P> {
+    fn new(oracle: DemandOracle, inner: P) -> Self {
         Self {
+            inner,
             cfg: DispatchConfig::default(),
-            oracle: DemandOracle::real(series, 0),
+            oracle,
             tracker: RateTracker::new(),
             checks: 0,
-            batches_with_busy: 0,
         }
     }
 
@@ -112,9 +114,17 @@ impl RateAudit {
     }
 }
 
-impl DispatchPolicy for RateAudit {
+impl<P: DispatchPolicy> DispatchPolicy for RateAudit<P> {
     fn name(&self) -> String {
-        "rate-audit".into()
+        self.inner.name()
+    }
+
+    fn teleports_pickup(&self) -> bool {
+        self.inner.teleports_pickup()
+    }
+
+    fn invoke_every_batch(&self) -> bool {
+        self.inner.invoke_every_batch()
     }
 
     fn assign(&mut self, ctx: &BatchContext<'_>) -> Vec<Assignment> {
@@ -159,9 +169,21 @@ impl DispatchPolicy for RateAudit {
         }
         self.assert_tracker_matches(&est, &ets, ctx.now_ms, "lazy");
         self.checks += 1;
-        self.batches_with_busy += usize::from(!ctx.busy.is_empty());
-        // First-fit assignments keep the event stream rich: dropoffs,
-        // rejoin-window churn, busy retirements under ramp-downs.
+        self.inner.assign(ctx)
+    }
+}
+
+/// Each waiting rider, in view order, takes the nearest valid driver
+/// still free. Assigning whatever it can keeps the event stream rich:
+/// dropoffs, rejoin-window churn, busy retirements under ramp-downs.
+struct FirstFit;
+
+impl DispatchPolicy for FirstFit {
+    fn name(&self) -> String {
+        "first-fit".into()
+    }
+
+    fn assign(&mut self, ctx: &BatchContext<'_>) -> Vec<Assignment> {
         let mut taken = std::collections::BTreeSet::new();
         let mut out = Vec::new();
         for r in ctx.riders {
@@ -200,19 +222,21 @@ proptest! {
             ..SimConfig::default()
         };
         let sim = Simulator::new(config, &travel, &grid);
-        let mut audit = RateAudit::new(series);
+        let mut audit = RateAudit::new(DemandOracle::real(series, 0), FirstFit);
         let result = sim.run_scheduled(&trips, &pool, &schedule, &mut audit);
         prop_assert_eq!(audit.checks, result.ticks_executed);
         prop_assert_eq!(result.counts_ops > 0, !trips.is_empty() || !pool.is_empty());
     }
 
     /// End-to-end policy differential: IRG/LS/SHORT over real demand and
-    /// IRG/LS over a `HistoricalAverage` forecast produce byte-identical
-    /// results whether rates come from the lazy tracker (default), the
-    /// verbatim eager reference path (`reference_rates`), or the
-    /// reference path on the legacy per-Δ loop. The predicted variants
-    /// also pin the forecast cache, which the lazy path drives only when
-    /// it reads a region.
+    /// IRG/LS over a `HistoricalAverage` forecast, each on its one lazy
+    /// rate path. On the event core, wrapped in `RateAudit`, the
+    /// policy reads the live counts, and the audit pins the rates it
+    /// reads from against the eager estimator at every executed batch;
+    /// on the legacy per-Δ loop it reads counts rebuilt from scratch
+    /// each batch. Both runs must produce the same results. The
+    /// predicted variants also pin the forecast cache, which the lazy
+    /// path drives only when it reads a region.
     #[test]
     fn queueing_policies_are_invariant_to_the_rate_path(seed in 0u64..24) {
         let (trips, pool, schedule) = random_world(seed);
@@ -248,32 +272,21 @@ proptest! {
             (QueueingPolicy::ls, &predicted),
         ];
         for (build, oracle) in variants {
-            let cfg = |reference_rates| DispatchConfig {
-                reference_rates,
-                ..DispatchConfig::default()
-            };
-            let mut lazy = build(cfg(false), oracle());
-            let mut reference = build(cfg(true), oracle());
-            let mut legacy = build(cfg(true), oracle());
-            let name = lazy.name();
-            let fast = sim.run_scheduled(&trips, &pool, &schedule, &mut lazy);
-            let slow = sim.run_scheduled(&trips, &pool, &schedule, &mut reference);
+            let mut audited = RateAudit::new(oracle(), build(DispatchConfig::default(), oracle()));
+            let mut legacy = build(DispatchConfig::default(), oracle());
+            let name = audited.name();
+            let fast = sim.run_scheduled(&trips, &pool, &schedule, &mut audited);
+            prop_assert_eq!(audited.checks, fast.ticks_executed, "{}", name);
             let loopy = sim.run_scheduled_reference(&trips, &pool, &schedule, &mut legacy);
             // The legacy loop charges reneges up to Δ late, so against
             // it only the reneging riders match.
-            for (label, other, reneges) in [
-                ("reference-rates", &slow, RenegeMatch::Exact),
-                ("legacy-loop", &loopy, RenegeMatch::RiderSet),
-            ] {
-                let diff = fast.first_difference(other, reneges);
-                prop_assert!(
-                    diff.is_none(),
-                    "{} vs {}: diverged at {}",
-                    name,
-                    label,
-                    diff.unwrap_or_default()
-                );
-            }
+            let diff = fast.first_difference(&loopy, RenegeMatch::RiderSet);
+            prop_assert!(
+                diff.is_none(),
+                "{} vs legacy-loop: diverged at {}",
+                name,
+                diff.unwrap_or_default()
+            );
         }
     }
 }
@@ -325,8 +338,9 @@ fn dropoff_exactly_on_a_batch_slot_is_counted_once() {
         &grid,
     );
     let series = count_trips(&trips, &grid);
-    let mut audit = RateAudit::new(series);
+    let mut audit = RateAudit::new(DemandOracle::real(series, 0), FirstFit);
     let result = sim.run_scheduled(&trips, &pool, &DriverSchedule::constant(1), &mut audit);
+    assert_eq!(audit.checks, result.ticks_executed);
     assert_eq!(result.served, 2, "both trips must be served");
     assert_eq!(
         result.assignments[0].dropoff_ms, 120_000,
